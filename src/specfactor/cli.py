@@ -257,10 +257,27 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_point_values(argv) -> list[str]:
+    """Rewrite ``--point VALUE`` as ``--point=VALUE``.
+
+    argparse takes a separate value that starts with '-' and is not a plain
+    number, such as -5/3 or -1/2-1/2*i, for an option flag.
+    """
+    out = []
+    tokens = iter(argv)
+    for token in tokens:
+        if token == "--point":
+            value = next(tokens, None)
+            out.append(token if value is None else f"--point={value}")
+        else:
+            out.append(token)
+    return out
+
+
 def run(argv) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_point_values(argv))
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

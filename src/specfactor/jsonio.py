@@ -57,12 +57,14 @@ def ratmat_from_json(data) -> RatMat:
     if not isinstance(entries, list) or not entries:
         raise ScalarParseError("matrix entries must be a non-empty grid")
     mat = RatMat([[ratfun_from_json(e) for e in row] for row in entries])
-    rows = data.get("rows")
-    cols = data.get("cols")
-    if rows is not None and int(rows) != mat.rows:
-        raise ScalarParseError(f"declared rows {rows} but found {mat.rows}")
-    if cols is not None and int(cols) != mat.cols:
-        raise ScalarParseError(f"declared cols {cols} but found {mat.cols}")
+    for key, found in (("rows", mat.rows), ("cols", mat.cols)):
+        declared = data.get(key)
+        if declared is None:
+            continue
+        if isinstance(declared, bool) or not isinstance(declared, int):
+            raise ScalarParseError(f"declared {key} must be an integer, got {declared!r}")
+        if declared != found:
+            raise ScalarParseError(f"declared {key} {declared} but found {found}")
     return mat
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import CirclePoleError
-from .poly import Poly, poly_gcd
+from .poly import Poly, monic_ratio, poly_gcd
 from .scalars import Comparison, GaussianRational, Point, ONE
 
 
@@ -47,9 +47,7 @@ class RatFun:
             if not g.is_one():
                 n = n.exact_div(g)
                 d = d.exact_div(g)
-        lead_inv = d.lead.inverse()
-        self._num = n * lead_inv
-        self._den = d * lead_inv
+        self._num, self._den = monic_ratio(n, d)
 
     @classmethod
     def zero(cls) -> RatFun:

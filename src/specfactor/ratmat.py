@@ -181,11 +181,6 @@ class RatMat:
     def transpose(self) -> RatMat:
         return RatMat(list(zip(*self._entries)))
 
-    def conj_entries(self) -> RatMat:
-        return RatMat(
-            [[RatFun(e.num.conj_coeffs(), e.den.conj_coeffs()) for e in row] for row in self._entries]
-        )
-
     def paraconj_transpose(self) -> RatMat:
         """Entrywise paraconjugation followed by transposition; an involution."""
         return RatMat(

@@ -115,3 +115,50 @@ def brute_point_degrees(mat: RatMat, point: Point):
     pole = -partial_min
     zero = nu_last + pole
     return zero, pole
+
+
+# Plain coefficient-list polynomial reference: ascending lists of
+# GaussianRational with no trailing zeros, built only from scalar
+# arithmetic, so it shares no code with Poly's integer kernels.
+
+
+def ref_trim(coeffs):
+    out = list(coeffs)
+    while out and out[-1].is_zero():
+        out.pop()
+    return out
+
+
+def ref_mul(a, b):
+    if not a or not b:
+        return []
+    out = [GaussianRational(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = out[i + j] + x * y
+    return ref_trim(out)
+
+
+def ref_divmod(a, b):
+    """Schoolbook long division by the leading coefficient's inverse."""
+    if not b:
+        raise ZeroDivisionError("division by the zero polynomial")
+    rem = list(a)
+    if len(a) < len(b):
+        return [], ref_trim(rem)
+    quot = [GaussianRational(0)] * (len(a) - len(b) + 1)
+    lead = b[-1]
+    for k in range(len(quot) - 1, -1, -1):
+        c = rem[k + len(b) - 1] / lead
+        quot[k] = c
+        for j, y in enumerate(b):
+            rem[k + j] = rem[k + j] - c * y
+    return ref_trim(quot), ref_trim(rem[: len(b) - 1])
+
+
+def ref_eval(a, x):
+    """Horner evaluation."""
+    acc = GaussianRational(0)
+    for c in reversed(a):
+        acc = acc * x + c
+    return acc

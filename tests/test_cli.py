@@ -238,3 +238,37 @@ def test_outputs_reparse_through_schemas(tmp_path, capsys):
     payload = json.loads(out)
     w = jsonio.ratmat_from_json(payload["w"])
     assert jsonio.ratmat_from_json(json.loads(json.dumps(jsonio.ratmat_to_json(w)))) == w
+
+
+def test_analyze_negative_point_spellings(tmp_path, capsys):
+    g_path = write_matrix(tmp_path / "g.json", GOLDEN_G)
+    h_path = write_matrix(tmp_path / "h.json", GOLDEN_H)
+    for point in ("-5/3", "-1/2-1/2*i"):
+        code_eq, out_eq, _ = run_cli(capsys, "analyze", g_path, h_path, f"--point={point}")
+        code_sp, out_sp, err_sp = run_cli(capsys, "analyze", g_path, h_path, "--point", point)
+        assert code_eq == 0 and code_sp == 0 and not err_sp
+        assert out_sp == out_eq
+        assert json.loads(out_sp)["point"] == point
+    assert main(["analyze", g_path, h_path, "--point"]) == 2
+    capsys.readouterr()
+
+
+def _declared_shape_error(tmp_path, capsys, **declared):
+    payload = {**jsonio.ratmat_to_json(GOLDEN_G), **declared}
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(payload))
+    code = main(["degree", str(path)])
+    captured = capsys.readouterr()
+    return code, captured
+
+
+def test_declared_shape_must_be_json_integer(tmp_path, capsys):
+    for declared in ({"rows": "abc"}, {"rows": 1.7}, {"rows": 1.0}, {"cols": True}, {"rows": "1"}):
+        code, captured = _declared_shape_error(tmp_path, capsys, **declared)
+        assert code == 1, declared
+        assert json.loads(captured.err)["error"]["code"] == "parse_error", declared
+    code, captured = _declared_shape_error(tmp_path, capsys, rows=2)
+    assert code == 1
+    assert json.loads(captured.err)["error"]["code"] == "parse_error"
+    code, captured = _declared_shape_error(tmp_path, capsys, rows=1, cols=2)
+    assert code == 0 and json.loads(captured.out)["mcmillan"] == 0
