@@ -165,12 +165,14 @@ def make_elementary(alpha, v) -> RatMat:
 
 
 def is_paraunitary(v: RatMat) -> bool:
-    """Exact check of both products V* V and V V* against the identity."""
+    """Exact check of V* V against the identity.
+
+    For a square V over the field of rational functions, V* V = I makes V
+    invertible with inverse V*, so V V* = I follows and is not formed.
+    """
     if not v.is_square():
         raise DimensionMismatchError("para-unitarity is defined for square matrices")
-    ident = RatMat.identity(v.rows)
-    star = v.paraconj_transpose()
-    return star * v == ident and v * star == ident
+    return v.paraconj_transpose() * v == RatMat.identity(v.rows)
 
 
 def is_parahermitian(g: RatMat) -> bool:

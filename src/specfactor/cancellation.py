@@ -16,6 +16,7 @@ plus infinity).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import RankDeficiencyError, ZeroMatrixError
 from .ratmat import RatMat
@@ -39,9 +40,16 @@ class CancellationReport:
     zero_pole_cancellation: bool
 
 
+@lru_cache(maxsize=4096)
+def _product(g: RatMat, h: RatMat) -> RatMat:
+    """G H, formed once per pair: ``support_points`` and every per-point
+    ``analyze_product`` share the result (and its cached structure)."""
+    return g * h
+
+
 def analyze_product(g: RatMat, h: RatMat, point: Point) -> CancellationReport:
     """Classify the cancellation behaviour of G H at one point."""
-    product = g * h
+    product = _product(g, h)
     if g.is_zero() or h.is_zero() or product.is_zero():
         raise ZeroMatrixError("cancellation analysis needs nonzero G, H and G*H")
     dp_g = g.pole_degree(point)
@@ -114,7 +122,7 @@ def support_points(g: RatMat, h: RatMat) -> tuple[Point, ...]:
     be probed by the pointwise checks anyway.
     """
     points: set[Point] = set()
-    product = g * h
+    product = _product(g, h)
     for mat in (g, h, product):
         if mat.is_zero():
             continue

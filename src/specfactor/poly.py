@@ -23,6 +23,7 @@ Polynomials are immutable and hashable.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd as int_gcd, inf, isfinite
@@ -673,24 +674,22 @@ def _guessed_roots(work: Poly) -> list[tuple[tuple[int, int], tuple[int, int]]]:
 _GUESS_DENOMINATOR_CAP = 1 << 24
 
 
-def _divisor_roots(work: Poly) -> list[tuple[tuple[int, int], tuple[int, int]]]:
+def _divisor_roots(work: Poly) -> Iterator[tuple[tuple[int, int], tuple[int, int]]]:
     """Every candidate p/q (q a canonical associate) with p dividing the
-    trailing and q the leading numerator of work, each once."""
+    trailing and q the leading numerator of work, one at a time.
+
+    A candidate can come up more than once; after its root has been
+    divided out, a repeat evaluates to nonzero and is passed over.
+    """
     ints = work._num
-    seen: set[tuple[int, int, int, int]] = set()
-    candidates: list[tuple[tuple[int, int], tuple[int, int]]] = []
+    nums = gi_divisors_up_to_units(ints[0])
     for den in gi_divisors_up_to_units(ints[-1]):
-        for num in gi_divisors_up_to_units(ints[0]):
+        for num in nums:
             g = gi_gcd(num, den)
             rnum = gi_exact_div(num, g)
             rden = canonical_associate(gi_exact_div(den, g))
             for unit in UNITS:
-                un = gi_mul(rnum, unit)
-                key = (un[0], un[1], rden[0], rden[1])
-                if key not in seen:
-                    seen.add(key)
-                    candidates.append((un, rden))
-    return candidates
+                yield gi_mul(rnum, unit), rden
 
 
 def _derivative(p: Poly) -> Poly:

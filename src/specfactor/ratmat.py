@@ -150,15 +150,7 @@ class RatMat:
                     f"cannot multiply {self._rows}x{self._cols} by {other._rows}x{other._cols}"
                 )
             cols_t = list(zip(*other._entries))
-            out = []
-            for row in self._entries:
-                out.append(
-                    [
-                        sum((a * b for a, b in zip(row, col)), RatFun.zero())
-                        for col in cols_t
-                    ]
-                )
-            return RatMat(out)
+            return RatMat([[_dot(row, col) for col in cols_t] for row in self._entries])
         try:
             s = _coerce_entry(other)
         except TypeError:
@@ -415,6 +407,33 @@ class RatMat:
         if sm_x.pole_polynomial() != sm_g.zero_polynomial():
             return False
         return x.pole_degree(INFINITY) == self.zero_degree(INFINITY)
+
+
+def _dot(row, col) -> RatFun:
+    """sum(a * b) over the paired entries with one reduction.
+
+    Each term stays an unreduced num/den pair; numerators over the same
+    denominator are added first, then the distinct denominators are merged
+    through their lcm, and only the final fraction is reduced.
+    """
+    by_den: dict[Poly, Poly] = {}
+    for a, b in zip(row, col):
+        if a.is_zero() or b.is_zero():
+            continue
+        den = a.den * b.den
+        num = a.num * b.num
+        acc = by_den.get(den)
+        by_den[den] = num if acc is None else acc + num
+    if not by_den:
+        return RatFun.zero()
+    terms = iter(by_den.items())
+    den, num = next(terms)
+    for d, n in terms:
+        g = poly_gcd(den, d)
+        d_g, den_g = (d, den) if g.is_one() else (d.exact_div(g), den.exact_div(g))
+        num = num * d_g + n * den_g
+        den = den * d_g
+    return RatFun(num, den)
 
 
 class SMStructure:

@@ -15,6 +15,7 @@ Values are immutable after construction and freely shareable.
 from __future__ import annotations
 
 import enum
+import re
 from fractions import Fraction
 
 from .errors import ScalarParseError
@@ -28,15 +29,22 @@ class Comparison(enum.Enum):
     GREATER = 1
 
 
+# the only string form of a rational: no decimals, exponents, underscores
+# or surrounding whitespace, which ``Fraction`` would also take
+_RATIONAL = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
+
+
 def _as_fraction(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
+        if _RATIONAL.fullmatch(x) is None:
+            raise ScalarParseError(f"not an exact rational: {x!r}")
         try:
             return Fraction(x)
-        except (ValueError, ZeroDivisionError) as exc:
+        except ZeroDivisionError as exc:
             raise ScalarParseError(f"not an exact rational: {x!r}") from exc
     raise TypeError(f"cannot build an exact rational from {type(x).__name__}")
 

@@ -162,3 +162,17 @@ def ref_eval(a, x):
     for c in reversed(a):
         acc = acc * x + c
     return acc
+
+
+def ref_matmul(a: RatMat, b: RatMat) -> RatMat:
+    """Matrix product as entry-by-entry sums of reduced RatFun products,
+    each partial sum reduced on its own (no shared denominators)."""
+    return RatMat(
+        [
+            [
+                sum((a.entry(i, k) * b.entry(k, j) for k in range(a.cols)), RatFun.zero())
+                for j in range(b.cols)
+            ]
+            for i in range(a.rows)
+        ]
+    )

@@ -14,6 +14,7 @@ from specfactor import (
     pole_additivity_holds,
     support_points,
 )
+from specfactor.cancellation import _product
 from specfactor.errors import RankDeficiencyError, ZeroMatrixError
 
 from helpers import M, RF, pt, random_full_rank_pair
@@ -63,6 +64,29 @@ def test_flags_consistent_with_degrees():
             assert report.zero_pole_cancellation == (
                 report.pole_cancellation and report.zero_cancellation
             )
+
+
+def test_product_formed_once_per_pair(monkeypatch):
+    g, h = random_full_rank_pair(random.Random(23), max_side=3)
+    _product.cache_clear()
+    products = []
+    multiply = RatMat.__mul__
+
+    def counting(self, other):
+        products.append((self, other))
+        return multiply(self, other)
+
+    monkeypatch.setattr(RatMat, "__mul__", counting)
+    points = support_points(g, h)
+    reports = [analyze_product(g, h, point) for point in points]
+    assert len(products) == 1
+    # equal but distinct copies share the memoized product and the answers
+    g_copy, h_copy = RatMat(g.entries), RatMat(h.entries)
+    assert g_copy is not g and h_copy is not h
+    assert support_points(g_copy, h_copy) == points
+    assert [analyze_product(g_copy, h_copy, point) for point in points] == reports
+    assert len(products) == 1
+    _product.cache_clear()
 
 
 def test_zero_product_rejected():

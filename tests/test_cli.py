@@ -182,6 +182,21 @@ def test_bad_scalar_string(tmp_path, capsys):
     assert json.loads(captured.err)["error"]["code"] == "parse_error"
 
 
+def test_decimal_and_exponent_scalars_are_parse_errors(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    for text in ("1.5", "1e5", "1e-5", "1_000"):
+        bad.write_text(json.dumps({"entries": [[{"num": [text], "den": ["1"]}]]}))
+        code = main(["degree", str(bad)])
+        captured = capsys.readouterr()
+        assert code == 1, text
+        assert json.loads(captured.err)["error"]["code"] == "parse_error", text
+    # a JSON number is read through the same grammar
+    bad.write_text(json.dumps({"entries": [[{"num": [1.5], "den": [1]}]]}))
+    code = main(["degree", str(bad)])
+    assert code == 1
+    assert json.loads(capsys.readouterr().err)["error"]["code"] == "parse_error"
+
+
 def test_dimension_mismatch_error_code(tmp_path, capsys):
     g_path = write_matrix(tmp_path / "g.json", GOLDEN_G)
     code = main(["analyze", g_path, g_path, "--point", "0"])

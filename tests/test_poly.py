@@ -269,6 +269,25 @@ def test_gaussian_roots_recovers_planted_roots(planted, cofactor, lead):
     assert rest == cofactor.monic()
 
 
+def test_divisor_roots_yields_before_enumerating(monkeypatch):
+    # 5040 has 216 Gaussian divisors up to units, so 46,656 divisor pairs
+    # (times four units) are candidates; the first one needs one pair only
+    import specfactor.poly as poly_mod
+
+    gcds = []
+    gi_gcd = poly_mod.gi_gcd
+
+    def counting(x, y):
+        gcds.append((x, y))
+        return gi_gcd(x, y)
+
+    monkeypatch.setattr(poly_mod, "gi_gcd", counting)
+    candidates = poly_mod._divisor_roots(P(5040, 1, 5040))
+    num, den = next(candidates)
+    assert len(gcds) == 1
+    assert den[0] > 0 and den[1] >= 0 and num != (0, 0)
+
+
 def test_gaussian_roots_divisor_search_alone(monkeypatch):
     # with no floating-point guesses the divisor search must find every root
     import specfactor.poly as poly_mod

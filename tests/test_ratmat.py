@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from specfactor import (
     INFINITY,
@@ -21,7 +22,7 @@ from specfactor.linsolve import matrix_rank
 from specfactor.ratmat import point_degrees_by_valuation
 
 from helpers import M, P, RF, gr, pt, random_elementary_product
-from oracles import brute_point_degrees
+from oracles import brute_point_degrees, ref_matmul
 
 GOLDEN_G = M([[1, -1]])
 GOLDEN_H = M([[RF([3, 2], [2, 3, 1])], [RF([1], [2, 1])]])
@@ -30,6 +31,35 @@ GOLDEN_H = M([[RF([3, 2], [2, 3, 1])], [RF([1], [2, 1])]])
 def test_golden_product():
     gh = GOLDEN_G * GOLDEN_H
     assert gh == M([[RF([1], [1, 1])]])
+
+
+# denominators are products of up to two factors from a small root pool, so
+# a row meets repeated denominators and distinct ones sharing a factor
+_DEN_ROOTS = [gr(1), gr(-2), gr(Fraction(1, 2)), gr(0, 1), gr(1, -1)]
+_coeffs = st.builds(gr, st.integers(-3, 3), st.integers(-2, 2))
+_entries = st.one_of(
+    st.just(RatFun.zero()),
+    st.builds(
+        RatFun,
+        st.lists(_coeffs, max_size=3).map(Poly),
+        st.lists(st.sampled_from(_DEN_ROOTS), max_size=2).map(Poly.from_roots),
+    ),
+)
+
+
+@st.composite
+def _product_pairs(draw):
+    n, k, m = (draw(st.integers(1, 3)) for _ in range(3))
+    a = RatMat([[draw(_entries) for _ in range(k)] for _ in range(n)])
+    b = RatMat([[draw(_entries) for _ in range(m)] for _ in range(k)])
+    return a, b
+
+
+@settings(max_examples=80, deadline=None)
+@given(_product_pairs())
+def test_product_matches_entrywise_sum(pair):
+    a, b = pair
+    assert a * b == ref_matmul(a, b)
 
 
 def test_identity_product():

@@ -124,10 +124,18 @@ def test_parsing_tolerates_whitespace_and_forms():
     assert str(INFINITY) == "inf"
 
 
-@pytest.mark.parametrize("bad", ["", "abc", "1//2", "1+", "2..5", "1/2+*i"])
+@pytest.mark.parametrize("bad", ["", "abc", "1//2", "1+", "2..5", "1/2+*i",
+                                 "1.5", "1e5", "1e-5", "1E5", "1_000", ".5", "5.",
+                                 "1.5*i", "2+1e5i"])
 def test_parse_errors(bad):
     with pytest.raises(ScalarParseError):
         GaussianRational.from_string(bad)
+
+
+@pytest.mark.parametrize("bad", ["1.5", "1e5", "1_000", " 3", "1/-2"])
+def test_rational_strings_take_digits_only(bad):
+    with pytest.raises(ScalarParseError):
+        GaussianRational(bad)
 
 
 def test_infinity_has_no_value():
