@@ -16,7 +16,6 @@ integer vector), so factorizations are reproducible byte for byte.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd as int_gcd
 
 from .errors import DimensionMismatchError, FactorizationError
@@ -201,18 +200,10 @@ def _constant_unitary(c: RatMat) -> bool:
     return True
 
 
-def _pole_sort_key(p: Point):
-    if p.is_infinite:
-        return (1, Fraction(0), Fraction(0), Fraction(0))
-    val = p.value
-    return (0, val.abs2(), val.re, val.im)
-
-
 def _poles_of(v: RatMat) -> list[Point]:
     pts = list(v.finite_pole_points(strict=True))
     if v.has_pole_at_infinity():
         pts.append(INFINITY)
-    pts.sort(key=_pole_sort_key)
     return pts
 
 

@@ -128,9 +128,6 @@ def support_points(g: RatMat, h: RatMat) -> tuple[Point, ...]:
             continue
         points.update(mat.finite_pole_points(strict=False))
         points.update(mat.finite_zero_points(strict=False))
-    ordered = sorted(
-        points,
-        key=lambda p: (p.value.abs2(), p.value.re, p.value.im),
-    )
+    ordered = sorted(points, key=Point.sort_key)
     ordered.append(INFINITY)
     return tuple(ordered)

@@ -78,8 +78,7 @@ def _point_listing(mat: RatMat) -> dict:
     for kind, polynomial in (("poles", sm.pole_polynomial()), ("zeros", sm.zero_polynomial())):
         if not polynomial.is_constant():
             roots = require_split(polynomial, f"{kind} enumeration")
-            ordered = sorted(roots, key=lambda rm: (rm[0].abs2(), rm[0].re, rm[0].im))
-            listing[kind] = [{"point": str(r), "degree": m} for r, m in ordered]
+            listing[kind] = [{"point": str(r), "degree": m} for r, m in roots]
     inf_pole = mat.pole_degree(INFINITY)
     if inf_pole:
         listing["poles"].append({"point": "inf", "degree": inf_pole})

@@ -600,7 +600,7 @@ def gaussian_roots(p: Poly) -> tuple[tuple[tuple[GaussianRational, int], ...], P
     numerators, which proves that no root in Q(i) is left.  The returned
     data satisfies lead * prod (z - r)^m * cofactor == p exactly; the
     cofactor is monic (constant 1 when p splits over Q(i)), and the roots
-    are sorted by (|r|^2, re, im).
+    are sorted by ``Point.sort_key``.
     """
     if p.is_zero():
         raise ValueError("root extraction from the zero polynomial")
@@ -631,7 +631,7 @@ def gaussian_roots(p: Poly) -> tuple[tuple[tuple[GaussianRational, int], ...], P
                 work = q
                 mult += 1
             roots.append((cand, mult))
-    roots.sort(key=lambda rm: (rm[0].abs2(), rm[0].re, rm[0].im))
+    roots.sort(key=lambda rm: Point(rm[0]).sort_key())
     return tuple(roots), work
 
 

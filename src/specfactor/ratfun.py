@@ -61,10 +61,6 @@ class RatFun:
     def constant(cls, c) -> RatFun:
         return cls(Poly((c,)))
 
-    @classmethod
-    def from_poly(cls, p: Poly) -> RatFun:
-        return cls(p)
-
     @property
     def num(self) -> Poly:
         return self._num
@@ -86,9 +82,6 @@ class RatFun:
         if not self.is_constant():
             raise ValueError(f"not a constant: {self}")
         return self._num.coefficient(0)
-
-    def is_polynomial(self) -> bool:
-        return self._den.is_one()
 
     def has_real_coeffs(self) -> bool:
         return self._num.has_real_coeffs() and self._den.has_real_coeffs()
@@ -164,29 +157,11 @@ class RatFun:
 
         For real coefficients this is f(1/z).  Involution, multiplicative.
         """
-        if self.is_zero():
-            return self
-        num_c = self._num.conj_coeffs().reversed()
-        den_c = self._den.conj_coeffs().reversed()
-        dn = self._num.degree
-        dd = self._den.degree
-        z = Poly.variable()
-        if dd >= dn:
-            return RatFun(num_c * z ** (dd - dn), den_c)
-        return RatFun(num_c, den_c * z ** (dn - dd))
+        return _reciprocal(self._num.conj_coeffs(), self._den.conj_coeffs())
 
     def reciprocal_subs(self) -> RatFun:
         """The substitution f(1/z) without coefficient conjugation."""
-        if self.is_zero():
-            return self
-        num_r = self._num.reversed()
-        den_r = self._den.reversed()
-        dn = self._num.degree
-        dd = self._den.degree
-        z = Poly.variable()
-        if dd >= dn:
-            return RatFun(num_r * z ** (dd - dn), den_r)
-        return RatFun(num_r, den_r * z ** (dn - dd))
+        return _reciprocal(self._num, self._den)
 
     def valuation(self, point: Point) -> int:
         """Order at the point: +k for a zero of degree k, -k for a pole.
@@ -228,6 +203,16 @@ class RatFun:
 
     def __repr__(self) -> str:
         return f"RatFun[{self}]"
+
+
+def _reciprocal(num: Poly, den: Poly) -> RatFun:
+    """num(1/z) / den(1/z) as a reduced rational function."""
+    if num.is_zero():
+        return _RF_ZERO
+    shift = Poly.variable() ** abs(den.degree - num.degree)
+    if den.degree >= num.degree:
+        return RatFun(num.reversed() * shift, den.reversed())
+    return RatFun(num.reversed(), den.reversed() * shift)
 
 
 _RF_ZERO = RatFun(Poly.zero())

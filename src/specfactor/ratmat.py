@@ -8,9 +8,11 @@ The structural queries all reduce to exact polynomial arithmetic:
   determinantal divisors: write G = N/d with N polynomial, take monic gcds
   D_k of all k x k minors of N, divide consecutive divisors to get the
   invariant polynomials, and reduce against d,
-* pole/zero degrees at a finite point sum multiplicities across the
-  diagonal; at infinity the matrix is re-expanded in 1/z and the degrees
-  are read at 0,
+* pole/zero locations are the roots of the Smith-McMillan pole and zero
+  polynomials,
+* pole/zero degrees at one point of the extended plane, infinity included,
+  come from the valuations of the minors at that point
+  (``point_degrees_by_valuation``),
 * ``minimal_right_inverse`` solves for a right inverse whose denominators
   divide the zero polynomial of G (so its poles can only sit on zeros of G,
   with bounded degrees) and then verifies exact pole/zero degree matching.
@@ -231,16 +233,10 @@ class RatMat:
         return _sm_of(self)
 
     def pole_degree(self, point: Point) -> int:
-        if point.is_infinite:
-            return self.reciprocal_subs().pole_degree(Point(0))
-        sm = self.sm_structure()
-        return sum(psi.multiplicity(point) for psi in sm.psi)
+        return point_degrees_by_valuation(self, point)[1]
 
     def zero_degree(self, point: Point) -> int:
-        if point.is_infinite:
-            return self.reciprocal_subs().zero_degree(Point(0))
-        sm = self.sm_structure()
-        return sum(eps.multiplicity(point) for eps in sm.eps)
+        return point_degrees_by_valuation(self, point)[0]
 
     def mcmillan_degree(self) -> int:
         """Total pole degree over the extended plane."""
@@ -253,26 +249,10 @@ class RatMat:
     def finite_pole_points(self, strict: bool = True) -> tuple[Point, ...]:
         """Finite pole locations in Q(i); with strict=True a location outside
         Q(i) raises, otherwise it is silently dropped."""
-        sm = self.sm_structure()
-        prod_psi = sm.pole_polynomial()
-        if prod_psi.is_constant():
-            return ()
-        if strict:
-            roots = require_split(prod_psi, "pole locations")
-        else:
-            roots, _ = gaussian_roots(prod_psi)
-        return tuple(Point(r) for r, _ in roots)
+        return _root_points(self.sm_structure().pole_polynomial(), strict, "pole locations")
 
     def finite_zero_points(self, strict: bool = True) -> tuple[Point, ...]:
-        sm = self.sm_structure()
-        prod_eps = sm.zero_polynomial()
-        if prod_eps.is_constant():
-            return ()
-        if strict:
-            roots = require_split(prod_eps, "zero locations")
-        else:
-            roots, _ = gaussian_roots(prod_eps)
-        return tuple(Point(r) for r, _ in roots)
+        return _root_points(self.sm_structure().zero_polynomial(), strict, "zero locations")
 
     def has_pole_at_infinity(self) -> bool:
         return any(
@@ -355,9 +335,9 @@ class RatMat:
         candidate = build(particular)
         if self._is_minimal_inverse(candidate):
             return candidate
-        # a special solution can undershoot the required pole degrees at
-        # points where G carries both a pole and a zero; a generic element
-        # of the solution space attains them
+        # a special solution can miss the required pole degrees (a double
+        # pole where G has a simple zero, say); a generic element of the
+        # solution space attains them
         rng = random.Random(0x5EEDED)
         for _ in range(25):
             mixed = [row[:] for row in particular]
@@ -436,6 +416,14 @@ def _dot(row, col) -> RatFun:
     return RatFun(num, den)
 
 
+def _root_points(poly: Poly, strict: bool, context: str) -> tuple[Point, ...]:
+    """The Q(i) roots of poly as points, sorted by ``Point.sort_key``."""
+    if poly.is_constant():
+        return ()
+    roots = require_split(poly, context) if strict else gaussian_roots(poly)[0]
+    return tuple(Point(r) for r, _ in roots)
+
+
 class SMStructure:
     """Smith-McMillan diagonal: rank r and the coprime chains eps_i / psi_i.
 
@@ -509,15 +497,16 @@ def _cleared_cached(mat: RatMat) -> tuple[Poly, tuple[tuple[Poly, ...], ...]]:
     return d, n
 
 
+@lru_cache(maxsize=4096)
 def point_degrees_by_valuation(mat: RatMat, point: Point) -> tuple[int, int]:
     """(zero degree, pole degree) at one point from minor valuations only.
 
     Sorted ascending, the diagonal valuations d_1 <= ... <= d_r of the
     Smith-McMillan form satisfy d_1 + ... + d_k = min valuation over k x k
     minors, so the pole degree is -min(0, nu_1, ..., nu_r) and the zero
-    degree is nu_r plus the pole degree.  No polynomial gcds are needed,
-    which makes this the fast route for repeated pointwise queries; the
-    gcd-chain route through ``sm_structure`` is the reference one.
+    degree is nu_r plus the pole degree.  At infinity the valuation of a
+    polynomial is minus its degree.  No polynomial gcds are needed; the
+    independent reference is ``tests/oracles.brute_point_degrees``.
     """
     if mat.is_zero():
         raise ZeroMatrixError("degrees of the zero matrix are undefined")
@@ -576,51 +565,22 @@ def _poly_det(rows: list[list[Poly]]) -> Poly:
 
 
 def _bareiss_det(rows: list[list[Poly]]) -> Poly:
-    n = len(rows)
-    a = [list(row) for row in rows]
+    rank, last = _bareiss([list(row) for row in rows])
+    return last if rank == len(rows) else Poly.zero()
+
+
+def _bareiss(a: list[list[Poly]]) -> tuple[int, Poly]:
+    """Fraction-free elimination of a in place, pivoting on an entry of
+    least degree; the rank and the last pivot, signed by the swaps.
+
+    Each pivot is a leading minor of the permuted matrix, so for a square
+    matrix of full rank the signed last pivot is the determinant.
+    """
+    rows, cols = len(a), len(a[0])
     prev = Poly.one()
     sign = 1
-    for k in range(n - 1):
-        pivot_row = None
-        for i in range(k, n):
-            if not a[i][k].is_zero():
-                if pivot_row is None or a[i][k].degree < a[pivot_row][k].degree:
-                    pivot_row = i
-        if pivot_row is None:
-            return Poly.zero()
-        if pivot_row != k:
-            a[k], a[pivot_row] = a[pivot_row], a[k]
-            sign = -sign
-        piv = a[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * piv - a[i][k] * a[k][j]).exact_div(prev)
-        prev = piv
-    det = a[n - 1][n - 1]
-    return det if sign == 1 else -det
-
-
-def _row_cleared(mat: RatMat) -> list[list[Poly]]:
-    out = []
-    for row in mat.entries:
-        lcm = Poly.one()
-        for e in row:
-            if not e.is_zero():
-                lcm = poly_lcm(lcm, e.den)
-        out.append(
-            [e.num * lcm.exact_div(e.den) if not e.is_zero() else Poly.zero() for e in row]
-        )
-    return out
-
-
-@lru_cache(maxsize=4096)
-def _normal_rank(mat: RatMat) -> int:
-    a = _row_cleared(mat)
-    rows, cols = mat.rows, mat.cols
-    prev = Poly.one()
     r = 0
-    limit = min(rows, cols)
-    while r < limit:
+    while r < min(rows, cols):
         pivot = None
         for i in range(r, rows):
             for j in range(r, cols):
@@ -633,24 +593,30 @@ def _normal_rank(mat: RatMat) -> int:
         pi, pj = pivot
         if pi != r:
             a[r], a[pi] = a[pi], a[r]
+            sign = -sign
         if pj != r:
             for row in a:
                 row[r], row[pj] = row[pj], row[r]
+            sign = -sign
         piv = a[r][r]
         for i in range(r + 1, rows):
             for j in range(r + 1, cols):
                 a[i][j] = (a[i][j] * piv - a[i][r] * a[r][j]).exact_div(prev)
-            a[i][r] = Poly.zero()
         prev = piv
         r += 1
-    return r
+    return r, prev if sign == 1 else -prev
+
+
+@lru_cache(maxsize=4096)
+def _normal_rank(mat: RatMat) -> int:
+    return _bareiss([list(row) for row in _cleared_cached(mat)[1]])[0]
 
 
 @lru_cache(maxsize=4096)
 def _sm_of(mat: RatMat) -> SMStructure:
     if mat.is_zero():
         raise ZeroMatrixError("the zero matrix has no Smith-McMillan structure")
-    d, n = mat.cleared()
+    d, n = _cleared_cached(mat)
     rank = _normal_rank(mat)
     eps: list[Poly] = []
     psi: list[Poly] = []

@@ -91,13 +91,10 @@ class GaussianRational:
         for term in terms:
             if not term or term in "+-":
                 raise ScalarParseError(f"malformed scalar term in {text!r}")
-            sign = 1
-            body = term
-            if body[0] == "+":
-                body = body[1:]
-            elif body[0] == "-":
-                sign = -1
-                body = body[1:]
+            sign = -1 if term[0] == "-" else 1
+            body = term[1:] if term[0] in "+-" else term
+            if body[0] in "+-":
+                raise ScalarParseError(f"malformed scalar term {term!r} in {text!r}")
             try:
                 if body in ("i", "I"):
                     im_part += sign
@@ -120,9 +117,6 @@ class GaussianRational:
 
     def is_zero(self) -> bool:
         return not self._re and not self._im
-
-    def is_real(self) -> bool:
-        return not self._im
 
     def is_one(self) -> bool:
         return self._re == 1 and not self._im
@@ -202,10 +196,6 @@ class GaussianRational:
     def __bool__(self) -> bool:
         return not self.is_zero()
 
-    def to_complex(self) -> complex:
-        """Floating approximation; used only by the circle sampling check."""
-        return complex(float(self._re), float(self._im))
-
     def __str__(self) -> str:
         if self.is_zero():
             return "0"
@@ -226,7 +216,6 @@ class GaussianRational:
 
 ZERO = GaussianRational(0)
 ONE = GaussianRational(1)
-I = GaussianRational(0, 1)
 
 
 class Point:
@@ -246,10 +235,6 @@ class Point:
     def infinity(cls) -> Point:
         return cls(None)
 
-    @classmethod
-    def of(cls, re=0, im=0) -> Point:
-        return cls(GaussianRational(re, im))
-
     @property
     def is_infinite(self) -> bool:
         return self._value is None
@@ -259,6 +244,13 @@ class Point:
         if self._value is None:
             raise ValueError("the point at infinity has no finite value")
         return self._value
+
+    def sort_key(self) -> tuple:
+        """Order by (|p|^2, re, im), with infinity after every finite point."""
+        if self._value is None:
+            return (1, Fraction(0), Fraction(0), Fraction(0))
+        v = self._value
+        return (0, v.abs2(), v.re, v.im)
 
     def abs_vs_one(self) -> Comparison:
         """Compare |p| against 1 exactly; infinity compares GREATER."""

@@ -32,7 +32,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .allpass import is_paraunitary, make_elementary
+from .allpass import _constant_unitary, is_paraunitary, make_elementary
 from .errors import (
     CoSpectralityError,
     DimensionMismatchError,
@@ -130,12 +130,7 @@ class Region:
     def spec_string(self) -> str:
         parts = [self._default_side.value]
         if self._flipped:
-            pts = sorted(
-                self._flipped,
-                key=lambda p: (1, Fraction(0), Fraction(0), Fraction(0))
-                if p.is_infinite
-                else (0, p.value.abs2(), p.value.re, p.value.im),
-            )
+            pts = sorted(self._flipped, key=Point.sort_key)
             parts.append("flip=" + ";".join(str(p) for p in pts))
         if self._weak:
             parts.append("weak")
@@ -284,7 +279,13 @@ def transfer_between(w1: RatMat, w: RatMat) -> RatMat:
         raise DimensionMismatchError("factors must share dimensions")
     if w.normal_rank() != w.rows or w1.normal_rank() != w1.rows:
         raise RankDeficiencyError("transfer needs full row rank factors")
-    t = w1 * w.minimal_right_inverse()
+    return _transfer(w1, w, w.minimal_right_inverse())
+
+
+def _transfer(w1: RatMat, w: RatMat, w_inv: RatMat) -> RatMat:
+    """W1 times the minimal right inverse w_inv of W, checked to be a
+    para-unitary T with W1 = T W."""
+    t = w1 * w_inv
     if not is_paraunitary(t):
         raise CoSpectralityError("transfer is not para-unitary; factors are not co-spectral")
     if w1 != t * w:
@@ -303,22 +304,6 @@ class UniquenessResult:
     verdict: Verdict
     failed_hypotheses: tuple[str, ...]
     transfer: RatMat | None
-
-
-def _constant_real_orthogonal(t: RatMat) -> bool:
-    if not t.is_constant() or not t.has_real_coeffs():
-        return False
-    vals = t.constant_values()
-    n = t.rows
-    for i in range(n):
-        for j in range(n):
-            acc = GaussianRational(0)
-            for k in range(n):
-                acc = acc + vals[k][i] * vals[k][j]
-            expected = GaussianRational(1 if i == j else 0)
-            if acc != expected:
-                return False
-    return True
 
 
 def uniqueness_check(
@@ -372,10 +357,8 @@ def uniqueness_check(
             failed.append("minimality_W1")
     if failed:
         return UniquenessResult(Verdict.HYPOTHESIS_FAILED, tuple(failed), None)
-    t = w1 * w_inv
-    if not is_paraunitary(t) or w1 != t * w:
-        raise CoSpectralityError("exact co-spectrality holds but the transfer misbehaves")
-    if _constant_real_orthogonal(t):
+    t = _transfer(w1, w, w_inv)
+    if t.has_real_coeffs() and _constant_unitary(t):
         return UniquenessResult(Verdict.UNIQUE, (), t)
     return UniquenessResult(Verdict.UNIQUENESS_VIOLATED, (), t)
 

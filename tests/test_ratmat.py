@@ -2,10 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from specfactor import (
     INFINITY,
+    Point,
     Poly,
     RatFun,
     RatMat,
@@ -19,6 +20,7 @@ from specfactor.errors import (
     ZeroMatrixError,
 )
 from specfactor.linsolve import matrix_rank
+from specfactor.poly import require_split
 from specfactor.ratmat import point_degrees_by_valuation
 
 from helpers import M, P, RF, gr, pt, random_elementary_product
@@ -166,6 +168,41 @@ def test_degrees_match_brute_oracle():
             assert point_degrees_by_valuation(mat, probe) == (dz, dp)
 
 
+# prod(z - a) / prod(z - b) over a small root pool
+_split_funs = st.builds(
+    RatFun,
+    *[st.lists(st.sampled_from(_DEN_ROOTS + [gr(0)]), max_size=2).map(Poly.from_roots)] * 2,
+)
+
+
+@st.composite
+def _split_matrices(draw):
+    # D1 C D2 with split diagonals and a constant C: every entry splits, and
+    # off the root pool G(z) has the rank of C, so the zeros split as well
+    rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    c = RatMat([[draw(_coeffs) for _ in range(cols)] for _ in range(rows)])
+    assume(not c.is_zero())
+    d1 = RatMat.diagonal([draw(_split_funs) for _ in range(rows)])
+    d2 = RatMat.diagonal([draw(_split_funs) for _ in range(cols)])
+    return d1 * c * d2
+
+
+@settings(max_examples=60, deadline=None)
+@given(_split_matrices())
+def test_sm_locations_agree_with_valuation_degrees(mat):
+    # locations come from the Smith-McMillan form, pointwise degrees from
+    # minor valuations; the two routes must tell the same story
+    sm = mat.sm_structure()
+    for roots, degree in (
+        (require_split(sm.pole_polynomial()), mat.pole_degree),
+        (require_split(sm.zero_polynomial()), mat.zero_degree),
+    ):
+        for r, m in roots:
+            assert degree(Point(r)) == m
+    finite = sum(mat.pole_degree(p) for p in mat.finite_pole_points())
+    assert mat.mcmillan_degree() == finite + mat.pole_degree(INFINITY)
+
+
 def test_mcmillan_degree_examples():
     assert M([[RF([1], [1, 1])]]).mcmillan_degree() == 1
     u = make_elementary(pt(2), [1, 2])
@@ -253,6 +290,26 @@ def test_minimal_right_inverse_random_wide():
         sm_x = x.sm_structure()
         assert sm_x.pole_polynomial() == sm_g.zero_polynomial()
         assert x.pole_degree(INFINITY) == g.zero_degree(INFINITY)
+
+
+def test_minimal_right_inverse_needs_the_mixing_fallback(monkeypatch):
+    # G is polynomial with one simple zero, at 0; the particular solution of
+    # the coefficient system gives X a double pole there, and only a generic
+    # element of the solution space has the simple pole minimality asks for
+    g = M([[RF([0, -1]), 0, 0], [0, RF([-2, 1]), -1]])
+    verdicts = []
+    original = RatMat._is_minimal_inverse
+
+    def spy(self, x):
+        verdicts.append(original(self, x))
+        return verdicts[-1]
+
+    monkeypatch.setattr(RatMat, "_is_minimal_inverse", spy)
+    x = g.minimal_right_inverse()
+    assert verdicts[0] is False and verdicts[-1] is True
+    assert g * x == RatMat.identity(2)
+    assert x.sm_structure().pole_polynomial() == g.sm_structure().zero_polynomial()
+    assert x.pole_degree(INFINITY) == g.zero_degree(INFINITY)
 
 
 def test_determinant():

@@ -126,7 +126,7 @@ def test_parsing_tolerates_whitespace_and_forms():
 
 @pytest.mark.parametrize("bad", ["", "abc", "1//2", "1+", "2..5", "1/2+*i",
                                  "1.5", "1e5", "1e-5", "1E5", "1_000", ".5", "5.",
-                                 "1.5*i", "2+1e5i"])
+                                 "1.5*i", "2+1e5i", "--1", "+-1", "1+-2", "1--2*i"])
 def test_parse_errors(bad):
     with pytest.raises(ScalarParseError):
         GaussianRational.from_string(bad)
