@@ -169,6 +169,16 @@ def _cmd_sweep(args) -> dict:
     return report
 
 
+def _non_negative_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="specfactor",
@@ -248,7 +258,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "sweep",
         help="seeded uniqueness sweep across region geometries; deterministic report",
     )
-    p.add_argument("--instances", type=int, required=True)
+    p.add_argument("--instances", type=_non_negative_int, required=True)
     p.add_argument("--base-seed", type=int, default=20240, dest="base_seed")
     p.add_argument("--report", help="write the full report to this file")
     p.set_defaults(func=_cmd_sweep)

@@ -5,15 +5,21 @@ divisor enumeration backs rational root finding over Q(i): candidate roots
 ``p/q`` have numerators dividing the trailing coefficient and denominators
 dividing the leading coefficient, both in Z[i].
 
-Integer factorization of norms is delegated to sympy; the lift to Gaussian
-primes uses the classical split ``p = pi * conj(pi)`` for ``p = 1 mod 4``
-obtained from a square root of -1 modulo p.
+Norms are factored in-house: trial division by small numbers, then
+Pollard's rho in Brent's variant (Brent 1980) splits what is left down to
+parts that pass a Miller-Rabin test over the first 13 prime bases.  That
+test is exact below 3.3 * 10**24 (the least strong pseudoprime to all 13
+bases is 3317044064679887385961981); above it the test is probabilistic:
+a composite that is a strong pseudoprime to all 13 bases would be taken
+for a prime.  The lift to Gaussian primes uses the classical split
+``p = pi * conj(pi)`` for ``p = 1 mod 4``, obtained from a square root r
+of -1 modulo p; r*r = -1 (mod p) is checked before use, and ``gi_factor``
+refuses a factorization that leaves a cofactor of norm other than 1.
 """
 
 from __future__ import annotations
 
-from sympy import factorint
-from sympy.ntheory.residue_ntheory import sqrt_mod
+from math import gcd, isqrt
 
 GInt = tuple[int, int]
 
@@ -80,6 +86,98 @@ def canonical_associate(x: GInt) -> GInt:
     raise AssertionError("unreachable: some unit rotation lands in the first quadrant")
 
 
+# trial division strips every prime factor below 1000; rho splits the rest
+_TRIAL_DIVISORS = (2, *range(3, 1000, 2))
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin over _MR_BASES (exact below 3.3 * 10**24)."""
+    if n < 2:
+        return False
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    d = (n - 1) >> s
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _rho(n: int) -> int:
+    """A proper divisor of the odd composite n: Pollard's rho with Brent's
+    cycle search and batched gcds, over x -> x*x + c for c = 1, 2, ..."""
+    c = 0
+    while True:
+        c += 1
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = gcd(q, n)
+                k += 128
+            r *= 2
+        if g == n:
+            # the batch overshot: redo its steps one gcd at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(abs(x - ys), n)
+        if g != n:
+            return g
+
+
+def _factor_int(n: int) -> dict[int, int]:
+    """Prime factorization of the integer n >= 1, primes ascending."""
+    out: dict[int, int] = {}
+    for p in _TRIAL_DIVISORS:
+        if p * p > n:
+            break
+        while n % p == 0:
+            n //= p
+            out[p] = out.get(p, 0) + 1
+    parts = [n] if n > 1 else []
+    while parts:
+        m = parts.pop()
+        if _is_prime(m):
+            out[m] = out.get(m, 0) + 1
+            continue
+        # a prime p = 3 mod 4 enters a norm squared, and rho needs about
+        # sqrt(p) steps to split p*p, so squares are split by isqrt
+        root = isqrt(m)
+        d = root if root * root == m else _rho(m)
+        parts += [d, m // d]
+    return dict(sorted(out.items()))
+
+
+def _sqrt_minus_one(p: int) -> int:
+    """The smaller square root of -1 modulo the prime p = 1 mod 4: x**((p-1)/4)
+    for the least quadratic non-residue x."""
+    x = 2
+    while pow(x, (p - 1) // 2, p) != p - 1:
+        x += 1
+    r = pow(x, (p - 1) // 4, p)
+    if r * r % p != p - 1:
+        raise AssertionError(f"no square root of -1 modulo {p}; it is not a prime 1 mod 4")
+    return min(r, p - r)
+
+
 def gi_factor(x: GInt) -> dict[GInt, int]:
     """Gaussian prime factorization of x, primes in canonical associate form.
 
@@ -90,43 +188,22 @@ def gi_factor(x: GInt) -> dict[GInt, int]:
         raise ValueError("cannot factor zero")
     result: dict[GInt, int] = {}
     rest = x
-    for p, exp in factorint(gi_norm(x)).items():
+    for p in _factor_int(gi_norm(x)):
         if p == 2:
-            pi = (1, 1)
-            count = 0
-            while True:
-                q = gi_exact_div(rest, pi)
-                if q is None:
-                    break
-                rest = q
-                count += 1
-            if count:
-                result[canonical_associate(pi)] = count
+            primes = [(1, 1)]
         elif p % 4 == 3:
-            # p stays prime in Z[i]; exponent in x is exp // 2
-            pi = (p, 0)
+            # p stays prime in Z[i]
+            primes = [(p, 0)]
+        else:
+            pi = canonical_associate(gi_gcd((p, 0), (_sqrt_minus_one(p), 1)))
+            primes = [pi, canonical_associate(gi_conj(pi))]
+        for pi in primes:
             count = 0
-            while True:
-                q = gi_exact_div(rest, pi)
-                if q is None:
-                    break
+            while (q := gi_exact_div(rest, pi)) is not None:
                 rest = q
                 count += 1
             if count:
-                result[canonical_associate(pi)] = count
-        else:
-            root = sqrt_mod(-1, p)
-            pi = canonical_associate(gi_gcd((p, 0), (int(root), 1)))
-            for cand in (pi, canonical_associate(gi_conj(pi))):
-                count = 0
-                while True:
-                    q = gi_exact_div(rest, cand)
-                    if q is None:
-                        break
-                    rest = q
-                    count += 1
-                if count:
-                    result[cand] = result.get(cand, 0) + count
+                result[pi] = count
     if gi_norm(rest) != 1:
         raise AssertionError(f"incomplete Gaussian factorization of {x}: left {rest}")
     return result

@@ -645,7 +645,7 @@ def _guessed_roots(work: Poly) -> list[tuple[tuple[int, int], tuple[int, int]]]:
     where doubles stop telling fractions apart).  Simple roots keep the
     guesses accurate enough for that.
     """
-    import numpy as np  # loaded with the package already (spectra)
+    import numpy as np  # loaded on first use, not at package import
 
     common = poly_gcd(work, _derivative(work))
     squarefree = work if common.is_constant() else work.exact_div(common)

@@ -30,8 +30,6 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .allpass import _constant_unitary, is_paraunitary, make_elementary
 from .errors import (
     CoSpectralityError,
@@ -242,6 +240,8 @@ class PsdReport:
 def psd_on_circle(spectrum, samples: int = 64, tol: float = 1e-9) -> PsdReport:
     """Advisory floating-point check of positive semidefiniteness on the
     unit circle; samples falling on poles are skipped and counted."""
+    import numpy as np  # loaded on first use: the exact paths never need it
+
     phi = spectrum.phi if isinstance(spectrum, Spectrum) else spectrum
     if samples < 1:
         raise ValueError("need at least one sample")

@@ -176,3 +176,17 @@ def ref_matmul(a: RatMat, b: RatMat) -> RatMat:
             for i in range(a.rows)
         ]
     )
+
+
+def ref_factor(n: int) -> dict[int, int]:
+    """Prime factorization of the integer n >= 1 by plain trial division."""
+    out = {}
+    d = 2
+    while d * d <= n:
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
+        d += 1
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out

@@ -148,6 +148,15 @@ def test_sweep_inline_report(capsys):
     assert len(payload["instances"]) == 2
 
 
+def test_sweep_negative_instances_is_usage_error(capsys):
+    assert main(["sweep", "--instances", "-1"]) == 2
+    assert "expected a non-negative integer, got '-1'" in capsys.readouterr().err
+    code, out, _ = run_cli(capsys, "sweep", "--instances", "0")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["instances"] == [] and payload["summary"]["unique"] == 0
+
+
 def test_usage_errors(capsys):
     assert main([]) == 2
     capsys.readouterr()

@@ -1,0 +1,53 @@
+"""Import cost and declared dependencies of the package."""
+
+import ast
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "specfactor"
+
+
+def test_cli_import_loads_no_numpy_or_sympy():
+    # numpy is loaded on first use (root guesses, the advisory circle check),
+    # so a command that never needs it starts without it
+    script = (
+        "import sys\n"
+        "import specfactor.cli\n"
+        "print(sorted(m for m in ('numpy', 'sympy') if m in sys.modules))\n"
+        "from specfactor import Poly, gaussian_roots\n"
+        "gaussian_roots(Poly.linear(2) * Poly.linear(-3))\n"
+        "print(sorted(m for m in ('numpy', 'sympy') if m in sys.modules))\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, timeout=60, check=True).stdout.splitlines()
+    assert out == ["[]", "['numpy']"]
+
+
+def _imported_packages() -> set[str]:
+    names = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names.update(alias.name.partition(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names.add(node.module.partition(".")[0])
+    return names - set(sys.stdlib_module_names) - {"__future__", "specfactor"}
+
+
+def test_third_party_imports_are_the_declared_dependencies():
+    tomllib = pytest.importorskip("tomllib")
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        declared = tomllib.load(fh)["project"]["dependencies"]
+    # a requirement string starts with the distribution name, which for
+    # every dependency here is also its import name
+    names = {re.match(r"[A-Za-z0-9_.-]+", req).group().lower().replace("-", "_")
+             for req in declared}
+    assert _imported_packages() == names
