@@ -21,6 +21,7 @@ from .errors import (
     DimensionMismatchError,
     FactorizationError,
     GenerationError,
+    InputTooLargeError,
     MinimalInverseError,
     NonGaussianPoleError,
     RankDeficiencyError,
@@ -54,6 +55,7 @@ _ERROR_CODES = [
     (CoSpectralityError, "not_co_spectral"),
     (SpectrumError, "malformed_spectrum"),
     (GenerationError, "generation_failed"),
+    (InputTooLargeError, "too_large"),
     (ZeroDivisionError, "division_by_zero"),
     (OSError, "io_error"),
     (ValueError, "domain_error"),

@@ -30,6 +30,11 @@ class ZeroMatrixError(ValueError):
     """Structural data (SM form, degrees) of the zero matrix is undefined."""
 
 
+class InputTooLargeError(ValueError):
+    """An input exceeds a declared size limit, such as the step budget of
+    integer factoring."""
+
+
 class FactorizationError(RuntimeError):
     """All-pass peel-off failed; violates the guaranteed decomposition."""
 

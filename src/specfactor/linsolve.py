@@ -1,82 +1,131 @@
 """Exact dense linear algebra over Q(i) for small systems.
 
-Plain Gaussian elimination: entries are GaussianRational, pivots are the
-first nonzero entry in each column, everything stays exact.  Systems here
-are small (coefficient matching for right-inverse construction, rank checks
-of constant matrices), so no fraction-free refinement is needed.
+Fraction-free Gauss-Jordan elimination over the Gaussian integers (Bareiss
+1968, in the Gauss-Jordan form of Nakos, Turner and Williams 1997).  Entries
+are Gaussian integers ``(re, im)``, the numerator layout of the integer
+``Poly``; a matrix with rational entries is cleared row by row first, which
+changes neither its rank nor the solutions of a system.
+
+At each pivot p every other row, above and below, becomes
+``(p * row - f * pivot_row) / prev``, where f is the row's entry in the
+pivot column and prev the previous pivot (1 at the start).  By Sylvester's
+identity every entry is then a minor of the input, so the division is
+exact in Z[i], and every earlier pivot entry grows into the current pivot.
+At the end all pivots equal the last pivot d and ``rows / d`` is the
+reduced row echelon form.
+
+The pivot is the first nonzero entry of its column, so the pivot columns
+are those of plain elimination over Q(i): each is the first column
+independent of the columns before it.  The reduced row echelon form is
+unique, so the solutions read off ``rows / d`` are exactly those of plain
+elimination, and only the particular solution and the nullspace basis are
+converted, to numerators over the positive integer N(d).  Division by the
+previous pivot is skipped only when it is 1; a unit such as -1 or i still
+has to be divided out.
 """
 
 from __future__ import annotations
 
-from .scalars import GaussianRational, ONE, ZERO
+from math import lcm
 
-Matrix = list[list[GaussianRational]]
+from .scalars import GaussianRational
+
+GInt = tuple[int, int]
+Row = tuple[list[int], list[int]]
 
 
-def _rref(rows: Matrix, width: int) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form in place; returns (rows, pivot column list)."""
+def _eliminate(rows: list[Row], width: int) -> tuple[list[int], GInt]:
+    """Fraction-free Gauss-Jordan on the first ``width`` columns of rows,
+    each a pair (real parts, imaginary parts), in place; returns the pivot
+    columns and the last pivot d, so that rows / d is the reduced form."""
     pivots: list[int] = []
-    r = 0
+    qr, qi = 1, 0
+    m = len(rows)
     for c in range(width):
-        pivot_row = None
-        for i in range(r, len(rows)):
-            if not rows[i][c].is_zero():
-                pivot_row = i
+        r = len(pivots)
+        for i in range(r, m):
+            if rows[i][0][c] or rows[i][1][c]:
                 break
-        if pivot_row is None:
+        else:
             continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = rows[r][c].inverse()
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and not rows[i][c].is_zero():
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        rows[r], rows[i] = rows[i], rows[r]
+        ure, uim = rows[r]
+        pr, pi = ure[c], uim[c]
+        norm = qr * qr + qi * qi
+        for i in range(m):
+            if i == r:
+                continue
+            xre, xim = rows[i]
+            fr, fi = xre[c], xim[c]
+            re = [pr * a - pi * b - fr * u + fi * v
+                  for a, b, u, v in zip(xre, xim, ure, uim)]
+            im = [pr * b + pi * a - fr * v - fi * u
+                  for a, b, u, v in zip(xre, xim, ure, uim)]
+            if qi:
+                rows[i] = ([(a * qr + b * qi) // norm for a, b in zip(re, im)],
+                           [(b * qr - a * qi) // norm for a, b in zip(re, im)])
+            elif qr != 1:
+                rows[i] = ([a // qr for a in re], [b // qr for b in im])
+            else:
+                rows[i] = (re, im)
         pivots.append(c)
-        r += 1
-        if r == len(rows):
+        qr, qi = pr, pi
+        if len(pivots) == m:
             break
-    return rows, pivots
+    return pivots, (qr, qi)
 
 
-def matrix_rank(a: Matrix) -> int:
+def _cleared(row: list[GaussianRational]) -> Row:
+    """The row times the lcm of its denominators, as Gaussian integers."""
+    den = lcm(*(x.re.denominator for x in row), *(x.im.denominator for x in row))
+    return ([x.re.numerator * (den // x.re.denominator) for x in row],
+            [x.im.numerator * (den // x.im.denominator) for x in row])
+
+
+def matrix_rank(a: list[list[GaussianRational]]) -> int:
     if not a:
         return 0
-    rows = [list(row) for row in a]
-    _, pivots = _rref(rows, len(a[0]))
-    return len(pivots)
+    return len(_eliminate([_cleared(row) for row in a], len(a[0]))[0])
 
 
-def solve_linear(a: Matrix, b: Matrix):
-    """Solve a X = b exactly.
+def solve_linear(a: list[list[GInt]], b: list[list[GInt]]):
+    """Solve a X = b exactly, for Gaussian-integer a and b.
 
-    Returns (particular solution, nullspace basis) where the particular
-    solution is n x k and the basis is a list of length-n column vectors,
-    or None when the system is inconsistent.
+    Scaling a row of [a | b] by a nonzero constant keeps the solutions, so
+    a rational system is passed with each row cleared of its denominators.
+    Returns (den, particular, basis) with den a positive integer: the
+    particular solution (n x k) and the nullspace basis vectors (length n)
+    are Gaussian-integer numerators over den.  Returns None when the system
+    is inconsistent.
     """
     m = len(a)
     n = len(a[0]) if m else 0
     k = len(b[0]) if b and b[0] else 0
     if len(b) != m:
         raise ValueError("right-hand side height mismatch")
-    rows = [list(a[i]) + list(b[i]) for i in range(m)]
-    rows, pivots = _rref(rows, n)
-    pivot_set = set(pivots)
+    rows = [([x for x, _ in a[i]] + [x for x, _ in b[i]],
+             [y for _, y in a[i]] + [y for _, y in b[i]]) for i in range(m)]
+    pivots, (dr, di) = _eliminate(rows, n)
     # consistency: a zero coefficient row must have a zero right-hand side
-    for i in range(len(pivots), m):
-        if any(not x.is_zero() for x in rows[i][n:]):
+    for re, im in rows[len(pivots):]:
+        if any(re[n:]) or any(im[n:]):
             return None
-    particular = [[ZERO] * k for _ in range(n)]
-    for r, c in enumerate(pivots):
-        for j in range(k):
-            particular[c][j] = rows[r][n + j]
+
+    def over_norm(x: int, y: int) -> GInt:
+        """The numerator of (x + y*i) / d over N(d): (x + y*i) * conj(d)."""
+        return (x * dr + y * di, y * dr - x * di)
+
+    particular = [[(0, 0)] * k for _ in range(n)]
+    for (re, im), c in zip(rows, pivots):
+        particular[c] = [over_norm(x, y) for x, y in zip(re[n:], im[n:])]
+    pivot_set = set(pivots)
     basis = []
     for free in range(n):
         if free in pivot_set:
             continue
-        vec = [ZERO] * n
-        vec[free] = ONE
-        for r, c in enumerate(pivots):
-            vec[c] = -rows[r][free]
+        vec = [(0, 0)] * n
+        vec[free] = over_norm(dr, di)
+        for (re, im), c in zip(rows, pivots):
+            vec[c] = over_norm(-re[free], -im[free])
         basis.append(vec)
-    return particular, basis
+    return dr * dr + di * di, particular, basis

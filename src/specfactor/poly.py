@@ -11,7 +11,8 @@ unique, so equality and hashing are structural.
 Every arithmetic kernel runs in integers and reduces its result with one
 gcd over the denominator and all numerator parts.  ``GaussianRational``
 scalars appear only at the boundary: constructor arguments, ``coeffs``,
-``coefficient``, ``lead`` and ``eval`` results, and the roots.
+``coefficient``, ``lead`` and ``eval`` results, and the roots; ``parts``
+and ``from_parts`` hand over the integer form itself.
 
 Division, gcd and multiplicity extraction are exact; root finding is
 restricted to roots in Q(i) and reports the unsplit cofactor.  Floating
@@ -132,6 +133,12 @@ class Poly:
         self._num = p._num
 
     @classmethod
+    def from_parts(cls, den: int, num) -> Poly:
+        """The polynomial with coefficients (re + im*i) / den, ascending,
+        for den > 0 and num a sequence of Gaussian integers (re, im)."""
+        return _reduce(den, *_split(num))
+
+    @classmethod
     def zero(cls) -> Poly:
         return _ZERO
 
@@ -164,6 +171,11 @@ class Poly:
         re, im = self._num[k]
         d = self._den
         return GaussianRational(Fraction(re, d), Fraction(im, d))
+
+    @property
+    def parts(self) -> tuple[int, tuple[tuple[int, int], ...]]:
+        """The canonical integer form (den, numerators)."""
+        return self._den, self._num
 
     @property
     def coeffs(self) -> tuple[GaussianRational, ...]:

@@ -30,6 +30,7 @@ import itertools
 import random
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 from .errors import (
     DimensionMismatchError,
@@ -40,7 +41,7 @@ from .errors import (
 from .linsolve import solve_linear
 from .poly import Poly, gaussian_roots, poly_gcd, poly_lcm, require_split
 from .ratfun import RatFun
-from .scalars import GaussianRational, INFINITY, Point, ZERO
+from .scalars import GaussianRational, INFINITY, Point
 
 
 def _coerce_entry(x) -> RatFun:
@@ -299,38 +300,39 @@ class RatMat:
         )
         height = max(deg_n + deg_y, int(target.degree)) + 1
         width = n * (deg_y + 1)
-        a = []
+        # G * X = I is nmat * Y = target * I; equation (i, t) matches the
+        # coefficients of z**t in row i, in integers: times the lcm of the
+        # denominators of row i of nmat and of target
+        t_den, t_num = target.parts
+        a, b = [], []
         for i in range(r):
+            entries = [(k * (deg_y + 1), *p.parts) for k, p in enumerate(nmat[i])
+                       if not p.is_zero()]
+            row_den = lcm(t_den, *(p_den for _, p_den, _ in entries))
             for t in range(height):
-                row = [ZERO] * width
-                for k in range(n):
-                    p = nmat[i][k]
-                    if p.is_zero():
-                        continue
-                    for s in range(deg_y + 1):
-                        if 0 <= t - s <= int(p.degree):
-                            row[k * (deg_y + 1) + s] = p.coefficient(t - s)
+                row = [(0, 0)] * width
+                for col, p_den, num in entries:
+                    scale = row_den // p_den
+                    for s in range(max(0, t + 1 - len(num)), min(deg_y, t) + 1):
+                        re, im = num[t - s]
+                        row[col + s] = (re * scale, im * scale)
                 a.append(row)
-        b = []
-        for i in range(r):
-            for t in range(height):
-                b.append([target.coefficient(t) if i == j else ZERO for j in range(r)])
+                rhs = [(0, 0)] * r
+                if t < len(t_num):
+                    scale = row_den // t_den
+                    rhs[i] = (t_num[t][0] * scale, t_num[t][1] * scale)
+                b.append(rhs)
         solved = solve_linear(a, b)
         if solved is None:
             raise MinimalInverseError(
                 "no right inverse exists with poles confined to the zeros"
             )
-        particular, basis = solved
+        den, particular, basis = solved
 
-        def build(coeff_grid) -> RatMat:
-            entries = []
-            for k in range(n):
-                row = []
-                for j in range(r):
-                    cs = [coeff_grid[k * (deg_y + 1) + s][j] for s in range(deg_y + 1)]
-                    row.append(RatFun(Poly(cs), m))
-                entries.append(row)
-            return RatMat(entries)
+        def build(grid) -> RatMat:
+            blocks = [grid[k * (deg_y + 1):(k + 1) * (deg_y + 1)] for k in range(n)]
+            return RatMat([[RatFun(Poly.from_parts(den, [cs[j] for cs in block]), m)
+                            for j in range(r)] for block in blocks])
 
         candidate = build(particular)
         if self._is_minimal_inverse(candidate):
@@ -342,11 +344,11 @@ class RatMat:
         for _ in range(25):
             mixed = [row[:] for row in particular]
             for vec in basis:
-                c = GaussianRational(rng.randint(-5, 5), rng.randint(-2, 2))
-                for idx in range(width):
-                    if not vec[idx].is_zero():
-                        for j in range(r):
-                            mixed[idx][j] = mixed[idx][j] + c * vec[idx]
+                cr, ci = rng.randint(-5, 5), rng.randint(-2, 2)
+                for idx, (vr, vi) in enumerate(vec):
+                    if vr or vi:
+                        ar, ai = cr * vr - ci * vi, cr * vi + ci * vr
+                        mixed[idx] = [(x + ar, y + ai) for x, y in mixed[idx]]
             candidate = build(mixed)
             if self._is_minimal_inverse(candidate):
                 return candidate

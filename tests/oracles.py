@@ -190,3 +190,67 @@ def ref_factor(n: int) -> dict[int, int]:
     if n > 1:
         out[n] = out.get(n, 0) + 1
     return out
+
+
+# Plain Gauss-Jordan over GaussianRational: pivots are the first nonzero
+# entry of each column and every row operation divides by the pivot, so it
+# shares no code with the fraction-free kernel in linsolve.
+
+
+def _ref_rref(rows, width):
+    """Reduced row echelon form in place; returns (rows, pivot column list)."""
+    pivots = []
+    r = 0
+    for c in range(width):
+        pivot_row = None
+        for i in range(r, len(rows)):
+            if not rows[i][c].is_zero():
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        inv = rows[r][c].inverse()
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and not rows[i][c].is_zero():
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return rows, pivots
+
+
+def ref_rank(a) -> int:
+    if not a:
+        return 0
+    return len(_ref_rref([list(row) for row in a], len(a[0]))[1])
+
+
+def ref_solve(a, b):
+    """Solve a X = b over Q(i): (particular solution n x k, nullspace basis
+    as length-n vectors), or None when the system is inconsistent."""
+    zero, one = GaussianRational(0), GaussianRational(1)
+    m = len(a)
+    n = len(a[0]) if m else 0
+    k = len(b[0]) if b and b[0] else 0
+    rows, pivots = _ref_rref([list(a[i]) + list(b[i]) for i in range(m)], n)
+    for i in range(len(pivots), m):
+        if any(not x.is_zero() for x in rows[i][n:]):
+            return None
+    particular = [[zero] * k for _ in range(n)]
+    for r, c in enumerate(pivots):
+        for j in range(k):
+            particular[c][j] = rows[r][n + j]
+    basis = []
+    for free in range(n):
+        if free in pivots:
+            continue
+        vec = [zero] * n
+        vec[free] = one
+        for r, c in enumerate(pivots):
+            vec[c] = -rows[r][free]
+        basis.append(vec)
+    return particular, basis

@@ -13,6 +13,9 @@ from pathlib import Path
 import pytest
 
 import specfactor.jsonio  # noqa: F401  (its functions are trace boundaries)
+from specfactor import GaussianRational, RatMat, ratmat
+
+from helpers import M, RF
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -43,3 +46,29 @@ def test_every_reported_cache_is_memoised(spans):
     for key, (module_name, fn_name) in spans.CACHES.items():
         fn = getattr(sys.modules.get(module_name), fn_name, None)
         assert hasattr(fn, "cache_info"), f"{key}: {module_name}.{fn_name}"
+
+
+@pytest.mark.parametrize("g", [
+    M([[RF([1, 1]), RF([2], [3, 1]), 1]]),
+    # the particular solution fails here, so the seeded mixing runs too
+    M([[RF([0, -1]), 0, 0], [0, RF([-2, 1]), -1]]),
+])
+def test_minimal_inverse_solves_through_the_traced_name(g, monkeypatch):
+    # the linsolve.solve span wraps ratmat's binding of solve_linear, and
+    # the system is built and solved in Gaussian integers
+    calls = []
+    solve = ratmat.solve_linear
+
+    def spy_solve(a, b):
+        calls.append(len(a))
+        return solve(a, b)
+
+    def no_scalar_mul(self, other):
+        raise AssertionError("GaussianRational.__mul__ called in the minimal inverse")
+
+    monkeypatch.setattr(ratmat, "solve_linear", spy_solve)
+    monkeypatch.setattr(GaussianRational, "__mul__", no_scalar_mul)
+    x = g.minimal_right_inverse()
+    monkeypatch.undo()
+    assert len(calls) == 1
+    assert g * x == RatMat.identity(g.rows)

@@ -223,6 +223,17 @@ def test_non_gaussian_pole_error_code(tmp_path, capsys):
     assert json.loads(captured.err)["error"]["code"] == "non_gaussian_pole"
 
 
+def test_too_large_error_code(tmp_path, capsys):
+    # the pole polynomial z**2 - n has no root in Q(i); proving that needs
+    # the Z[i] divisors of n, a product of two 13-digit primes
+    n = 1000000000039 * 3000000000013
+    path = write_matrix(tmp_path / "big.json", M([[RF([1], [-n, 0, 1])]]))
+    code = main(["degree", path])
+    captured = capsys.readouterr()
+    assert code == 1 and not captured.out
+    assert json.loads(captured.err)["error"]["code"] == "too_large"
+
+
 def test_not_paraunitary_error(tmp_path, capsys):
     path = write_matrix(tmp_path / "w.json", W)
     code = main(["allpass-factorize", path])

@@ -1,11 +1,14 @@
 """In-house integer factoring and the Gaussian prime factorization built on it,
 checked against the trial-division oracle and planted products."""
 
+import time
 from math import isqrt, prod
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import specfactor.gaussint as gaussint
+from specfactor.errors import InputTooLargeError
 from specfactor.gaussint import UNITS, canonical_associate, gi_divisors_up_to_units, gi_factor
 
 from oracles import ref_factor
@@ -108,3 +111,12 @@ def test_factor_int_matches_trial_division(n):
     factors = gaussint._factor_int(n)
     assert factors == ref_factor(n)
     assert list(factors) == sorted(factors)
+
+
+def test_factoring_past_the_rho_budget_raises():
+    # two 13-digit primes: rho needs about 2 * 10**6 steps, twice the budget
+    n = 1000000000039 * 3000000000013
+    start = time.perf_counter()
+    with pytest.raises(InputTooLargeError):
+        gi_factor((n, 0))
+    assert time.perf_counter() - start < 5
