@@ -16,10 +16,11 @@ integer vector), so factorizations are reproducible byte for byte.
 
 from __future__ import annotations
 
-from math import gcd as int_gcd
+from fractions import Fraction
+from math import gcd as int_gcd, lcm
 
 from .errors import DimensionMismatchError, FactorizationError
-from .poly import Poly
+from .poly import order_of, taylor_numerators
 from .ratfun import RatFun, blaschke
 from .ratmat import RatMat, point_degrees_by_valuation
 from .scalars import Comparison, GaussianRational, INFINITY, Point, ONE, ZERO
@@ -208,30 +209,30 @@ def _poles_of(v: RatMat) -> list[Point]:
 
 
 def _laurent_leading(v: RatMat, pole: Point) -> list[list[GaussianRational]]:
-    """Leading coefficient matrix of the expansion of V at the pole."""
+    """Leading coefficient matrix of the expansion of V at the pole: each
+    entry's coefficient at the least order over all entries, or ZERO."""
+    terms = [[_leading_term(e, pole) if not e.is_zero() else None for e in row]
+             for row in v.entries]
+    m = min(t[0] for row in terms for t in row if t is not None)
+    return [[t[1] if t is not None and t[0] == m else ZERO for t in row] for row in terms]
+
+
+def _leading_term(e: RatFun, pole: Point) -> tuple[int, GaussianRational]:
+    """(k, c) with e = c * t**k + higher powers, t = z - pole (1/z at
+    infinity); at alpha = x / delta from the first nonzero expansion
+    coefficients of num and den, delta powers and denominators put back."""
     if pole.is_infinite:
-        orders = [
-            [int(e.num.degree - e.den.degree) if not e.is_zero() else None for e in row]
-            for row in v.entries
-        ]
-        m = max(o for row in orders for o in row if o is not None)
-        out = []
-        for row, orow in zip(v.entries, orders):
-            out.append(
-                [
-                    e.num.lead / e.den.lead if o == m else ZERO
-                    for e, o in zip(row, orow)
-                ]
-            )
-        return out
+        return int(e.den.degree - e.num.degree), e.num.lead / e.den.lead
     alpha = pole.value
-    m = 0
-    for row in v.entries:
-        for e in row:
-            if not e.is_zero():
-                m = max(m, -e.valuation(pole))
-    factor = RatFun(Poly.linear(alpha)) ** m
-    return [[(e * factor).eval(alpha) if not e.is_zero() else ZERO for e in row] for row in v.entries]
+    delta = lcm(alpha.re.denominator, alpha.im.denominator)
+    out = []
+    for p_den, ints in (e.num.parts, e.den.parts):
+        shifted = taylor_numerators(ints, alpha, len(ints) - 1)
+        k = order_of(shifted)
+        out.append((k, *shifted[k], Fraction(delta**k, p_den * delta ** (len(ints) - 1))))
+    (a, nr, ni, ns), (b, dr, di, ds) = out
+    scale = ns / (ds * (dr * dr + di * di))  # (nr + ni*i) / (dr + di*i) * ns / ds
+    return a - b, GaussianRational((nr * dr + ni * di) * scale, (ni * dr - nr * di) * scale)
 
 
 def potapov_factorize(v: RatMat) -> AllPassFactorization:

@@ -54,8 +54,9 @@ def ratmat_from_json(data) -> RatMat:
     if not isinstance(data, dict) or "entries" not in data:
         raise ScalarParseError("matrix must be an object with an entries grid")
     entries = data["entries"]
-    if not isinstance(entries, list) or not entries:
-        raise ScalarParseError("matrix entries must be a non-empty grid")
+    if not isinstance(entries, list) or not entries or not all(
+            isinstance(row, list) and row and len(row) == len(entries[0]) for row in entries):
+        raise ScalarParseError("matrix entries must be a grid of non-empty, equal-length rows")
     mat = RatMat([[ratfun_from_json(e) for e in row] for row in entries])
     for key, found in (("rows", mat.rows), ("cols", mat.cols)):
         declared = data.get(key)

@@ -14,10 +14,11 @@ scalars appear only at the boundary: constructor arguments, ``coeffs``,
 ``coefficient``, ``lead`` and ``eval`` results, and the roots; ``parts``
 and ``from_parts`` hand over the integer form itself.
 
-Division, gcd and multiplicity extraction are exact; root finding is
-restricted to roots in Q(i) and reports the unsplit cofactor.  Floating
-point only proposes root candidates there: each one is confirmed exactly,
-and a divisor search over Z[i] proves that no root is missed.
+Division, gcd and expansion about a point (``taylor_numerators``, which
+gives multiplicities) are exact; root finding is restricted to roots in
+Q(i) and reports the unsplit cofactor.  Floating point only proposes root
+candidates there: each one is confirmed exactly, and a divisor search
+over Z[i] proves that no root is missed.
 
 Polynomials are immutable and hashable.
 """
@@ -402,16 +403,7 @@ class Poly:
             raise ValueError("multiplicity of a root in the zero polynomial")
         if point.is_infinite:
             return 0
-        factor = Poly.linear(point.value)
-        count = 0
-        p = self
-        while len(p._num) > 1:
-            q, r = divmod(p, factor)
-            if r._num:
-                break
-            count += 1
-            p = q
-        return count
+        return order_of(taylor_numerators(self._num, point.value, len(self._num) - 1))
 
     def reversed(self) -> Poly:
         """Coefficient reversal z**deg * p(1/z)."""
@@ -482,6 +474,36 @@ def _coerce_poly(x) -> Poly | None:
 _ZERO = _make(1, ())
 _ONE = _make(1, ((1, 0),))
 _Z = _make(1, ((0, 0), (1, 0)))
+
+
+def taylor_numerators(num, alpha, top: int) -> list[tuple[int, int]]:
+    """Coefficients, ascending in u = delta * (z - alpha), of
+    delta**top * P((u + x) / delta) for P with Gaussian-integer coefficients
+    num (ascending pairs, the last nonzero), top >= deg P and alpha = x /
+    delta over the least common denominator of its parts.  They are
+    Gaussian integers; the order of P at alpha is the index of the first
+    nonzero one, and expansions padded to one top share the scale."""
+    delta, xr, xi = _parts(alpha)
+    n = len(num)
+    re = [c[0] * delta ** (top - k) for k, c in enumerate(num)]
+    im = [c[1] * delta ** (top - k) for k, c in enumerate(num)]
+    # Taylor shift by x in place (Ruffini-Horner); pass i fixes coefficient i
+    for i in range(n - 1):
+        if xi:
+            for j in range(n - 2, i - 1, -1):
+                r, s = re[j + 1], im[j + 1]
+                re[j] += xr * r - xi * s
+                im[j] += xr * s + xi * r
+        elif xr:
+            for j in range(n - 2, i - 1, -1):
+                re[j] += xr * re[j + 1]
+                im[j] += xr * im[j + 1]
+    return list(zip(re, im))
+
+
+def order_of(coeffs) -> int:
+    """Index of the first nonzero Gaussian-integer pair in coeffs."""
+    return next(k for k, c in enumerate(coeffs) if c != (0, 0))
 
 
 def poly_gcd(p: Poly, q: Poly) -> Poly:
@@ -634,14 +656,8 @@ def gaussian_roots(p: Poly) -> tuple[tuple[tuple[GaussianRational, int], ...], P
             if _homogeneous_eval(work._num, num, den) != (0, 0):
                 continue
             cand = GaussianRational(num[0], num[1]) / GaussianRational(den[0], den[1])
-            factor = Poly.linear(cand)
-            mult = 0
-            while True:
-                q, r = divmod(work, factor)
-                if not r.is_zero():
-                    break
-                work = q
-                mult += 1
+            mult = work.multiplicity(Point(cand))
+            work = work.exact_div(Poly.linear(cand) ** mult)
             roots.append((cand, mult))
     roots.sort(key=lambda rm: Point(rm[0]).sort_key())
     return tuple(roots), work

@@ -11,14 +11,15 @@ The structural queries all reduce to exact polynomial arithmetic:
 * pole/zero locations are the roots of the Smith-McMillan pole and zero
   polynomials,
 * pole/zero degrees at one point of the extended plane, infinity included,
-  come from the valuations of the minors at that point
-  (``point_degrees_by_valuation``),
+  come from a local Smith form, elimination at the point pivoting on an
+  entry of least order (``point_degrees_by_valuation``),
 * ``minimal_right_inverse`` solves for a right inverse whose denominators
   divide the zero polynomial of G (so its poles can only sit on zeros of G,
   with bounded degrees) and then verifies exact pole/zero degree matching.
 
-Minor enumeration is exponential in the matrix size; the intended scale is
-dimensions <= 6 and entry degrees <= 12.
+Only ``sm_structure`` enumerates all k x k minors, which is exponential in
+the matrix size; the intended scale is dimensions <= 6 and entry degrees
+<= 12.
 
 All values are immutable and operations are pure functions, so instances
 can be shared freely across threads.
@@ -39,7 +40,8 @@ from .errors import (
     ZeroMatrixError,
 )
 from .linsolve import solve_linear
-from .poly import Poly, gaussian_roots, poly_gcd, poly_lcm, require_split
+from .poly import (Poly, gaussian_roots, order_of, poly_gcd, poly_lcm, require_split,
+                   taylor_numerators)
 from .ratfun import RatFun
 from .scalars import GaussianRational, INFINITY, Point
 
@@ -501,51 +503,90 @@ def _cleared_cached(mat: RatMat) -> tuple[Poly, tuple[tuple[Poly, ...], ...]]:
 
 @lru_cache(maxsize=4096)
 def point_degrees_by_valuation(mat: RatMat, point: Point) -> tuple[int, int]:
-    """(zero degree, pole degree) at one point from minor valuations only.
+    """(zero degree, pole degree) at one point from a local Smith form.
 
-    Sorted ascending, the diagonal valuations d_1 <= ... <= d_r of the
-    Smith-McMillan form satisfy d_1 + ... + d_k = min valuation over k x k
-    minors, so the pole degree is -min(0, nu_1, ..., nu_r) and the zero
-    degree is nu_r plus the pole degree.  At infinity the valuation of a
-    polynomial is minus its degree.  No polynomial gcds are needed; the
-    independent reference is ``tests/oracles.brute_point_degrees``.
+    With G = N/d, the entries of N are cleared to one integer denominator
+    and expanded about the point (at infinity: reversed), all padded to the
+    largest entry degree so that one scalar scales the whole matrix.  Local
+    elimination gives the orders nu_k of N's invariant factors there, and
+    with m the order of d the pole degree is the sum of max(0, m - nu_k),
+    the zero degree that of max(0, nu_k - m).  The independent reference
+    is ``tests/oracles.brute_point_degrees``.
     """
     if mat.is_zero():
         raise ZeroMatrixError("degrees of the zero matrix are undefined")
     d, n = _cleared_cached(mat)
-    at_infinity = point.is_infinite
-    if at_infinity:
-        d_mult = -int(d.degree)
-    else:
-        d_mult = d.multiplicity(point)
-    running_min = 0
-    nu_last = 0
-    rank = 0
-    for k in range(1, min(mat.rows, mat.cols) + 1):
-        best: int | None = None
-        for rows_sel in itertools.combinations(range(mat.rows), k):
-            for cols_sel in itertools.combinations(range(mat.cols), k):
-                sub = [[n[i][j] for j in cols_sel] for i in rows_sel]
-                det = _poly_det(sub)
-                if det.is_zero():
-                    continue
-                val = -int(det.degree) if at_infinity else det.multiplicity(point)
-                if best is None or val < best:
-                    best = val
-                    if not at_infinity and best == 0:
-                        break
-            if best == 0 and not at_infinity:
-                break
-        if best is None:
+    parts = [[p.parts for p in row] for row in n]
+    den = lcm(*(p_den for row in parts for p_den, num in row if num))
+    top = max(len(num) for row in parts for _, num in row) - 1
+    m = top - int(d.degree) if point.is_infinite else d.multiplicity(point)
+
+    def expand(p_den, num):
+        if not num:
+            return []
+        num = [(x * (den // p_den), y * (den // p_den)) for x, y in num]
+        if point.is_infinite:
+            return [(0, 0)] * (top + 1 - len(num)) + num[::-1]
+        return taylor_numerators(num, point.value, top)
+
+    orders = _local_smith_orders([[expand(*p) for p in row] for row in parts])
+    return sum(max(0, nu - m) for nu in orders), sum(max(0, m - nu) for nu in orders)
+
+
+def _local_smith_orders(grid) -> list[int]:
+    """Ascending orders at u = 0 of the invariant factors of a matrix of
+    Gaussian-integer polynomials in u (pair lists, [] for zero).
+
+    Each step pivots on an entry p of least order v (no later entry goes
+    lower) and turns every other row x into (p/u^v)*x - (x[c]/u^v)*pivot
+    row; p/u^v is a unit at u = 0, so no column operation is needed."""
+    rows = [[(order_of(e) if e else None, e) for e in row] for row in grid]
+    orders: list[int] = []
+    while rows:
+        floor = orders[-1] if orders else 0
+        pivot = None
+        for cand in ((o, i, j) for i, row in enumerate(rows)
+                     for j, (o, _) in enumerate(row) if o is not None):
+            if pivot is None or cand[0] < pivot[0]:
+                pivot = cand
+                if cand[0] == floor:
+                    break
+        if pivot is None:
             break
-        rank = k
-        nu_last = best - k * d_mult
-        running_min = min(running_min, nu_last)
-    if rank == 0:
-        raise ZeroMatrixError("degrees of the zero matrix are undefined")
-    pole = -running_min
-    zero = nu_last + pole
-    return zero, pole
+        v, pi, pj = pivot
+        orders.append(v)
+        top = rows.pop(pi)
+        unit = top[pj][1][v:]
+        for i, row in enumerate(rows):
+            if row[pj][0] is None:
+                rows[i] = row[:pj] + row[pj + 1:]
+                continue
+            f = row[pj][1][v:]
+            new = [_cross(unit, a, f, b) for j, ((_, a), (_, b)) in enumerate(zip(row, top))
+                   if j != pj]
+            rows[i] = [(order_of(e) if e else None, e) for e in new]
+    return orders
+
+
+def _cross(p, a, f, b) -> list[tuple[int, int]]:
+    """p*a - f*b for polynomials given as Gaussian-integer pairs."""
+    n = max(len(p) + len(a), len(f) + len(b)) - 1
+    re = [0] * n
+    im = [0] * n
+    for x, y, s in ((p, a, 1), (f, b, -1)):
+        for i, (xr, xi) in enumerate(x):
+            xr, xi = s * xr, s * xi
+            if xi:
+                for k, (yr, yi) in enumerate(y, i):
+                    re[k] += xr * yr - xi * yi
+                    im[k] += xr * yi + xi * yr
+            elif xr:
+                for k, (yr, yi) in enumerate(y, i):
+                    re[k] += xr * yr
+                    im[k] += xr * yi
+    while n and not re[n - 1] and not im[n - 1]:
+        n -= 1
+    return list(zip(re[:n], im[:n]))
 
 
 def _poly_det(rows: list[list[Poly]]) -> Poly:

@@ -1,9 +1,13 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
 
+from hypothesis import given, settings, strategies as st
+
 from specfactor import jsonio
-from specfactor.cli import main
+from specfactor.cli import main, run
 
 from helpers import M, RF
 
@@ -307,3 +311,69 @@ def test_declared_shape_must_be_json_integer(tmp_path, capsys):
     assert json.loads(captured.err)["error"]["code"] == "parse_error"
     code, captured = _declared_shape_error(tmp_path, capsys, rows=1, cols=2)
     assert code == 0 and json.loads(captured.out)["mcmillan"] == 0
+
+
+def test_malformed_grid_is_parse_error(tmp_path, capsys):
+    path = tmp_path / "m.json"
+    one = {"num": ["1"], "den": ["1"]}
+    for rows in ([5], [None], ["x"], [[]], [[one], [one, one]]):
+        path.write_text(json.dumps({"entries": rows}))
+        code, out, err = run_cli(capsys, "smform", str(path))
+        assert code == 1 and not out, rows
+        assert json.loads(err)["error"]["code"] == "parse_error", rows
+
+
+def _levels(doc) -> int:
+    """Containers on the deepest path, the top one included."""
+    if isinstance(doc, list):
+        return 1 + max(map(_levels, doc), default=0)
+    if isinstance(doc, dict):
+        return 1 + max(map(_levels, doc.values()), default=0)
+    return 0
+
+
+# small JSON documents: every list has at most 3 items, containers nest at
+# most four levels below the top one, and scalars come from a pool of valid
+# and invalid spellings; most documents have the shape of a matrix
+_VALID_SCALARS = ["0", "1", "-2", "1/2", "i", "1-i", 0, 1, -1]
+_BAD_SCALARS = ["3/0", "inf", "x", "", "1.5", 2.5, None, True]
+_json_scalars = st.sampled_from(_VALID_SCALARS + _BAD_SCALARS)
+# mostly valid coefficients, so that some matrices parse and get computed
+_json_coeffs = st.sampled_from(_VALID_SCALARS * 6 + _BAD_SCALARS)
+_json_keys = st.sampled_from(["entries", "num", "den", "rows", "cols"])
+_json_any = st.recursive(
+    _json_scalars,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3),
+        st.dictionaries(_json_keys, inner, max_size=3),
+    ),
+    max_leaves=12,
+)
+_json_polys = st.lists(_json_coeffs, max_size=3)
+_json_dens = st.lists(_json_coeffs, min_size=1, max_size=3)
+_json_rows = st.lists(st.fixed_dictionaries({"num": _json_polys, "den": _json_dens}),
+                      min_size=1, max_size=3)
+_json_matrices = st.fixed_dictionaries(
+    {"entries": st.lists(_json_rows, min_size=1, max_size=3)},
+    optional={"rows": _json_scalars, "cols": _json_scalars},
+)
+# a matrix whose rows may be anything at all
+_json_broken = st.fixed_dictionaries(
+    {"entries": st.lists(st.one_of(_json_scalars, _json_rows, _json_any), min_size=1,
+                         max_size=3)})
+_json_docs = st.one_of(_json_any, _json_matrices, _json_broken).filter(
+    lambda doc: _levels(doc) <= 5)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_json_docs, st.sampled_from(["smform", "degree"]))
+def test_fuzzed_matrix_files_exit_cleanly(tmp_path_factory, doc, command):
+    path = tmp_path_factory.mktemp("fuzz") / "m.json"
+    path.write_text(json.dumps(doc))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run([command, str(path)])
+    assert code in (0, 1, 2)
+    if code == 1:
+        error = json.loads(err.getvalue())["error"]
+        assert set(error) == {"code", "message"}

@@ -1,14 +1,15 @@
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from specfactor import GaussianRational, INFINITY, Poly, gaussian_roots
+from specfactor import GaussianRational, INFINITY, Point, Poly, gaussian_roots
 from specfactor.errors import NonGaussianPoleError
-from specfactor.poly import poly_gcd, poly_lcm, require_split
+from specfactor.poly import order_of, poly_gcd, poly_lcm, require_split, taylor_numerators
 
 from helpers import P, gr, pt
-from oracles import ref_divmod, ref_eval, ref_mul, ref_trim
+from oracles import ref_divmod, ref_eval, ref_mul, ref_trim, synthetic_multiplicity
 
 fractions = st.fractions(min_value=-4, max_value=4, max_denominator=4)
 scalars = st.builds(GaussianRational, fractions, fractions)
@@ -304,3 +305,21 @@ def test_gaussian_roots_divisor_search_alone(monkeypatch):
         assert rest == P(7, 0, 1)
     finally:
         gaussian_roots.cache_clear()
+
+
+@settings(max_examples=120)
+@given(root_lists, nonzero_coeff_lists, wide_scalars, st.integers(0, 3))
+def test_taylor_kernel_order_matches_synthetic_division(planted, cofactor, alpha, pad):
+    # alpha is planted once per drawn root and may be drawn itself: orders up to 7
+    p = Poly(cofactor) * Poly.from_roots(
+        [r for r, m in planted for _ in range(m)] + [alpha] * len(planted))
+    den, num = p.parts
+    top = int(p.degree) + pad
+    shifted = taylor_numerators(num, alpha, top)
+    assert order_of(shifted) == synthetic_multiplicity(p, alpha) == p.multiplicity(Point(alpha))
+    # the coefficients are those of delta**top * num((u + x) / delta) in
+    # u = delta * (z - alpha), delta the common denominator of alpha's parts
+    delta = lcm(alpha.re.denominator, alpha.im.denominator)
+    u = gr(Fraction(2, 3), -1)
+    expected = ref_eval([gr(*c) for c in num], alpha + u / delta) * delta**top
+    assert ref_eval([gr(*c) for c in shifted], u) == expected

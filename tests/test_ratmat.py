@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from specfactor import (
     INFINITY,
@@ -11,6 +11,7 @@ from specfactor import (
     RatFun,
     RatMat,
     make_elementary,
+    ratmat,
 )
 from specfactor.errors import (
     DimensionMismatchError,
@@ -166,6 +167,92 @@ def test_degrees_match_brute_oracle():
             assert mat.zero_degree(probe) == dz
             assert mat.pole_degree(probe) == dp
             assert point_degrees_by_valuation(mat, probe) == (dz, dp)
+
+
+# roots double as probe points, so entries vanish or blow up there to high
+# order; the probes include points with denominators and infinity
+_LOCAL_ROOTS = [gr(0), gr(1), gr(-2), gr(Fraction(1, 2)), gr(Fraction(1, 3), Fraction(-2, 3)),
+                gr(0, 1)]
+_LOCAL_PROBES = [Point(r) for r in _LOCAL_ROOTS] + [pt(3), INFINITY]
+# coefficients with assorted denominators, so one matrix mixes them
+_local_scalars = st.builds(
+    gr,
+    st.fractions(-3, 3, max_denominator=6),
+    st.fractions(-2, 2, max_denominator=5),
+).filter(bool)
+# zeros in C1 and C2 give sandwich entries of different degrees
+_sparse_scalars = st.one_of(st.just(gr(0)), _local_scalars)
+_factored = st.builds(
+    lambda c, zeros, poles: RatFun(Poly.from_roots(zeros) * c, Poly.from_roots(poles)),
+    _local_scalars,
+    st.lists(st.sampled_from(_LOCAL_ROOTS), max_size=3),
+    st.lists(st.sampled_from(_LOCAL_ROOTS), max_size=2),
+)
+_local_entries = st.one_of(
+    st.just(RatFun.zero()),
+    _factored,
+    st.builds(RatFun, st.lists(_local_scalars, max_size=3).map(Poly),
+              st.lists(st.sampled_from(_LOCAL_ROOTS), max_size=2).map(Poly.from_roots)),
+)
+
+
+@st.composite
+def _local_matrices(draw):
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(["free", "zero row", "proportional", "sandwich"]))
+    if kind == "sandwich":
+        # C1 diag(f_1, ..., f_k) C2 with constant C1, C2 and k <= min(rows,
+        # cols): the local orders are the f_l's, and the minors only show
+        # them through cancellation across entries
+        k = draw(st.integers(1, min(rows, cols)))
+        c1 = RatMat([[draw(_sparse_scalars) for _ in range(k)] for _ in range(rows)])
+        c2 = RatMat([[draw(_sparse_scalars) for _ in range(cols)] for _ in range(k)])
+        mat = c1 * RatMat.diagonal([draw(_factored) for _ in range(k)]) * c2
+    else:
+        grid = [[draw(_local_entries) for _ in range(cols)] for _ in range(rows)]
+        if rows > 1 and kind != "free":
+            # a zero row or a row proportional to another: rank deficiency
+            i, j = draw(st.permutations(range(rows)))[:2]
+            if kind == "zero row":
+                grid[i] = [RatFun.zero()] * cols
+            else:
+                f = draw(_factored)
+                grid[i] = [f * e for e in grid[j]]
+        mat = RatMat(grid)
+    assume(not mat.is_zero())
+    return mat
+
+
+@settings(max_examples=150, deadline=None)
+@given(_local_matrices(), st.lists(st.sampled_from(_LOCAL_PROBES), min_size=1, max_size=2,
+                                   unique=True))
+# det = z**2 only if every entry is cleared to one integer denominator
+@example(M([[RF([1, 0, 1]), Fraction(1, 2)], [2, 1]]), [pt(0)])
+# det = (z - 1/2)**2 only if every entry is scaled by the same power of 2
+@example(M([[RF([Fraction(5, 4), -1, 1]), 1], [1, 1]]), [pt(Fraction(1, 2))])
+def test_local_smith_degrees_match_minor_oracle(mat, probes):
+    for probe in probes:
+        assert point_degrees_by_valuation(mat, probe) == brute_point_degrees(mat, probe)
+
+
+def test_point_degrees_enumerate_no_minors(monkeypatch):
+    # the pointwise route is elimination at the point: no determinant of a
+    # minor and no polynomial division once the matrix is cleared
+    mat = M([[RF([0, 0, 1], [-2, 1]), RF([1, 1]), 2],
+             [RF([0, 1]), RF([Fraction(1, 3)], [-2, 1]), RF([0, gr(0, 1)])],
+             [1, RF([-1, 0, 1], [0, 1]), RF([2, 0, 1])]])
+    mat.cleared()
+    misses = point_degrees_by_valuation.cache_info().misses
+
+    def forbidden(*args):
+        raise AssertionError("minor or division in the pointwise route")
+
+    monkeypatch.setattr(ratmat, "_poly_det", forbidden)
+    monkeypatch.setattr(Poly, "__divmod__", forbidden)
+    got = point_degrees_by_valuation(mat, pt(0))
+    monkeypatch.undo()
+    assert point_degrees_by_valuation.cache_info().misses == misses + 1
+    assert got == brute_point_degrees(mat, pt(0))
 
 
 # prod(z - a) / prod(z - b) over a small root pool
