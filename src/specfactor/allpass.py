@@ -11,19 +11,21 @@ times elementary factors, one per unit of McMillan degree.  The peel order
 is fixed (poles ascending by squared modulus, then lexicographically by
 real and imaginary part, infinity last; direction from the first usable
 column of the Laurent leading coefficient, cleared to a primitive Gaussian
-integer vector), so factorizations are reproducible byte for byte.
+integer vector), so factorizations are reproducible byte for byte.  The
+Laurent leading coefficient comes from ``ratmat.point_expansions`` up to a
+positive rational, which that clearing removes.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import gcd as int_gcd, lcm
+from math import gcd as int_gcd
 
 from .errors import DimensionMismatchError, FactorizationError
-from .poly import order_of, taylor_numerators
+from .linsolve import cleared
+from .poly import order_of
 from .ratfun import RatFun, blaschke
-from .ratmat import RatMat, point_degrees_by_valuation
-from .scalars import Comparison, GaussianRational, INFINITY, Point, ONE, ZERO
+from .ratmat import RatMat, point_degrees_by_valuation, point_expansions
+from .scalars import Comparison, GaussianRational, INFINITY, Point
 
 
 def _canonical_direction(v) -> tuple[GaussianRational, ...]:
@@ -31,15 +33,9 @@ def _canonical_direction(v) -> tuple[GaussianRational, ...]:
     vec = [x if isinstance(x, GaussianRational) else GaussianRational(x) for x in v]
     if all(x.is_zero() for x in vec):
         raise ValueError("projection direction must be nonzero")
-    denom = 1
-    for x in vec:
-        for part in (x.re, x.im):
-            denom = denom * part.denominator // int_gcd(denom, part.denominator)
-    ints = [(int(x.re * denom), int(x.im * denom)) for x in vec]
-    content = 0
-    for a, b in ints:
-        content = int_gcd(content, int_gcd(abs(a), abs(b)))
-    ints = [(a // content, b // content) for a, b in ints]
+    re, im = cleared(vec)
+    content = int_gcd(*re, *im)
+    ints = [(a // content, b // content) for a, b in zip(re, im)]
     # rotate by a unit so the first nonzero entry has positive real part
     first = next((a, b) for a, b in ints if a or b)
     if first[0] > 0:
@@ -187,18 +183,7 @@ def degree_of_factorization(f: AllPassFactorization) -> int:
 
 
 def _constant_unitary(c: RatMat) -> bool:
-    if not c.is_square() or not c.is_constant():
-        return False
-    vals = c.constant_values()
-    n = c.rows
-    for i in range(n):
-        for j in range(n):
-            acc = GaussianRational(0)
-            for k in range(n):
-                acc = acc + vals[k][i].conj() * vals[k][j]
-            if acc != (ONE if i == j else ZERO):
-                return False
-    return True
+    return c.is_square() and c.is_constant() and is_paraunitary(c)
 
 
 def _poles_of(v: RatMat) -> list[Point]:
@@ -209,30 +194,17 @@ def _poles_of(v: RatMat) -> list[Point]:
 
 
 def _laurent_leading(v: RatMat, pole: Point) -> list[list[GaussianRational]]:
-    """Leading coefficient matrix of the expansion of V at the pole: each
-    entry's coefficient at the least order over all entries, or ZERO."""
-    terms = [[_leading_term(e, pole) if not e.is_zero() else None for e in row]
-             for row in v.entries]
-    m = min(t[0] for row in terms for t in row if t is not None)
-    return [[t[1] if t is not None and t[0] == m else ZERO for t in row] for row in terms]
+    """Laurent leading coefficient of V at the pole up to a positive
+    rational: each entry's expansion coefficient at the least order over
+    all entries times conj(c), or zero (see ``point_expansions``)."""
+    _, (cr, ci), grid = point_expansions(v, pole)
+    least = min(order_of(e) for row in grid for e in row if e)
 
+    def lead(e) -> GaussianRational:
+        x, y = e[least] if len(e) > least else (0, 0)
+        return GaussianRational(x * cr + y * ci, y * cr - x * ci)
 
-def _leading_term(e: RatFun, pole: Point) -> tuple[int, GaussianRational]:
-    """(k, c) with e = c * t**k + higher powers, t = z - pole (1/z at
-    infinity); at alpha = x / delta from the first nonzero expansion
-    coefficients of num and den, delta powers and denominators put back."""
-    if pole.is_infinite:
-        return int(e.den.degree - e.num.degree), e.num.lead / e.den.lead
-    alpha = pole.value
-    delta = lcm(alpha.re.denominator, alpha.im.denominator)
-    out = []
-    for p_den, ints in (e.num.parts, e.den.parts):
-        shifted = taylor_numerators(ints, alpha, len(ints) - 1)
-        k = order_of(shifted)
-        out.append((k, *shifted[k], Fraction(delta**k, p_den * delta ** (len(ints) - 1))))
-    (a, nr, ni, ns), (b, dr, di, ds) = out
-    scale = ns / (ds * (dr * dr + di * di))  # (nr + ni*i) / (dr + di*i) * ns / ds
-    return a - b, GaussianRational((nr * dr + ni * di) * scale, (ni * dr - nr * di) * scale)
+    return [[lead(e) for e in row] for row in grid]
 
 
 def potapov_factorize(v: RatMat) -> AllPassFactorization:

@@ -75,7 +75,7 @@ def _eliminate(rows: list[Row], width: int) -> tuple[list[int], GInt]:
     return pivots, (qr, qi)
 
 
-def _cleared(row: list[GaussianRational]) -> Row:
+def cleared(row: list[GaussianRational]) -> Row:
     """The row times the lcm of its denominators, as Gaussian integers."""
     den = lcm(*(x.re.denominator for x in row), *(x.im.denominator for x in row))
     return ([x.re.numerator * (den // x.re.denominator) for x in row],
@@ -85,7 +85,7 @@ def _cleared(row: list[GaussianRational]) -> Row:
 def matrix_rank(a: list[list[GaussianRational]]) -> int:
     if not a:
         return 0
-    return len(_eliminate([_cleared(row) for row in a], len(a[0]))[0])
+    return len(_eliminate([cleared(row) for row in a], len(a[0]))[0])
 
 
 def solve_linear(a: list[list[GInt]], b: list[list[GInt]]):

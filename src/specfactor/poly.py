@@ -379,15 +379,11 @@ class Poly:
 
     def eval(self, alpha) -> GaussianRational:
         """Exact Horner evaluation, homogenized over alpha's denominator."""
-        d, xr, xi = _parts(alpha)
         if not self._num:
             return ZERO
-        ar, ai = self._num[-1]
-        dpow = 1
-        for cr, ci in reversed(self._num[:-1]):
-            dpow *= d
-            ar, ai = ar * xr - ai * xi + cr * dpow, ar * xi + ai * xr + ci * dpow
-        den = self._den * dpow
+        d, xr, xi = _parts(alpha)
+        ar, ai = _homogeneous_eval(self._num, (xr, xi), (d, 0))
+        den = self._den * d ** (len(self._num) - 1)
         return GaussianRational(Fraction(ar, den), Fraction(ai, den))
 
     def eval_complex(self, z: complex) -> complex:

@@ -9,19 +9,13 @@ inside the representation.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .errors import CirclePoleError
-from .poly import Poly, monic_ratio, poly_gcd
+from .poly import Poly, _coerce_poly as _scalar_poly, monic_ratio, poly_gcd
 from .scalars import Comparison, GaussianRational, Point, ONE
 
 
 def _coerce_poly(x) -> Poly | None:
-    if isinstance(x, Poly):
-        return x
-    if isinstance(x, (int, Fraction, GaussianRational)):
-        return Poly((x,))
-    return None
+    return x if isinstance(x, Poly) else _scalar_poly(x)
 
 
 class RatFun:
@@ -86,15 +80,8 @@ class RatFun:
     def has_real_coeffs(self) -> bool:
         return self._num.has_real_coeffs() and self._den.has_real_coeffs()
 
-    def _coerce(self, other) -> RatFun | None:
-        if isinstance(other, RatFun):
-            return other
-        if isinstance(other, (int, Fraction, GaussianRational, Poly)):
-            return RatFun(other)
-        return None
-
     def __add__(self, other):
-        o = self._coerce(other)
+        o = as_ratfun(other)
         if o is None:
             return NotImplemented
         if self._den == o._den:
@@ -104,7 +91,7 @@ class RatFun:
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
+        o = as_ratfun(other)
         if o is None:
             return NotImplemented
         if self._den == o._den:
@@ -112,7 +99,7 @@ class RatFun:
         return RatFun(self._num * o._den - o._num * self._den, self._den * o._den)
 
     def __rsub__(self, other):
-        o = self._coerce(other)
+        o = as_ratfun(other)
         if o is None:
             return NotImplemented
         return o - self
@@ -121,7 +108,7 @@ class RatFun:
         return RatFun(-self._num, self._den)
 
     def __mul__(self, other):
-        o = self._coerce(other)
+        o = as_ratfun(other)
         if o is None:
             return NotImplemented
         return RatFun(self._num * o._num, self._den * o._den)
@@ -129,7 +116,7 @@ class RatFun:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = self._coerce(other)
+        o = as_ratfun(other)
         if o is None:
             return NotImplemented
         if o.is_zero():
@@ -137,7 +124,7 @@ class RatFun:
         return RatFun(self._num * o._den, self._den * o._num)
 
     def __rtruediv__(self, other):
-        o = self._coerce(other)
+        o = as_ratfun(other)
         if o is None:
             return NotImplemented
         return o / self
@@ -185,7 +172,7 @@ class RatFun:
         return self._num.eval_complex(z) / self._den.eval_complex(z)
 
     def __eq__(self, other) -> bool:
-        o = self._coerce(other)
+        o = as_ratfun(other)
         if o is None:
             return NotImplemented
         return self._num == o._num and self._den == o._den
@@ -213,6 +200,15 @@ def _reciprocal(num: Poly, den: Poly) -> RatFun:
     if den.degree >= num.degree:
         return RatFun(num.reversed() * shift, den.reversed())
     return RatFun(num.reversed(), den.reversed() * shift)
+
+
+def as_ratfun(x) -> RatFun | None:
+    """x as a rational function: a RatFun itself, a Poly or a scalar as a
+    quotient over 1; None for anything else."""
+    if isinstance(x, RatFun):
+        return x
+    p = _coerce_poly(x)
+    return None if p is None else RatFun(p)
 
 
 _RF_ZERO = RatFun(Poly.zero())

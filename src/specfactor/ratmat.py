@@ -11,11 +11,12 @@ The structural queries all reduce to exact polynomial arithmetic:
 * pole/zero locations are the roots of the Smith-McMillan pole and zero
   polynomials,
 * pole/zero degrees at one point of the extended plane, infinity included,
-  come from a local Smith form, elimination at the point pivoting on an
-  entry of least order (``point_degrees_by_valuation``),
-* ``minimal_right_inverse`` solves for a right inverse whose denominators
-  divide the zero polynomial of G (so its poles can only sit on zeros of G,
-  with bounded degrees) and then verifies exact pole/zero degree matching.
+  come from a local Smith form on the expansion of G about the point
+  (``point_expansions``, which also gives the Laurent leading coefficient
+  up to a positive rational), pivoting on an entry of least order,
+* ``minimal_right_inverse``, for square and wide G alike, solves one exact
+  Z[i] system for a right inverse whose denominators divide the zero
+  polynomial of G and then verifies exact pole/zero degree matching.
 
 Only ``sm_structure`` enumerates all k x k minors, which is exponential in
 the matrix size; the intended scale is dimensions <= 6 and entry degrees
@@ -29,7 +30,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
@@ -42,16 +42,15 @@ from .errors import (
 from .linsolve import solve_linear
 from .poly import (Poly, gaussian_roots, order_of, poly_gcd, poly_lcm, require_split,
                    taylor_numerators)
-from .ratfun import RatFun
+from .ratfun import RatFun, as_ratfun
 from .scalars import GaussianRational, INFINITY, Point
 
 
 def _coerce_entry(x) -> RatFun:
-    if isinstance(x, RatFun):
-        return x
-    if isinstance(x, (int, Fraction, GaussianRational, Poly)):
-        return RatFun(x)
-    raise TypeError(f"cannot use {type(x).__name__} as a matrix entry")
+    e = as_ratfun(x)
+    if e is None:
+        raise TypeError(f"cannot use {type(x).__name__} as a matrix entry")
+    return e
 
 
 class RatMat:
@@ -277,20 +276,13 @@ class RatMat:
         linear system in the coefficients of Y.  A solvable system yields a
         right inverse whose poles are trapped on the zeros of G; exact
         degree equality is verified afterwards.  An inconsistent system
-        means no such right inverse exists for this matrix.
+        means no such right inverse exists; for a square G it is unique.
         """
         r, n = self._rows, self._cols
         if self.normal_rank() != r:
             raise RankDeficiencyError(
                 f"minimal right inverse needs full row rank {r}, got {self.normal_rank()}"
             )
-        if r == n:
-            # the unique two-sided inverse, via the adjugate; automatically
-            # minimal but verified like everything else
-            candidate = self._inverse_square()
-            if not self._is_minimal_inverse(candidate):
-                raise MinimalInverseError("square inverse failed degree verification")
-            return candidate
         sm = self.sm_structure()
         m = sm.zero_polynomial()
         dz_inf = self.zero_degree(INFINITY)
@@ -357,31 +349,6 @@ class RatMat:
         raise MinimalInverseError(
             "right inverse found but exact pole/zero degree matching failed"
         )
-
-    def _inverse_square(self) -> RatMat:
-        d, nmat = self.cleared()
-        n = self._rows
-        det = _poly_det(nmat)
-        if det.is_zero():
-            raise RankDeficiencyError("square matrix is singular")
-        if n == 1:
-            return RatMat([[RatFun(d, nmat[0][0])]])
-        det_rf = RatFun(det)
-        entries = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                minor = [
-                    [nmat[a][b] for b in range(n) if b != i]
-                    for a in range(n)
-                    if a != j
-                ]
-                cof = _poly_det(minor)
-                if (i + j) % 2:
-                    cof = -cof
-                row.append(RatFun(d * cof) / det_rf)
-            entries.append(row)
-        return RatMat(entries)
 
     def _is_minimal_inverse(self, x: RatMat) -> bool:
         if (self * x) != RatMat.identity(self._rows):
@@ -471,9 +438,6 @@ class SMStructure:
             p = p * q
         return p
 
-    def diagonal(self) -> list[RatFun]:
-        return [RatFun(e, p) for e, p in zip(self._eps, self._psi)]
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, SMStructure):
             return NotImplemented
@@ -501,17 +465,14 @@ def _cleared_cached(mat: RatMat) -> tuple[Poly, tuple[tuple[Poly, ...], ...]]:
     return d, n
 
 
-@lru_cache(maxsize=4096)
-def point_degrees_by_valuation(mat: RatMat, point: Point) -> tuple[int, int]:
-    """(zero degree, pole degree) at one point from a local Smith form.
+def point_expansions(mat: RatMat, point: Point):
+    """(m, c, grid) for G = N/d about one point of the extended plane.
 
-    With G = N/d, the entries of N are cleared to one integer denominator
-    and expanded about the point (at infinity: reversed), all padded to the
-    largest entry degree so that one scalar scales the whole matrix.  Local
-    elimination gives the orders nu_k of N's invariant factors there, and
-    with m the order of d the pole degree is the sum of max(0, m - nu_k),
-    the zero degree that of max(0, nu_k - m).  The independent reference
-    is ``tests/oracles.brute_point_degrees``.
+    grid holds the entries of N, cleared to one integer denominator and
+    expanded about the point (at infinity: reversed), all padded to the
+    largest entry degree so that one scalar scales them all (Gaussian-integer
+    pair lists, [] for zero); m is the order of d there and c the first
+    nonzero coefficient of its expansion (at infinity, d's lead numerator).
     """
     if mat.is_zero():
         raise ZeroMatrixError("degrees of the zero matrix are undefined")
@@ -519,7 +480,13 @@ def point_degrees_by_valuation(mat: RatMat, point: Point) -> tuple[int, int]:
     parts = [[p.parts for p in row] for row in n]
     den = lcm(*(p_den for row in parts for p_den, num in row if num))
     top = max(len(num) for row in parts for _, num in row) - 1
-    m = top - int(d.degree) if point.is_infinite else d.multiplicity(point)
+    d_num = d.parts[1]
+    if point.is_infinite:
+        m, c = top - int(d.degree), d_num[-1]
+    else:
+        d_exp = taylor_numerators(d_num, point.value, len(d_num) - 1)
+        m = order_of(d_exp)
+        c = d_exp[m]
 
     def expand(p_den, num):
         if not num:
@@ -529,7 +496,20 @@ def point_degrees_by_valuation(mat: RatMat, point: Point) -> tuple[int, int]:
             return [(0, 0)] * (top + 1 - len(num)) + num[::-1]
         return taylor_numerators(num, point.value, top)
 
-    orders = _local_smith_orders([[expand(*p) for p in row] for row in parts])
+    return m, c, [[expand(*p) for p in row] for row in parts]
+
+
+@lru_cache(maxsize=4096)
+def point_degrees_by_valuation(mat: RatMat, point: Point) -> tuple[int, int]:
+    """(zero degree, pole degree) at one point from a local Smith form.
+
+    Local elimination on ``point_expansions`` gives the orders nu_k of N's
+    invariant factors at the point; the pole degree is the sum of
+    max(0, m - nu_k), the zero degree that of max(0, nu_k - m).  The
+    independent reference is ``tests/oracles.brute_point_degrees``.
+    """
+    m, _, grid = point_expansions(mat, point)
+    orders = _local_smith_orders(grid)
     return sum(max(0, nu - m) for nu in orders), sum(max(0, m - nu) for nu in orders)
 
 

@@ -30,7 +30,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .allpass import _constant_unitary, is_paraunitary, make_elementary
+from .allpass import _constant_unitary, _poles_of, is_paraunitary, make_elementary
 from .errors import (
     CoSpectralityError,
     DimensionMismatchError,
@@ -44,7 +44,7 @@ from .linsolve import matrix_rank
 from .ratfun import RatFun
 from .ratmat import RatMat
 from .poly import Poly
-from .scalars import Comparison, GaussianRational, INFINITY, Point
+from .scalars import Comparison, GaussianRational, Point
 
 
 class Side(enum.Enum):
@@ -204,12 +204,7 @@ class Spectrum:
 
 def analytic_in(g: RatMat, region: Region) -> bool:
     """True when no pole of g (infinity included) lies in the region."""
-    for p in g.finite_pole_points(strict=True):
-        if region.contains(p):
-            return False
-    if g.has_pole_at_infinity() and region.contains(INFINITY):
-        return False
-    return True
+    return not any(region.contains(p) for p in _poles_of(g))
 
 
 def is_spectral_factor(w: RatMat, spectrum: Spectrum) -> bool:

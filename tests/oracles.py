@@ -5,7 +5,9 @@ expanded over permutations, denominators are cleared with a plain product
 (not an lcm), multiplicities are extracted by repeated synthetic division,
 and point degrees come from minimum minor valuations via the partial-sum
 identity (the sorted diagonal valuations d_1 <= ... <= d_k of the
-canonical form satisfy d_1 + ... + d_k = min valuation over k x k minors).
+canonical form satisfy d_1 + ... + d_k = min valuation over k x k minors),
+and Laurent leading coefficients come from the same division and exact
+evaluation.
 """
 
 from itertools import combinations, permutations
@@ -115,6 +117,44 @@ def brute_point_degrees(mat: RatMat, point: Point):
     pole = -partial_min
     zero = nu_last + pole
     return zero, pole
+
+
+def _strip_root(p: Poly, alpha: GaussianRational):
+    """(k, q) with p = (z - alpha)**k * q and q(alpha) != 0, by repeated
+    exact division."""
+    factor = Poly.linear(alpha)
+    k = 0
+    while True:
+        q, r = divmod(p, factor)
+        if not r.is_zero():
+            return k, p
+        p, k = q, k + 1
+
+
+def laurent_leading(mat: RatMat, point: Point):
+    """Leading coefficient matrix of the Laurent expansion at the point:
+    each entry's coefficient at the least order over all entries, else 0.
+    Orders come from repeated division by (z - alpha), coefficients from
+    evaluating what is left; infinity is moved to 0 by z -> 1/z."""
+    if point.is_infinite:
+        mat = RatMat([[_reciprocal_entry(e) for e in row] for row in mat.entries])
+        point = Point(0)
+    alpha = point.value
+    terms = []
+    for row in mat.entries:
+        out = []
+        for e in row:
+            if e.is_zero():
+                out.append(None)
+                continue
+            a, num = _strip_root(e.num, alpha)
+            b, den = _strip_root(e.den, alpha)
+            out.append((a - b, RatFun(num, den).eval(alpha)))
+        terms.append(out)
+    least = min(t[0] for row in terms for t in row if t is not None)
+    zero = GaussianRational(0)
+    return [[t[1] if t is not None and t[0] == least else zero for t in row]
+            for row in terms]
 
 
 # Plain coefficient-list polynomial reference: ascending lists of

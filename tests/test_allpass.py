@@ -1,7 +1,10 @@
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from specfactor import (
     AllPassFactorization,
@@ -16,7 +19,9 @@ from specfactor import (
     make_elementary,
     potapov_factorize,
 )
+from specfactor.allpass import _laurent_leading, _poles_of
 from specfactor.errors import DimensionMismatchError
+from specfactor.jsonio import ratmat_from_json
 
 from helpers import (
     M,
@@ -27,6 +32,7 @@ from helpers import (
     random_direction,
     random_elementary_product,
 )
+from oracles import laurent_leading
 
 
 def test_make_elementary_axis_projection():
@@ -224,3 +230,29 @@ def test_square_allpass_degrees_balance():
         points.add(INFINITY)
         balance = sum(v.zero_degree(p) - v.pole_degree(p) for p in points)
         assert balance == 0
+
+
+V_JSON = ratmat_from_json(json.loads(
+    (Path(__file__).parent / "golden" / "inputs" / "v.json").read_text(encoding="utf-8")))
+
+elementary_products = st.builds(
+    lambda seed, r, k: random_elementary_product(random.Random(seed), r, k)[0],
+    st.integers(0, 2**32), st.integers(1, 3), st.integers(1, 3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(elementary_products)
+# the first peel of v.json, at 1/2 + i/3, takes a different direction
+# unless the conj(c) factor of the expansion is applied
+@example(V_JSON)
+def test_laurent_leading_is_oracle_times_positive_rational(v):
+    for pole in _poles_of(v):
+        ours = _laurent_leading(v, pole)
+        ref = laurent_leading(v, pole)
+        pairs = [(x, y) for row_x, row_y in zip(ours, ref) for x, y in zip(row_x, row_y)]
+        assert all(x.is_zero() == y.is_zero() for x, y in pairs)
+        x0, y0 = next((x, y) for x, y in pairs if not y.is_zero())
+        ratio = x0 / y0
+        # one positive rational for the whole matrix, so for every column
+        assert ratio.im == 0 and ratio.re > 0, (pole, ratio)
+        assert all(x == y * ratio for x, y in pairs), pole

@@ -52,6 +52,8 @@ def test_every_reported_cache_is_memoised(spans):
     M([[RF([1, 1]), RF([2], [3, 1]), 1]]),
     # the particular solution fails here, so the seeded mixing runs too
     M([[RF([0, -1]), 0, 0], [0, RF([-2, 1]), -1]]),
+    # square, one finite zero at z = 1: the same system, with a unique solution
+    M([[RF([-1, 1]), RF([1], [2, 1])], [0, 1]]),
 ])
 def test_minimal_inverse_solves_through_the_traced_name(g, monkeypatch):
     # the linsolve.solve span wraps ratmat's binding of solve_linear, and

@@ -51,3 +51,28 @@ def test_third_party_imports_are_the_declared_dependencies():
     names = {re.match(r"[A-Za-z0-9_.-]+", req).group().lower().replace("-", "_")
              for req in declared}
     assert _imported_packages() == names
+
+
+def _unused_imports(tree: ast.Module) -> list[str]:
+    """Names a module imports but neither uses nor lists in ``__all__``."""
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                imported[alias.asname or alias.name.partition(".")[0]] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            used.update(ast.literal_eval(node.value))
+    return [f"{name} (line {line})" for name, line in sorted(imported.items())
+            if name not in used]
+
+
+def test_every_import_is_used():
+    # pyflakes is not installed; this is its unused-import check alone
+    unused = {path.name: _unused_imports(ast.parse(path.read_text(encoding="utf-8")))
+              for path in sorted(PACKAGE.glob("*.py"))}
+    assert {name: found for name, found in unused.items() if found} == {}
