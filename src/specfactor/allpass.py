@@ -14,6 +14,13 @@ column of the Laurent leading coefficient, cleared to a primitive Gaussian
 integer vector), so factorizations are reproducible byte for byte.  The
 Laurent leading coefficient comes from ``ratmat.point_expansions`` up to a
 positive rational, which that clearing removes.
+
+The peel enumerates no minors: pole locations are the roots of the common
+denominator, pole degrees come from the local Smith form at a point, and
+each candidate U~ W is a rank-one update of W (``left_divide``).
+Para-unitarity is not checked up front: a completed peel certifies it,
+because V = U_0 ... U_{K-1} C holds exactly with every U_k para-unitary by
+construction and C exactly unitary.
 """
 
 from __future__ import annotations
@@ -22,7 +29,7 @@ from math import gcd as int_gcd
 
 from .errors import DimensionMismatchError, FactorizationError
 from .linsolve import cleared
-from .poly import order_of
+from .poly import Poly, order_of
 from .ratfun import RatFun, blaschke
 from .ratmat import RatMat, point_degrees_by_valuation, point_expansions
 from .scalars import Comparison, GaussianRational, INFINITY, Point
@@ -76,14 +83,18 @@ class ElementaryFactor:
     def dimension(self) -> int:
         return len(self._v)
 
-    def projection(self) -> list[list[GaussianRational]]:
-        """The rank-one orthogonal projection v v* / (v* v); idempotent and
-        Hermitian by construction."""
+    def _scaled(self) -> list[GaussianRational]:
+        """v / (v* v), so that the projection is this times v*."""
         norm = GaussianRational(0)
         for x in self._v:
             norm = norm + x * x.conj()
         inv = norm.inverse()
-        return [[vi * vj.conj() * inv for vj in self._v] for vi in self._v]
+        return [x * inv for x in self._v]
+
+    def projection(self) -> list[list[GaussianRational]]:
+        """The rank-one orthogonal projection v v* / (v* v); idempotent and
+        Hermitian by construction."""
+        return [[si * vj.conj() for vj in self._v] for si in self._scaled()]
 
     def matrix(self) -> RatMat:
         b = blaschke(self._alpha)
@@ -101,6 +112,31 @@ class ElementaryFactor:
 
     def determinant(self) -> RatFun:
         return blaschke(self._alpha)
+
+    def left_divide(self, w: RatMat) -> RatMat:
+        """U~ W, which is U^-1 W, without forming U or a matrix product.
+
+        U~ = I + (b~ - 1) P, so U~ W = W + (b~ - 1) v (v* W) / (v* v).  On the
+        cleared form W = N/d each entry is one fraction over d times the
+        denominator of b~, reduced once; rows with v_i = 0 and columns with
+        (v* N)_j = 0 keep W's entries.
+        """
+        if w.rows != len(self._v):
+            raise DimensionMismatchError("factor dimension mismatch")
+        bt = blaschke(self._alpha).paraconj()
+        shift = bt.num - bt.den
+        d, n = w.cleared()
+        # (b~ - 1) (v* N)_j, over the denominator of b~
+        updates = [
+            shift * sum((row[j] * x.conj() for row, x in zip(n, self._v) if x), Poly.zero())
+            for j in range(w.cols)
+        ]
+        den = d * bt.den
+        return RatMat([
+            [w.entry(i, j) if not si or not u else RatFun(n[i][j] * bt.den + u * si, den)
+             for j, u in enumerate(updates)]
+            for i, si in enumerate(self._scaled())
+        ])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ElementaryFactor):
@@ -215,17 +251,29 @@ def potapov_factorize(v: RatMat) -> AllPassFactorization:
     McMillan degree by exactly one.  The constant unitary tail is commuted
     to the front (conjugating each stored direction), so that
     constant * product(factors) reproduces the input exactly.
+
+    No product V~ V is formed up front: a completed peel writes V exactly as
+    U_0 ... U_{K-1} C, every U_k para-unitary by construction and C a
+    constant that passes the exact unitarity check, which proves V~ V = I.
+    Each accepted step lowers the total pole degree by one, so the peel ends
+    after at most deg V steps on any input.  When it fails, ``is_paraunitary``
+    decides between "input is not para-unitary" and the peel's own error.
     """
-    if not is_paraunitary(v):
-        raise ValueError("input is not para-unitary")
+    if not v.is_square():
+        raise DimensionMismatchError("para-unitarity is defined for square matrices")
+    try:
+        return _peel(v)
+    except (ValueError, RuntimeError, ArithmeticError):
+        if not is_paraunitary(v):
+            raise ValueError("input is not para-unitary") from None
+        raise
+
+
+def _peel(v: RatMat) -> AllPassFactorization:
     size = v.rows
     work = v
     peeled: list[tuple[Point, tuple[GaussianRational, ...]]] = []
-    degree = work.mcmillan_degree()
-    while degree > 0:
-        poles = _poles_of(work)
-        if not poles:
-            raise FactorizationError("positive McMillan degree but no enumerable pole")
+    while poles := _poles_of(work):
         pole = poles[0]
         partner = pole.conj_pair()
         # an elementary peel changes pole degrees only at the pole and its
@@ -234,28 +282,24 @@ def potapov_factorize(v: RatMat) -> AllPassFactorization:
         dp_pole = point_degrees_by_valuation(work, pole)[1]
         dp_partner = point_degrees_by_valuation(work, partner)[1]
         leading = _laurent_leading(work, pole)
-        accepted = False
         for col in range(size):
             column = [leading[i][col] for i in range(size)]
             if all(x.is_zero() for x in column):
                 continue
             factor = ElementaryFactor(pole, column)
-            candidate = factor.matrix().paraconj_transpose() * work
+            candidate = factor.left_divide(work)
             if (
                 point_degrees_by_valuation(candidate, pole)[1] == dp_pole - 1
                 and point_degrees_by_valuation(candidate, partner)[1] == dp_partner
             ):
                 peeled.append((pole, factor.v))
                 work = candidate
-                degree -= 1
-                accepted = True
                 break
-        if not accepted:
+        else:
             raise FactorizationError(
                 f"no leading-coefficient column at {pole} lowers the degree"
             )
-    if not work.is_constant():
-        raise FactorizationError("degree zero remainder is not constant")
+    # no pole left anywhere: work is constant
     constant = work
     if not _constant_unitary(constant):
         raise FactorizationError("constant remainder fails the exact unitarity check")

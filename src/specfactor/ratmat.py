@@ -8,8 +8,9 @@ The structural queries all reduce to exact polynomial arithmetic:
   determinantal divisors: write G = N/d with N polynomial, take monic gcds
   D_k of all k x k minors of N, divide consecutive divisors to get the
   invariant polynomials, and reduce against d,
-* pole/zero locations are the roots of the Smith-McMillan pole and zero
-  polynomials,
+* pole locations are the roots of the common denominator d, which is the
+  first Smith-McMillan pole invariant; zero locations are the roots of the
+  Smith-McMillan zero polynomial,
 * pole/zero degrees at one point of the extended plane, infinity included,
   come from a local Smith form on the expansion of G about the point
   (``point_expansions``, which also gives the Laurent leading coefficient
@@ -19,8 +20,8 @@ The structural queries all reduce to exact polynomial arithmetic:
   polynomial of G and then verifies exact pole/zero degree matching.
 
 Only ``sm_structure`` enumerates all k x k minors, which is exponential in
-the matrix size; the intended scale is dimensions <= 6 and entry degrees
-<= 12.
+the matrix size; pole locations and pointwise degrees do not use it.  The
+intended scale is dimensions <= 6 and entry degrees <= 12.
 
 All values are immutable and operations are pure functions, so instances
 can be shared freely across threads.
@@ -250,8 +251,17 @@ class RatMat:
 
     def finite_pole_points(self, strict: bool = True) -> tuple[Point, ...]:
         """Finite pole locations in Q(i); with strict=True a location outside
-        Q(i) raises, otherwise it is silently dropped."""
-        return _root_points(self.sm_structure().pole_polynomial(), strict, "pole locations")
+        Q(i) raises, otherwise it is silently dropped.
+
+        They are the roots of the common denominator d of G = N/d: every root
+        of d is a root of some reduced entry's denominator at d's full
+        multiplicity, so gcd(entries of N, d) = 1 and d is the first pole
+        invariant psi_1, which every other psi_k divides.  No minor is
+        enumerated; only zero locations need the Smith-McMillan form.
+        """
+        if self.is_zero():
+            raise ZeroMatrixError("the zero matrix has no Smith-McMillan structure")
+        return _root_points(_cleared_cached(self)[0], strict, "pole locations")
 
     def finite_zero_points(self, strict: bool = True) -> tuple[Point, ...]:
         return _root_points(self.sm_structure().zero_polynomial(), strict, "zero locations")

@@ -20,7 +20,8 @@ from specfactor import (
     potapov_factorize,
 )
 from specfactor.allpass import _laurent_leading, _poles_of
-from specfactor.errors import DimensionMismatchError
+from specfactor import ratmat
+from specfactor.errors import DimensionMismatchError, NonGaussianPoleError
 from specfactor.jsonio import ratmat_from_json
 
 from helpers import (
@@ -256,3 +257,118 @@ def test_laurent_leading_is_oracle_times_positive_rational(v):
         # one positive rational for the whole matrix, so for every column
         assert ratio.im == 0 and ratio.re > 0, (pole, ratio)
         assert all(x == y * ratio for x, y in pairs), pole
+
+
+@st.composite
+def _left_divisions(draw):
+    """(W, alpha, v): W an elementary product, alpha finite, 0 or infinity,
+    v a direction of W's size whose entries may vanish."""
+    r = draw(st.integers(1, 3))
+    w = random_elementary_product(random.Random(draw(st.integers(0, 2**32))), r,
+                                  draw(st.integers(0, 3)))[0]
+    alpha = draw(st.sampled_from(SAFE_POLE_POOL + [pt(0)]))
+    entries = st.builds(gr, st.integers(-2, 2), st.integers(-1, 1))
+    v = draw(st.lists(entries, min_size=r, max_size=r).filter(
+        lambda xs: any(not x.is_zero() for x in xs)))
+    return w, alpha, v
+
+
+@settings(max_examples=80, deadline=None)
+@given(_left_divisions())
+@example((V_JSON, pt(Fraction(1, 2), Fraction(1, 3)), [gr(1), gr(0, 1)]))
+@example((V_JSON, INFINITY, [gr(0), gr(2, -1)]))
+@example((V_JSON, pt(0), [gr(1), gr(0)]))
+def test_rank_one_update_is_the_full_product(case):
+    w, alpha, v = case
+    factor = ElementaryFactor(alpha, v)
+    assert factor.left_divide(w) == factor.matrix().paraconj_transpose() * w
+
+
+def test_left_divide_checks_the_dimension():
+    with pytest.raises(DimensionMismatchError):
+        ElementaryFactor(pt(2), [1, 1]).left_divide(RatMat.identity(3))
+
+
+def _rejects_as_not_paraunitary(v):
+    with pytest.raises(ValueError) as info:
+        potapov_factorize(v)
+    assert type(info.value) is ValueError
+    assert str(info.value) == "input is not para-unitary"
+
+
+_U = make_elementary(pt(2), [1, 1]) * make_elementary(INFINITY, [1, -1])
+
+
+@pytest.mark.parametrize("v", [
+    _U * 2,
+    _U * RatMat.diagonal([RF([1], [-2, 1]), RatFun.one()]),
+    # a pole on the unit circle: no elementary factor exists there
+    RatMat.diagonal([RF([0, 1], [-1, 1]), RF([-1, 1], [0, 1])]),
+    _U * RatMat.diagonal([RF([1], [gr(0, -1), 1]), RatFun.one()]),
+    # poles at +-sqrt(2), outside Q(i)
+    RatMat.diagonal([RF([1, 0, -2], [-2, 0, 1]), RF([1], [-2, 0, 1])]),
+    RatMat.zeros(2, 2),
+], ids=["twice_u", "extra_pole", "circle_pole", "circle_pole_times_u",
+        "non_gaussian_pole", "zero"])
+def test_potapov_rejection_is_plain_value_error(v):
+    # structural errors met during the peel (circle poles, poles outside
+    # Q(i), the zero matrix) surface as "not para-unitary"
+    _rejects_as_not_paraunitary(v)
+
+
+def test_potapov_non_square_is_dimension_mismatch():
+    with pytest.raises(DimensionMismatchError):
+        potapov_factorize(M([[1, 0]]))
+
+
+def test_potapov_keeps_the_peel_error_on_paraunitary_input():
+    # all-pass with poles at +-1/sqrt(2): para-unitary, so the peel's own
+    # error is reported rather than "not para-unitary"
+    b = RF([-2, 0, 1], [1, 0, -2])
+    v = RatMat.diagonal([b, b])
+    assert is_paraunitary(v)
+    with pytest.raises(NonGaussianPoleError):
+        potapov_factorize(v)
+
+
+# scalar and one-entry perturbations; about a third leave V para-unitary
+_SCALES = [gr(1), gr(-1), gr(0, 1), gr(2), gr(Fraction(1, 2))]
+_BUMPS = [None, None, RatFun.one(), RF([0, 1]), RF([1], [-2, 1]), RF([1], [-1, 1])]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32), st.integers(1, 3), st.integers(0, 3),
+       st.sampled_from(_SCALES), st.sampled_from(_BUMPS), st.integers(0, 8))
+def test_potapov_on_perturbed_products(seed, r, k, scale, bump, where):
+    v = random_elementary_product(random.Random(seed), r, k)[0] * scale
+    if bump is not None:
+        i, j = divmod(where % (r * r), r)
+        grid = [list(row) for row in v.entries]
+        grid[i][j] = grid[i][j] + bump
+        v = RatMat(grid)
+    try:
+        fact = potapov_factorize(v)
+    except ValueError as exc:
+        assert type(exc) is ValueError and str(exc) == "input is not para-unitary"
+        assert not is_paraunitary(v)
+    else:
+        assert fact.product() == v
+        assert is_paraunitary(v)
+
+
+def test_peel_enumerates_no_minors(monkeypatch):
+    # pole locations come from the common denominator and candidates from
+    # a rank-one update: the peel forms no Smith-McMillan form
+    v = (make_elementary(pt(2), [1, 0, gr(0, 1)])
+         * make_elementary(INFINITY, [1, 1, 1])
+         * make_elementary(pt(Fraction(1, 2), Fraction(-1, 2)), [0, 2, -1]))
+
+    def forbidden(*args):
+        raise AssertionError("minor enumeration in the peel")
+
+    monkeypatch.setattr(ratmat, "_minor_gcd", forbidden)
+    monkeypatch.setattr(ratmat, "_sm_of", forbidden)
+    fact = potapov_factorize(v)
+    monkeypatch.undo()
+    assert len(fact) == 3
+    assert fact.product() == v

@@ -21,10 +21,10 @@ from specfactor.errors import (
     ZeroMatrixError,
 )
 from specfactor.linsolve import matrix_rank
-from specfactor.poly import require_split
+from specfactor.poly import gaussian_roots, require_split
 from specfactor.ratmat import point_degrees_by_valuation
 
-from helpers import M, P, RF, gr, pt, random_elementary_product
+from helpers import M, P, RF, gr, pt, random_elementary_product, random_full_rank_pair
 from oracles import brute_point_degrees, ref_matmul
 
 GOLDEN_G = M([[1, -1]])
@@ -253,6 +253,44 @@ def test_point_degrees_enumerate_no_minors(monkeypatch):
     monkeypatch.undo()
     assert point_degrees_by_valuation.cache_info().misses == misses + 1
     assert got == brute_point_degrees(mat, pt(0))
+
+
+def _sm_pole_points(mat, strict):
+    pole_poly = mat.sm_structure().pole_polynomial()
+    if pole_poly.is_constant():
+        return ()
+    roots = require_split(pole_poly) if strict else gaussian_roots(pole_poly)[0]
+    return tuple(Point(r) for r, _ in roots)
+
+
+# z^2 - 2 has no root in Q(i): it leaves an unsplit part in the pole
+# polynomial, which strict=True must reject and strict=False must drop
+_SQRT2 = RF([1], [-2, 0, 1])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32), st.sampled_from([None, _SQRT2]))
+@example(0, _SQRT2)
+def test_finite_pole_points_are_the_sm_pole_roots(seed, extra):
+    # the common denominator's roots against the roots of the pole
+    # polynomial of the minor-based Smith-McMillan form
+    g, h = random_full_rank_pair(random.Random(seed))
+    mat = g * h
+    if extra is not None:
+        mat = RatMat([[mat.entry(0, 0) + extra, *mat.entries[0][1:]], *mat.entries[1:]])
+    assert mat.finite_pole_points(strict=False) == _sm_pole_points(mat, strict=False)
+    if extra is None:
+        assert mat.finite_pole_points(strict=True) == _sm_pole_points(mat, strict=True)
+    else:
+        with pytest.raises(NonGaussianPoleError):
+            mat.finite_pole_points(strict=True)
+        with pytest.raises(NonGaussianPoleError):
+            _sm_pole_points(mat, strict=True)
+
+
+def test_finite_pole_points_of_the_zero_matrix():
+    with pytest.raises(ZeroMatrixError):
+        RatMat.zeros(2, 3).finite_pole_points()
 
 
 # prod(z - a) / prod(z - b) over a small root pool
