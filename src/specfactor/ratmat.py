@@ -17,7 +17,8 @@ The structural queries all reduce to exact polynomial arithmetic:
   up to a positive rational), pivoting on an entry of least order,
 * ``minimal_right_inverse``, for square and wide G alike, solves one exact
   Z[i] system for a right inverse whose denominators divide the zero
-  polynomial of G and then verifies exact pole/zero degree matching.
+  polynomial of G and then verifies exact pole/zero degree matching; the
+  result is memoized per matrix value in a bounded cache (32 entries).
 
 Only ``sm_structure`` enumerates all k x k minors, which is exponential in
 the matrix size; pole locations and pointwise degrees do not use it.  The
@@ -288,77 +289,7 @@ class RatMat:
         degree equality is verified afterwards.  An inconsistent system
         means no such right inverse exists; for a square G it is unique.
         """
-        r, n = self._rows, self._cols
-        if self.normal_rank() != r:
-            raise RankDeficiencyError(
-                f"minimal right inverse needs full row rank {r}, got {self.normal_rank()}"
-            )
-        sm = self.sm_structure()
-        m = sm.zero_polynomial()
-        dz_inf = self.zero_degree(INFINITY)
-        d, nmat = self.cleared()
-        target = d * m
-        deg_y = int(m.degree) + dz_inf
-        deg_n = max(
-            (int(p.degree) for row in nmat for p in row if not p.is_zero()), default=0
-        )
-        height = max(deg_n + deg_y, int(target.degree)) + 1
-        width = n * (deg_y + 1)
-        # G * X = I is nmat * Y = target * I; equation (i, t) matches the
-        # coefficients of z**t in row i, in integers: times the lcm of the
-        # denominators of row i of nmat and of target
-        t_den, t_num = target.parts
-        a, b = [], []
-        for i in range(r):
-            entries = [(k * (deg_y + 1), *p.parts) for k, p in enumerate(nmat[i])
-                       if not p.is_zero()]
-            row_den = lcm(t_den, *(p_den for _, p_den, _ in entries))
-            for t in range(height):
-                row = [(0, 0)] * width
-                for col, p_den, num in entries:
-                    scale = row_den // p_den
-                    for s in range(max(0, t + 1 - len(num)), min(deg_y, t) + 1):
-                        re, im = num[t - s]
-                        row[col + s] = (re * scale, im * scale)
-                a.append(row)
-                rhs = [(0, 0)] * r
-                if t < len(t_num):
-                    scale = row_den // t_den
-                    rhs[i] = (t_num[t][0] * scale, t_num[t][1] * scale)
-                b.append(rhs)
-        solved = solve_linear(a, b)
-        if solved is None:
-            raise MinimalInverseError(
-                "no right inverse exists with poles confined to the zeros"
-            )
-        den, particular, basis = solved
-
-        def build(grid) -> RatMat:
-            blocks = [grid[k * (deg_y + 1):(k + 1) * (deg_y + 1)] for k in range(n)]
-            return RatMat([[RatFun(Poly.from_parts(den, [cs[j] for cs in block]), m)
-                            for j in range(r)] for block in blocks])
-
-        candidate = build(particular)
-        if self._is_minimal_inverse(candidate):
-            return candidate
-        # a special solution can miss the required pole degrees (a double
-        # pole where G has a simple zero, say); a generic element of the
-        # solution space attains them
-        rng = random.Random(0x5EEDED)
-        for _ in range(25):
-            mixed = [row[:] for row in particular]
-            for vec in basis:
-                cr, ci = rng.randint(-5, 5), rng.randint(-2, 2)
-                for idx, (vr, vi) in enumerate(vec):
-                    if vr or vi:
-                        ar, ai = cr * vr - ci * vi, cr * vi + ci * vr
-                        mixed[idx] = [(x + ar, y + ai) for x, y in mixed[idx]]
-            candidate = build(mixed)
-            if self._is_minimal_inverse(candidate):
-                return candidate
-        raise MinimalInverseError(
-            "right inverse found but exact pole/zero degree matching failed"
-        )
+        return _minimal_right_inverse(self)
 
     def _is_minimal_inverse(self, x: RatMat) -> bool:
         if (self * x) != RatMat.identity(self._rows):
@@ -368,6 +299,84 @@ class RatMat:
         if sm_x.pole_polynomial() != sm_g.zero_polynomial():
             return False
         return x.pole_degree(INFINITY) == self.zero_degree(INFINITY)
+
+
+@lru_cache(maxsize=32)
+def _minimal_right_inverse(mat: RatMat) -> RatMat:
+    """``RatMat.minimal_right_inverse``, memoized: the sweep asks for the
+    inverse of one factor three times per instance.  Failures raise and are
+    not cached."""
+    r, n = mat.rows, mat.cols
+    if mat.normal_rank() != r:
+        raise RankDeficiencyError(
+            f"minimal right inverse needs full row rank {r}, got {mat.normal_rank()}"
+        )
+    sm = mat.sm_structure()
+    m = sm.zero_polynomial()
+    dz_inf = mat.zero_degree(INFINITY)
+    d, nmat = mat.cleared()
+    target = d * m
+    deg_y = int(m.degree) + dz_inf
+    deg_n = max(
+        (int(p.degree) for row in nmat for p in row if not p.is_zero()), default=0
+    )
+    height = max(deg_n + deg_y, int(target.degree)) + 1
+    width = n * (deg_y + 1)
+    # G * X = I is nmat * Y = target * I; equation (i, t) matches the
+    # coefficients of z**t in row i, in integers: times the lcm of the
+    # denominators of row i of nmat and of target
+    t_den, t_num = target.parts
+    a, b = [], []
+    for i in range(r):
+        entries = [(k * (deg_y + 1), *p.parts) for k, p in enumerate(nmat[i])
+                   if not p.is_zero()]
+        row_den = lcm(t_den, *(p_den for _, p_den, _ in entries))
+        for t in range(height):
+            row = [(0, 0)] * width
+            for col, p_den, num in entries:
+                scale = row_den // p_den
+                for s in range(max(0, t + 1 - len(num)), min(deg_y, t) + 1):
+                    re, im = num[t - s]
+                    row[col + s] = (re * scale, im * scale)
+            a.append(row)
+            rhs = [(0, 0)] * r
+            if t < len(t_num):
+                scale = row_den // t_den
+                rhs[i] = (t_num[t][0] * scale, t_num[t][1] * scale)
+            b.append(rhs)
+    solved = solve_linear(a, b)
+    if solved is None:
+        raise MinimalInverseError(
+            "no right inverse exists with poles confined to the zeros"
+        )
+    den, particular, basis = solved
+
+    def build(grid) -> RatMat:
+        blocks = [grid[k * (deg_y + 1):(k + 1) * (deg_y + 1)] for k in range(n)]
+        return RatMat([[RatFun(Poly.from_parts(den, [cs[j] for cs in block]), m)
+                        for j in range(r)] for block in blocks])
+
+    candidate = build(particular)
+    if mat._is_minimal_inverse(candidate):
+        return candidate
+    # a special solution can miss the required pole degrees (a double
+    # pole where G has a simple zero, say); a generic element of the
+    # solution space attains them
+    rng = random.Random(0x5EEDED)
+    for _ in range(25):
+        mixed = [row[:] for row in particular]
+        for vec in basis:
+            cr, ci = rng.randint(-5, 5), rng.randint(-2, 2)
+            for idx, (vr, vi) in enumerate(vec):
+                if vr or vi:
+                    ar, ai = cr * vr - ci * vi, cr * vi + ci * vr
+                    mixed[idx] = [(x + ar, y + ai) for x, y in mixed[idx]]
+        candidate = build(mixed)
+        if mat._is_minimal_inverse(candidate):
+            return candidate
+    raise MinimalInverseError(
+        "right inverse found but exact pole/zero degree matching failed"
+    )
 
 
 def _dot(row, col) -> RatFun:

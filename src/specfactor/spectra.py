@@ -29,6 +29,7 @@ import enum
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .allpass import _constant_unitary, _poles_of, is_paraunitary, make_elementary
 from .errors import (
@@ -207,12 +208,19 @@ def analytic_in(g: RatMat, region: Region) -> bool:
     return not any(region.contains(p) for p in _poles_of(g))
 
 
+@lru_cache(maxsize=32)
+def _gram(w: RatMat) -> RatMat:
+    """The Gram product W* W, memoized: one sweep instance forms it for the
+    same factor up to five times."""
+    return w.paraconj_transpose() * w
+
+
 def is_spectral_factor(w: RatMat, spectrum: Spectrum) -> bool:
     if w.cols != spectrum.size:
         raise DimensionMismatchError(
             f"factor has {w.cols} columns, spectrum has size {spectrum.size}"
         )
-    return w.paraconj_transpose() * w == spectrum.phi
+    return _gram(w) == spectrum.phi
 
 
 def is_stochastically_minimal(w: RatMat, spectrum: Spectrum) -> bool:
@@ -323,8 +331,8 @@ def uniqueness_check(
     full_rank = w.normal_rank() == r and w1.normal_rank() == r
     if not full_rank:
         failed.append("full_row_rank")
-    phi = w.paraconj_transpose() * w
-    phi1 = w1.paraconj_transpose() * w1
+    phi = _gram(w)
+    phi1 = _gram(w1)
     co_spectral = phi == phi1
     if not co_spectral:
         failed.append("co_spectrality")
@@ -491,8 +499,7 @@ def generate_instance(
             w = d_mat * m_mat
             if not w.has_real_coeffs():
                 raise _RetryDraw("factor picked up complex coefficients")
-            phi = w.paraconj_transpose() * w
-            spectrum = Spectrum(phi)
+            spectrum = Spectrum(_gram(w))
             if not is_spectral_factor(w, spectrum):
                 raise _RetryDraw("factor identity failed")
             if not analytic_in(w, region_p):

@@ -76,3 +76,35 @@ def test_every_import_is_used():
     unused = {path.name: _unused_imports(ast.parse(path.read_text(encoding="utf-8")))
               for path in sorted(PACKAGE.glob("*.py"))}
     assert {name: found for name, found in unused.items() if found} == {}
+
+
+def _memo_bounds(tree: ast.Module) -> dict[str, object]:
+    """The bound of every memo a module declares, by line: the integer
+    maxsize, or the source text where there is no integer literal."""
+    def name_of(node):
+        return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+
+    found = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and name_of(node.func) == "lru_cache":
+            args = [kw.value for kw in node.keywords if kw.arg == "maxsize"] + node.args[:1]
+            bound = args[0] if args else None
+            value = bound.value if isinstance(bound, ast.Constant) else None
+            found[f"line {node.lineno}"] = (
+                value if type(value) is int else ast.unparse(node))
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for dec in node.decorator_list:
+                if name_of(dec) in ("lru_cache", "cache"):  # bare: 128 or unbounded
+                    found[f"line {dec.lineno}"] = f"@{ast.unparse(dec)}"
+    return found
+
+
+def test_every_memo_has_an_integer_bound():
+    # a long sweep must not grow memory without limit, so no memo is
+    # unbounded (maxsize=None, functools.cache) or bounded implicitly
+    bounds = {path.name: _memo_bounds(ast.parse(path.read_text(encoding="utf-8")))
+              for path in sorted(PACKAGE.glob("*.py"))}
+    assert sum(len(found) for found in bounds.values()) >= 8
+    bad = {name: {line: bound for line, bound in found.items() if type(bound) is not int}
+           for name, found in bounds.items()}
+    assert {name: found for name, found in bad.items() if found} == {}

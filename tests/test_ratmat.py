@@ -389,13 +389,33 @@ def test_minimal_right_inverse_infinity_balance():
 
 def test_minimal_right_inverse_nonexistence():
     g = M([[RF([0, 1]), RF([1], [0, 1])]])  # [z, 1/z] admits no minimal inverse
-    with pytest.raises(MinimalInverseError):
-        g.minimal_right_inverse()
+    for _ in range(2):  # a failure is not memoized
+        with pytest.raises(MinimalInverseError):
+            g.minimal_right_inverse()
 
 
 def test_minimal_right_inverse_requires_full_row_rank():
-    with pytest.raises(RankDeficiencyError):
-        M([[1, 1], [1, 1]]).minimal_right_inverse()
+    g = M([[1, 1], [1, 1]])
+    for _ in range(2):
+        with pytest.raises(RankDeficiencyError):
+            g.minimal_right_inverse()
+
+
+def test_minimal_right_inverse_memo_is_keyed_by_value():
+    # equal matrices built apart share one memo entry, and a recomputation
+    # after clearing the memo gives the memoized answer
+    memo = ratmat._minimal_right_inverse
+    memo.cache_clear()
+    rows = [[RF([1, 1]), RF([2], [3, 1]), 1]]
+    a, b = M(rows), M(rows)
+    assert a is not b
+    x = a.minimal_right_inverse()
+    assert b.minimal_right_inverse() == x
+    info = memo.cache_info()
+    assert (info.hits, info.misses) == (1, 1)
+    memo.cache_clear()
+    assert M(rows).minimal_right_inverse() == x
+    assert memo.cache_info().misses == 1
 
 
 def test_minimal_right_inverse_random_wide():
@@ -422,6 +442,7 @@ def test_minimal_right_inverse_needs_the_mixing_fallback(monkeypatch):
     # the coefficient system gives X a double pole there, and only a generic
     # element of the solution space has the simple pole minimality asks for
     g = M([[RF([0, -1]), 0, 0], [0, RF([-2, 1]), -1]])
+    ratmat._minimal_right_inverse.cache_clear()  # a memo hit would skip the spy
     verdicts = []
     original = RatMat._is_minimal_inverse
 

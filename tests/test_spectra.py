@@ -1,6 +1,8 @@
 import json
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -31,7 +33,7 @@ from specfactor.errors import (
     ScalarParseError,
     SpectrumError,
 )
-from specfactor.spectra import default_geometries
+from specfactor.spectra import _gram, default_geometries
 
 from helpers import M, RF, gr, pt
 
@@ -138,6 +140,16 @@ def test_is_spectral_factor():
     assert not is_spectral_factor(W_SCALAR * RF([2]), phi)
     with pytest.raises(DimensionMismatchError):
         is_spectral_factor(M([[1, 0]]), phi)
+
+
+def test_gram_memo_keeps_spectral_factor_checks_exact():
+    # the Gram product is memoized per factor value; a scaled copy is still
+    # judged by its own Gram product
+    _gram.cache_clear()
+    spectrum, w = generate_instance(5, (1, 2), 2, OUTER, OUTER)
+    assert _gram(w) is spectrum.phi
+    assert is_spectral_factor(w, spectrum) and is_spectral_factor(-w, spectrum)
+    assert not is_spectral_factor(2 * w, spectrum)
 
 
 def test_stochastic_minimality():
@@ -315,3 +327,27 @@ def test_run_sweep_deterministic_and_clean():
         assert record["allpass_case"]["verdict"] == "HYPOTHESIS_FAILED"
         named = record["allpass_case"]["failed_hypotheses"]
         assert any("minimality" in n or "analyticity" in n for n in named)
+
+
+def _library_memos() -> list:
+    """Every memoized function of the package, found by its ``cache_info``."""
+    return [value for name, module in sorted(sys.modules.items())
+            if module is not None and (name == "specfactor" or name.startswith("specfactor."))
+            for value in vars(module).values()
+            if hasattr(value, "cache_info") and getattr(value, "__module__", None) == name]
+
+
+def test_sweep_report_does_not_depend_on_memo_state():
+    memos = _library_memos()
+    assert {"_minimal_right_inverse", "_gram"} <= {memo.__name__ for memo in memos}
+    for memo in memos:
+        memo.cache_clear()
+    cold = run_sweep(12, base_seed=20240)
+    warm = run_sweep(12, base_seed=20240)
+    for memo in memos:
+        memo.cache_clear()
+    cleared = run_sweep(12, base_seed=20240)
+    assert cold == warm == cleared
+    # the golden report is `sweep --instances 12` at the default base seed
+    golden = Path(__file__).parent / "golden" / "sweep_12.json"
+    assert (json.dumps(cold, indent=2, sort_keys=True) + "\n").encode() == golden.read_bytes()
