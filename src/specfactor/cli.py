@@ -29,7 +29,6 @@ from .errors import (
     SpectrumError,
     ZeroMatrixError,
 )
-from .poly import require_split
 from .ratmat import RatMat
 from .scalars import INFINITY, Point
 from .spectra import (
@@ -75,18 +74,12 @@ def _emit(payload: dict) -> None:
 
 
 def _point_listing(mat: RatMat) -> dict:
-    sm = mat.sm_structure()
-    listing = {"poles": [], "zeros": []}
-    for kind, polynomial in (("poles", sm.pole_polynomial()), ("zeros", sm.zero_polynomial())):
-        if not polynomial.is_constant():
-            roots = require_split(polynomial, f"{kind} enumeration")
-            listing[kind] = [{"point": str(r), "degree": m} for r, m in roots]
-    inf_pole = mat.pole_degree(INFINITY)
-    if inf_pole:
-        listing["poles"].append({"point": "inf", "degree": inf_pole})
-    inf_zero = mat.zero_degree(INFINITY)
-    if inf_zero:
-        listing["zeros"].append({"point": "inf", "degree": inf_zero})
+    listing = {}
+    for kind, points, degree in (("poles", mat.finite_pole_points(), mat.pole_degree),
+                                 ("zeros", mat.finite_zero_points(), mat.zero_degree)):
+        listing[kind] = [{"point": str(p), "degree": degree(p)} for p in points]
+        if degree(INFINITY):
+            listing[kind].append({"point": "inf", "degree": degree(INFINITY)})
     return listing
 
 
@@ -206,7 +199,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "polezeros",
-        help="pole and zero locations with degrees, read off the Smith-McMillan form",
+        help="pole and zero locations with pointwise degrees (infinity included)",
     )
     p.add_argument("matrix")
     p.set_defaults(func=_cmd_polezeros)

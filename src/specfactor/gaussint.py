@@ -224,10 +224,10 @@ def gi_factor(x: GInt) -> dict[GInt, int]:
     return result
 
 
-def gi_divisors_up_to_units(x: GInt) -> list[GInt]:
-    """All divisors of x in Z[i], one representative per associate class."""
+def gi_divisors_up_to_units(factors: dict[GInt, int]) -> list[GInt]:
+    """The divisors, one per associate class, of the ``gi_factor`` result."""
     divisors = [(1, 0)]
-    for prime, exp in gi_factor(x).items():
+    for prime, exp in factors.items():
         grown = []
         power = (1, 0)
         for _ in range(exp + 1):

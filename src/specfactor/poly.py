@@ -17,25 +17,28 @@ and ``from_parts`` hand over the integer form itself.
 Division, gcd and expansion about a point (``taylor_numerators``, which
 gives multiplicities) are exact; root finding is restricted to roots in
 Q(i) and reports the unsplit cofactor.  Floating point only proposes root
-candidates there: each one is confirmed exactly, and a divisor search
-over Z[i] proves that no root is missed.
+candidates there, from an in-house Aberth-Ehrlich iteration: each one is
+confirmed exactly, and a bounded divisor search over Z[i] proves that no
+root is missed.
 
 Polynomials are immutable and hashable.
 """
 
 from __future__ import annotations
 
+import cmath
 from collections.abc import Iterator
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd as int_gcd, inf, isfinite
+from math import gcd as int_gcd, inf, isfinite, prod, ulp
 
-from .errors import NonGaussianPoleError
+from .errors import InputTooLargeError, NonGaussianPoleError
 from .gaussint import (
     UNITS,
     canonical_associate,
     gi_divisors_up_to_units,
     gi_exact_div,
+    gi_factor,
     gi_gcd,
     gi_mul,
 )
@@ -669,8 +672,6 @@ def _guessed_roots(work: Poly) -> list[tuple[tuple[int, int], tuple[int, int]]]:
     where doubles stop telling fractions apart).  Simple roots keep the
     guesses accurate enough for that.
     """
-    import numpy as np  # loaded on first use, not at package import
-
     common = poly_gcd(work, _derivative(work))
     squarefree = work if common.is_constant() else work.exact_div(common)
     lr, li = squarefree._num[-1]
@@ -682,7 +683,7 @@ def _guessed_roots(work: Poly) -> list[tuple[tuple[int, int], tuple[int, int]]]:
         return []
     cap = min(n, _GUESS_DENOMINATOR_CAP)
     out = []
-    for z in np.roots(monic):
+    for z in _complex_roots(monic):
         if not (isfinite(z.real) and isfinite(z.imag)):
             continue
         re = Fraction(z.real).limit_denominator(cap)
@@ -696,6 +697,43 @@ def _guessed_roots(work: Poly) -> list[tuple[tuple[int, int], tuple[int, int]]]:
 # beyond about 2**24 a double no longer separates neighbouring fractions
 # with denominators that large from a guess's rounding error
 _GUESS_DENOMINATOR_CAP = 1 << 24
+# Aberth steps before giving up: planted roots spread over seven decades
+# take up to about 45, the polynomials of the workloads about 10
+_ABERTH_STEPS = 100
+
+
+def _complex_roots(monic: list[complex]) -> list[complex]:
+    """Roots of the monic polynomial ``monic`` (highest power first), by
+    Aberth-Ehrlich iteration (Aberth 1973) from a circle about as wide as
+    the largest root; each root stops once its value is within Horner's
+    rounding error.  Overflow and zero divisors end the iteration without
+    raising: what has not converged is a guess the exact check rejects."""
+    n = len(monic) - 1
+    radius = max((abs(c) ** (1 / k) for k, c in enumerate(monic) if k), default=0.0)
+    z = [cmath.rect(radius, 2 * cmath.pi * k / n + 0.5) for k in range(n)]
+    moving = set(range(n))
+    try:
+        for _ in range(_ABERTH_STEPS):
+            for k in sorted(moving):
+                x = z[k]
+                p, dp, bound = 1, 0, 1.0
+                for c in monic[1:]:
+                    dp = dp * x + p
+                    p = p * x + c
+                    bound = bound * abs(x) + abs(c)
+                if abs(p) <= 4 * ulp(1.0) * bound:
+                    moving.discard(k)
+                    continue
+                s = sum(1 / (x - y) for j, y in enumerate(z) if j != k)
+                z[k] = x - p / (dp - p * s)
+            if not moving:
+                break
+    except (OverflowError, ZeroDivisionError):
+        pass
+    return z
+
+
+_DIVISOR_PAIRS_CAP = 1 << 17  # about 4 s on a 2-vCPU host for a cubic with no root
 
 
 def _divisor_roots(work: Poly) -> Iterator[tuple[tuple[int, int], tuple[int, int]]]:
@@ -703,11 +741,17 @@ def _divisor_roots(work: Poly) -> Iterator[tuple[tuple[int, int], tuple[int, int
     trailing and q the leading numerator of work, one at a time.
 
     A candidate can come up more than once; after its root has been
-    divided out, a repeat evaluates to nonzero and is passed over.
+    divided out, a repeat evaluates to nonzero and is passed over.  More
+    than _DIVISOR_PAIRS_CAP divisor pairs raise InputTooLargeError.
     """
     ints = work._num
-    nums = gi_divisors_up_to_units(ints[0])
-    for den in gi_divisors_up_to_units(ints[-1]):
+    trailing, leading = gi_factor(ints[0]), gi_factor(ints[-1])
+    count = prod(e + 1 for factors in (trailing, leading) for e in factors.values())
+    if count > _DIVISOR_PAIRS_CAP:
+        raise InputTooLargeError(
+            f"the Q(i) root search would try {count} divisor pairs (limit {_DIVISOR_PAIRS_CAP})")
+    nums = gi_divisors_up_to_units(trailing)
+    for den in gi_divisors_up_to_units(leading):
         for num in nums:
             g = gi_gcd(num, den)
             rnum = gi_exact_div(num, g)

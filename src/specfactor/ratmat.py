@@ -245,10 +245,8 @@ class RatMat:
     def mcmillan_degree(self) -> int:
         """Total pole degree over the extended plane."""
         sm = self.sm_structure()
-        if sm.psi:
-            require_split(sm.pole_polynomial(), "pole locations")
-        finite = sum(int(psi.degree) for psi in sm.psi)
-        return finite + self.pole_degree(INFINITY)
+        self.finite_pole_points()  # raises for a pole outside Q(i)
+        return sum(int(psi.degree) for psi in sm.psi) + self.pole_degree(INFINITY)
 
     def finite_pole_points(self, strict: bool = True) -> tuple[Point, ...]:
         """Finite pole locations in Q(i); with strict=True a location outside
@@ -265,7 +263,7 @@ class RatMat:
         return _root_points(_cleared_cached(self)[0], strict, "pole locations")
 
     def finite_zero_points(self, strict: bool = True) -> tuple[Point, ...]:
-        return _root_points(self.sm_structure().zero_polynomial(), strict, "zero locations")
+        return _root_points(self.sm_structure().zero_polynomial(), strict, "zeros enumeration")
 
     def has_pole_at_infinity(self) -> bool:
         return any(

@@ -7,7 +7,8 @@ and point degrees come from minimum minor valuations via the partial-sum
 identity (the sorted diagonal valuations d_1 <= ... <= d_k of the
 canonical form satisfy d_1 + ... + d_k = min valuation over k x k minors),
 and Laurent leading coefficients come from the same division and exact
-evaluation.
+evaluation.  Hermitian matrices with a planted spectrum are built from a
+Householder reflector, not from an eigenvalue routine.
 """
 
 from itertools import combinations, permutations
@@ -294,3 +295,13 @@ def ref_solve(a, b):
             vec[c] = -rows[r][free]
         basis.append(vec)
     return particular, basis
+
+
+def householder_hermitian(eigenvalues, v):
+    """Q diag(eigenvalues) Q* as nested lists of complex numbers, for the
+    Householder reflector Q = I - 2 v v* / (v* v), which is unitary."""
+    n = len(eigenvalues)
+    vv = sum(abs(x) ** 2 for x in v)
+    q = [[(i == j) - 2 * v[i] * v[j].conjugate() / vv for j in range(n)] for i in range(n)]
+    return [[sum(q[i][k] * eigenvalues[k] * q[j][k].conjugate() for k in range(n))
+             for j in range(n)] for i in range(n)]

@@ -238,6 +238,16 @@ def test_too_large_error_code(tmp_path, capsys):
     assert json.loads(captured.err)["error"]["code"] == "too_large"
 
 
+def test_too_many_divisor_candidates_is_too_large(tmp_path, capsys):
+    # z**2 + 10**300: 54,451,201 divisor pairs would be tried, more than
+    # fit in memory, so the search refuses before listing them
+    path = write_matrix(tmp_path / "big.json", M([[RF([1], [10**300, 0, 1])]]))
+    code = main(["degree", path])
+    captured = capsys.readouterr()
+    assert code == 1 and not captured.out
+    assert json.loads(captured.err)["error"]["code"] == "too_large"
+
+
 def test_not_paraunitary_error(tmp_path, capsys):
     path = write_matrix(tmp_path / "w.json", W)
     code = main(["allpass-factorize", path])

@@ -58,7 +58,7 @@ def _check_planted(primes, unit, oracle=True):
             for q, k in ref_factor(a * a + b * b).items():
                 counted[q] = counted.get(q, 0) + k * e
         assert counted == ref_factor(x[0] * x[0] + x[1] * x[1])
-    divisors = gi_divisors_up_to_units(x)
+    divisors = gi_divisors_up_to_units(found)
     assert len(divisors) == len(set(divisors)) == prod(e + 1 for e in found.values())
 
 

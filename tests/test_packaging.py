@@ -1,6 +1,7 @@
 """Import cost and declared dependencies of the package."""
 
 import ast
+import json
 import os
 import re
 import subprocess
@@ -9,26 +10,67 @@ from pathlib import Path
 
 import pytest
 
+from test_golden import CASES, GOLDEN, INPUTS, SWEEP_INSTANCES, SWEEP_REPORT, _argv
+
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "specfactor"
 
 
+def _run_python(script: str, *args: str) -> str:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", script, *args], env=env, capture_output=True,
+                          text=True, timeout=120, check=True).stdout
+
+
 def test_cli_import_loads_no_numpy_or_sympy():
-    # numpy is loaded on first use (root guesses, the advisory circle check),
-    # so a command that never needs it starts without it
+    # root guesses and the advisory circle check are computed in-house, so
+    # neither is loaded at import or by the floating-point steps
+    loaded = "print(sorted(m for m in ('numpy', 'sympy') if m in sys.modules))\n"
     script = (
         "import sys\n"
         "import specfactor.cli\n"
-        "print(sorted(m for m in ('numpy', 'sympy') if m in sys.modules))\n"
-        "from specfactor import Poly, gaussian_roots\n"
+        + loaded
+        + "from specfactor import Poly, RatMat, gaussian_roots, psd_on_circle\n"
         "gaussian_roots(Poly.linear(2) * Poly.linear(-3))\n"
-        "print(sorted(m for m in ('numpy', 'sympy') if m in sys.modules))\n"
+        + loaded
+        + "psd_on_circle(RatMat([[1]]))\n"
+        + loaded
     )
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                         text=True, timeout=60, check=True).stdout.splitlines()
-    assert out == ["[]", "['numpy']"]
+    assert _run_python(script).splitlines() == ["[]", "[]", "[]"]
+
+
+def test_golden_cases_and_circle_check_run_with_numpy_blocked(tmp_path):
+    # sys.modules[name] = None makes every import of that name fail
+    script = """
+import contextlib, io, json, sys
+sys.modules["numpy"] = None
+from specfactor import Spectrum, jsonio, psd_on_circle
+from specfactor.cli import main
+cases, phi_path = json.loads(sys.argv[1])
+results = {}
+for name, argv in cases:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    results[name] = [code, out.getvalue(), err.getvalue()]
+with open(phi_path, encoding="utf-8") as fh:
+    report = psd_on_circle(Spectrum(jsonio.ratmat_from_json(json.load(fh))))
+results["psd"] = [report.ok, report.evaluated]
+print(json.dumps(results))
+"""
+    report = tmp_path / "sweep.json"
+    cases = [(name, _argv(args)) for name, args, _ in CASES]
+    cases.append(("sweep", ["sweep", "--instances", str(SWEEP_INSTANCES), "--report", str(report)]))
+    results = json.loads(_run_python(script, json.dumps([cases, str(INPUTS / "phi.json")])))
+    for name, _, exit_code in CASES:
+        code, out, err = results[name]
+        assert code == exit_code, name
+        assert out.encode() == (GOLDEN / f"{name}.out").read_bytes(), name
+        assert err.encode() == ((GOLDEN / f"{name}.err").read_bytes() if exit_code else b""), name
+    assert results["sweep"][0] == 0
+    assert report.read_bytes() == SWEEP_REPORT.read_bytes()
+    assert results["psd"] == [True, 64]
 
 
 def _imported_packages() -> set[str]:

@@ -1,12 +1,14 @@
 from fractions import Fraction
 from math import lcm
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from specfactor import GaussianRational, INFINITY, Point, Poly, gaussian_roots
-from specfactor.errors import NonGaussianPoleError
-from specfactor.poly import order_of, poly_gcd, poly_lcm, require_split, taylor_numerators
+from specfactor.errors import InputTooLargeError, NonGaussianPoleError
+from specfactor.poly import (_complex_roots, order_of, poly_gcd, poly_lcm, require_split,
+                             taylor_numerators)
 
 from helpers import P, gr, pt
 from oracles import ref_divmod, ref_eval, ref_mul, ref_trim, synthetic_multiplicity
@@ -305,6 +307,55 @@ def test_gaussian_roots_divisor_search_alone(monkeypatch):
         assert rest == P(7, 0, 1)
     finally:
         gaussian_roots.cache_clear()
+
+
+def test_divisor_search_refuses_too_many_candidates():
+    # 10**300 has 601 * 301 * 301 divisor classes in Z[i]; the guesses at
+    # +-10**150*i cannot be confirmed in floating point
+    with pytest.raises(InputTooLargeError, match="divisor pairs"):
+        gaussian_roots(P(10**300, 0, 1))
+
+
+_planted_simple = st.lists(
+    st.builds(lambda a, b, c, d: gr(Fraction(a, b), Fraction(c, d)),
+              st.integers(-60, 60), st.integers(1, 30), st.integers(-60, 60), st.integers(1, 30)),
+    min_size=1, max_size=8, unique=True)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_planted_simple, st.sampled_from([gr(1), gr(-7, 2), gr(Fraction(3, 11), 5)]))
+def test_guesses_alone_recover_planted_simple_roots(planted, lead):
+    import specfactor.poly as poly_mod
+
+    p = Poly.from_roots(planted) * lead
+    gaussian_roots.cache_clear()
+    try:
+        with patch.object(poly_mod, "_divisor_roots", lambda work: iter(())):
+            roots, rest = gaussian_roots(p)
+    finally:
+        gaussian_roots.cache_clear()
+    assert list(roots) == _expected_roots([(r, 1) for r in planted])
+    assert rest.is_one()
+
+
+@pytest.mark.parametrize("monic", [
+    [1], [1, 0], [1, 0, 0], [1, -2, 1], [1, 0, 0, 0, 0, 0, 0, 0, -1], [1, 0, 0, 0, 1j],
+    [1, 0, 0, 0, 0, 0, -1e-12], [1, 0, 1e300], [1, 1e308, 1e308], [1, 0, 0, 0, 0, 0, 0, 1e300],
+])
+def test_complex_roots_never_raise(monic):
+    roots = _complex_roots(monic)
+    assert len(roots) == len(monic) - 1
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+@pytest.mark.parametrize("c", [1, -2, 1j, Fraction(1, 3)])
+def test_complex_roots_of_symmetric_binomials(n, c):
+    # z**n - c: the roots lie symmetrically on a circle, like the start points
+    roots = _complex_roots([1] + [0] * (n - 1) + [-complex(c)])
+    assert len(roots) == n
+    assert all(abs(z ** n - complex(c)) < 1e-12 for z in roots)
+    # n distinct roots, not one root found n times
+    assert all(abs(z - w) > 1e-3 for i, z in enumerate(roots) for w in roots[:i])
 
 
 @settings(max_examples=120)

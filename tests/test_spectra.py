@@ -5,6 +5,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from specfactor import (
     INFINITY,
@@ -33,9 +34,10 @@ from specfactor.errors import (
     ScalarParseError,
     SpectrumError,
 )
-from specfactor.spectra import _gram, default_geometries
+from specfactor.spectra import _gram, _hermitian_eigenvalues, default_geometries
 
 from helpers import M, RF, gr, pt
+from oracles import householder_hermitian
 
 OUTER = Region(Side.OUTER)
 INNER = Region(Side.INNER)
@@ -187,6 +189,39 @@ def test_psd_on_circle_boundary_zero():
     report = psd_on_circle(phi, samples=64, tol=1e-9)
     assert report.ok
     assert report.min_eigenvalue is not None and report.min_eigenvalue > -1e-9
+
+
+def test_psd_on_circle_rejects_a_non_square_matrix():
+    with pytest.raises(DimensionMismatchError):
+        psd_on_circle(M([[1, 2]]))
+
+
+def test_psd_on_circle_checks_the_sample_count_first():
+    # the sample count is refused before the matrix is looked at
+    with pytest.raises(ValueError, match="at least one sample") as info:
+        psd_on_circle(M([[1, 2]]), samples=0)
+    assert not isinstance(info.value, DimensionMismatchError)
+
+
+_eigenvalue_lists = st.lists(st.sampled_from([0, 0, 1, 1, -1, 2.5, -3, 1e-6, 40]),
+                             min_size=1, max_size=6)
+_reflector_vectors = st.lists(st.complex_numbers(max_magnitude=10, allow_nan=False,
+                                                 allow_infinity=False), min_size=6, max_size=6)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_eigenvalue_lists, _reflector_vectors)
+def test_hermitian_eigenvalues_match_a_planted_spectrum(eigenvalues, v):
+    n = len(eigenvalues)
+    v = v[:n]
+    assume(sum(abs(x) ** 2 for x in v) > 1e-2)
+    h = householder_hermitian(eigenvalues, v)
+    # a skew-Hermitian addend i*S (S real symmetric) leaves the Hermitian part alone
+    a = [[h[i][j] + 1j * (i + j + 1) for j in range(n)] for i in range(n)]
+    got = _hermitian_eigenvalues(a)
+    scale = max(1.0, *(abs(x) for x in eigenvalues))
+    assert len(got) == n
+    assert all(abs(g - e) <= 1e-12 * scale for g, e in zip(got, sorted(eigenvalues)))
 
 
 def test_psd_on_circle_skips_circle_poles():
