@@ -4,7 +4,10 @@ An elementary factor is U(z) = I + (b(z) - 1) P with b the Blaschke kernel
 for a pole off the unit circle and P a rank-one orthogonal projection.  The
 projection is stored through an unnormalized direction vector v (P equals
 v v* / (v* v)), which keeps every coefficient inside Q(i); unit-norm
-normalization would need square roots.
+normalization would need square roots.  A factor acts by one rank-one
+update, W + (k - 1) P W for a kernel k: ``matrix`` updates the identity
+with b, ``left_divide`` updates W with b~ (U~ W = U^-1 W), and
+``spectra.perturb_with_allpass`` updates W with b.
 
 ``potapov_factorize`` peels a para-unitary matrix into a constant unitary
 times elementary factors, one per unit of McMillan degree.  The peel order
@@ -17,7 +20,7 @@ positive rational, which that clearing removes.
 
 The peel enumerates no minors: pole locations are the roots of the common
 denominator, pole degrees come from the local Smith form at a point, and
-each candidate U~ W is a rank-one update of W (``left_divide``).
+each candidate U~ W is that update of W (``left_divide``).
 Para-unitarity is not checked up front: a completed peel certifies it,
 because V = U_0 ... U_{K-1} C holds exactly with every U_k para-unitary by
 construction and C exactly unitary.
@@ -96,47 +99,42 @@ class ElementaryFactor:
         Hermitian by construction."""
         return [[si * vj.conj() for vj in self._v] for si in self._scaled()]
 
+    def _update(self, w: RatMat, d: Poly, n, kernel: RatFun) -> RatMat:
+        """W + (k - 1) P W for the kernel k and W = N/d, as a rank-one update.
+
+        P W = v (v* N) / ((v* v) d), so each entry is one fraction over d
+        times the denominator of k, reduced once; rows with v_i = 0 and
+        columns with (v* N)_j = 0 keep W's entries.
+        """
+        if w.rows != len(self._v):
+            raise DimensionMismatchError("factor dimension mismatch")
+        shift = kernel.num - kernel.den
+        # (k - 1) (v* N)_j, over the denominator of k
+        updates = [
+            shift * sum((row[j] * x.conj() for row, x in zip(n, self._v) if x), Poly.zero())
+            for j in range(w.cols)
+        ]
+        den = d * kernel.den
+        return RatMat([
+            [w.entry(i, j) if not si or not u else RatFun(n[i][j] * kernel.den + u * si, den)
+             for j, u in enumerate(updates)]
+            for i, si in enumerate(self._scaled())
+        ])
+
     def matrix(self) -> RatMat:
-        b = blaschke(self._alpha)
-        shift = b - RatFun.one()
-        p = self.projection()
-        n = len(self._v)
-        entries = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                base = RatFun.one() if i == j else RatFun.zero()
-                row.append(base + shift * RatFun.constant(p[i][j]))
-            entries.append(row)
-        return RatMat(entries)
+        """U = I + (b - 1) P, the update of the identity with b.  Its cleared
+        form is written down, so no memo cache is touched."""
+        identity = RatMat.identity(len(self._v))
+        n = [[e.num for e in row] for row in identity.entries]
+        return self._update(identity, Poly.one(), n, blaschke(self._alpha))
 
     def determinant(self) -> RatFun:
         return blaschke(self._alpha)
 
     def left_divide(self, w: RatMat) -> RatMat:
-        """U~ W, which is U^-1 W, without forming U or a matrix product.
-
-        U~ = I + (b~ - 1) P, so U~ W = W + (b~ - 1) v (v* W) / (v* v).  On the
-        cleared form W = N/d each entry is one fraction over d times the
-        denominator of b~, reduced once; rows with v_i = 0 and columns with
-        (v* N)_j = 0 keep W's entries.
-        """
-        if w.rows != len(self._v):
-            raise DimensionMismatchError("factor dimension mismatch")
-        bt = blaschke(self._alpha).paraconj()
-        shift = bt.num - bt.den
-        d, n = w.cleared()
-        # (b~ - 1) (v* N)_j, over the denominator of b~
-        updates = [
-            shift * sum((row[j] * x.conj() for row, x in zip(n, self._v) if x), Poly.zero())
-            for j in range(w.cols)
-        ]
-        den = d * bt.den
-        return RatMat([
-            [w.entry(i, j) if not si or not u else RatFun(n[i][j] * bt.den + u * si, den)
-             for j, u in enumerate(updates)]
-            for i, si in enumerate(self._scaled())
-        ])
+        """U~ W, which is U^-1 W, without forming U or a matrix product: the
+        update of W with b~, since U~ = I + (b~ - 1) P."""
+        return self._update(w, *w.cleared(), blaschke(self._alpha).paraconj())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ElementaryFactor):
@@ -159,7 +157,7 @@ class AllPassFactorization:
     def __init__(self, constant: RatMat, factors):
         if not constant.is_constant():
             raise ValueError("leading matrix of a factorization must be constant")
-        if not _constant_unitary(constant):
+        if not constant.is_square() or not is_paraunitary(constant):
             raise ValueError("leading matrix of a factorization must be unitary")
         self._constant = constant
         self._factors = tuple(factors)
@@ -193,7 +191,7 @@ class AllPassFactorization:
 
 def make_elementary(alpha, v) -> RatMat:
     """The matrix I + (b(z) - 1) v v* / (v* v); para-unitary by construction."""
-    return ElementaryFactor(alpha if isinstance(alpha, Point) else Point(alpha), v).matrix()
+    return ElementaryFactor(alpha, v).matrix()
 
 
 def is_paraunitary(v: RatMat) -> bool:
@@ -216,10 +214,6 @@ def is_parahermitian(g: RatMat) -> bool:
 def degree_of_factorization(f: AllPassFactorization) -> int:
     """Number of elementary factors; equals the McMillan degree of the product."""
     return len(f.factors)
-
-
-def _constant_unitary(c: RatMat) -> bool:
-    return c.is_square() and c.is_constant() and is_paraunitary(c)
 
 
 def _poles_of(v: RatMat) -> list[Point]:
@@ -299,11 +293,9 @@ def _peel(v: RatMat) -> AllPassFactorization:
             raise FactorizationError(
                 f"no leading-coefficient column at {pole} lowers the degree"
             )
-    # no pole left anywhere: work is constant
-    constant = work
-    if not _constant_unitary(constant):
-        raise FactorizationError("constant remainder fails the exact unitarity check")
-    cvals = constant.constant_values()
+    # no pole left anywhere: work is constant, and the factorization's
+    # constructor checks that it is unitary
+    cvals = work.constant_values()
     factors = []
     for pole, direction in peeled:
         conjugated = [
@@ -311,4 +303,4 @@ def _peel(v: RatMat) -> AllPassFactorization:
             for k in range(size)
         ]
         factors.append(ElementaryFactor(pole, conjugated))
-    return AllPassFactorization(constant, factors)
+    return AllPassFactorization(work, factors)

@@ -10,6 +10,8 @@ version stamp the CLI adds on output) are ignored on input.
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 from .allpass import AllPassFactorization, ElementaryFactor
 from .cancellation import CancellationReport
 from .errors import ScalarParseError
@@ -100,18 +102,9 @@ def factorization_from_json(data) -> AllPassFactorization:
 
 
 def cancellation_to_json(report: CancellationReport) -> dict:
-    return {
-        "point": str(report.point),
-        "dp_g": report.dp_g,
-        "dp_h": report.dp_h,
-        "dp_gh": report.dp_gh,
-        "dz_g": report.dz_g,
-        "dz_h": report.dz_h,
-        "dz_gh": report.dz_gh,
-        "pole_cancellation": report.pole_cancellation,
-        "zero_cancellation": report.zero_cancellation,
-        "zero_pole_cancellation": report.zero_pole_cancellation,
-    }
+    data = {f.name: getattr(report, f.name) for f in fields(report)}
+    data["point"] = str(report.point)
+    return data
 
 
 def uniqueness_to_json(result: UniquenessResult) -> dict:

@@ -235,8 +235,6 @@ class Poly:
         return _reduce(den, re, im)
 
     def __add__(self, other):
-        if isinstance(other, Poly):
-            return self._add(other, 1)
         s = _coerce_poly(other)
         if s is None:
             return NotImplemented
@@ -245,8 +243,6 @@ class Poly:
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, Poly):
-            return self._add(other, -1)
         s = _coerce_poly(other)
         if s is None:
             return NotImplemented
@@ -462,7 +458,10 @@ def monic_ratio(num: Poly, den: Poly) -> tuple[Poly, Poly]:
 
 
 def _coerce_poly(x) -> Poly | None:
-    """A scalar as a constant polynomial; None for anything else."""
+    """A polynomial itself, a scalar as a constant polynomial; None for
+    anything else."""
+    if isinstance(x, Poly):
+        return x
     sp = _scalar_parts(x)
     if sp is None:
         return None
@@ -640,11 +639,9 @@ def gaussian_roots(p: Poly) -> tuple[tuple[tuple[GaussianRational, int], ...], P
     roots: list[tuple[GaussianRational, int]] = []
     work = p.monic()
     # strip roots at the origin first so the trailing coefficient is nonzero
-    zero_mult = 0
-    while not work.is_constant() and work._num[0] == (0, 0):
-        work = work.exact_div(Poly.variable())
-        zero_mult += 1
+    zero_mult = order_of(work._num)
     if zero_mult:
+        work = _make(work._den, work._num[zero_mult:])
         roots.append((ZERO, zero_mult))
     for candidates in (_guessed_roots, _divisor_roots):
         if work.is_constant():

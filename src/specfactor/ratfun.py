@@ -10,12 +10,8 @@ inside the representation.
 from __future__ import annotations
 
 from .errors import CirclePoleError
-from .poly import Poly, _coerce_poly as _scalar_poly, monic_ratio, poly_gcd
+from .poly import Poly, _coerce_poly, monic_ratio, poly_gcd
 from .scalars import Comparison, GaussianRational, Point, ONE
-
-
-def _coerce_poly(x) -> Poly | None:
-    return x if isinstance(x, Poly) else _scalar_poly(x)
 
 
 class RatFun:

@@ -601,12 +601,8 @@ def _poly_det(rows: list[list[Poly]]) -> Poly:
             - b * (d * i - f * g)
             + c * (d * h - e * g)
         )
-    return _bareiss_det(rows)
-
-
-def _bareiss_det(rows: list[list[Poly]]) -> Poly:
     rank, last = _bareiss([list(row) for row in rows])
-    return last if rank == len(rows) else Poly.zero()
+    return last if rank == n else Poly.zero()
 
 
 def _bareiss(a: list[list[Poly]]) -> tuple[int, Poly]:

@@ -9,6 +9,12 @@ Points add a first-class infinity so that reciprocal pairs ``(z, 1/z)`` and
 conjugate-reciprocal pairs ``(z, 1/conj(z))`` can be manipulated without a
 change of chart; the pair maps swap 0 and infinity.
 
+Text has one grammar, stated by the patterns below: a rational is digits
+with an optional nonzero ``/denominator`` (no decimals, exponents or
+underscores, which ``Fraction`` would take); a scalar is one or more terms,
+each a rational, a rational times i (``3i``, ``3*i``) or i alone, the first
+with an optional sign and every later one with exactly one.
+
 Values are immutable after construction and freely shareable.
 """
 
@@ -29,9 +35,12 @@ class Comparison(enum.Enum):
     GREATER = 1
 
 
-# the only string form of a rational: no decimals, exponents, underscores
-# or surrounding whitespace, which ``Fraction`` would also take
-_RATIONAL = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
+# the grammar of the module docstring; a rational string has no whitespace
+_UNSIGNED = r"[0-9]+(?:/0*[1-9][0-9]*)?"
+_RATIONAL = re.compile(rf"[+-]?{_UNSIGNED}")
+_TERM = rf"([+-]?)(?:({_UNSIGNED})(\*?[iI])?|[iI])"
+_TERMS = re.compile(_TERM)
+_SCALAR = re.compile(rf"{_TERM}(?:(?=[+-]){_TERM})*")
 
 
 def _as_fraction(x) -> Fraction:
@@ -42,10 +51,7 @@ def _as_fraction(x) -> Fraction:
     if isinstance(x, str):
         if _RATIONAL.fullmatch(x) is None:
             raise ScalarParseError(f"not an exact rational: {x!r}")
-        try:
-            return Fraction(x)
-        except ZeroDivisionError as exc:
-            raise ScalarParseError(f"not an exact rational: {x!r}") from exc
+        return Fraction(x)
     raise TypeError(f"cannot build an exact rational from {type(x).__name__}")
 
 
@@ -77,35 +83,17 @@ class GaussianRational:
         compact = "".join(text.split())
         if not compact:
             raise ScalarParseError("empty scalar string")
-        re_part = Fraction(0)
-        im_part = Fraction(0)
-        token = ""
-        terms = []
-        for ch in compact:
-            if ch in "+-" and token and token[-1] != "/" and token[-1] not in "+-":
-                terms.append(token)
-                token = ch
+        if _SCALAR.fullmatch(compact) is None:
+            raise ScalarParseError(f"malformed scalar term in {text!r}")
+        re_part = im_part = Fraction(0)
+        for sign, value, unit in _TERMS.findall(compact):
+            term = Fraction(value or 1)
+            if sign == "-":
+                term = -term
+            if value and not unit:
+                re_part += term
             else:
-                token += ch
-        terms.append(token)
-        for term in terms:
-            if not term or term in "+-":
-                raise ScalarParseError(f"malformed scalar term in {text!r}")
-            sign = -1 if term[0] == "-" else 1
-            body = term[1:] if term[0] in "+-" else term
-            if body[0] in "+-":
-                raise ScalarParseError(f"malformed scalar term {term!r} in {text!r}")
-            try:
-                if body in ("i", "I"):
-                    im_part += sign
-                elif body.endswith(("*i", "*I")):
-                    im_part += sign * _as_fraction(body[:-2])
-                elif body.endswith(("i", "I")):
-                    im_part += sign * _as_fraction(body[:-1])
-                else:
-                    re_part += sign * _as_fraction(body)
-            except ScalarParseError:
-                raise ScalarParseError(f"malformed scalar term {term!r} in {text!r}") from None
+                im_part += term
         return cls(re_part, im_part)
 
     def conj(self) -> GaussianRational:
@@ -273,11 +261,7 @@ class Point:
 
     def conj_pair(self) -> Point:
         """Map p to 1/conj(p), with 0 and infinity swapped."""
-        if self._value is None:
-            return Point(GaussianRational(0))
-        if self._value.is_zero():
-            return Point.infinity()
-        return Point(self._value.conj().inverse())
+        return self.symplectic_pair().conj()
 
     def conj(self) -> Point:
         if self._value is None:

@@ -33,18 +33,19 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .allpass import _constant_unitary, _poles_of, is_paraunitary, make_elementary
+from .allpass import ElementaryFactor, _poles_of, is_parahermitian, is_paraunitary
 from .errors import (
     CoSpectralityError,
     DimensionMismatchError,
     GenerationError,
+    InputTooLargeError,
     MinimalInverseError,
     RankDeficiencyError,
     ScalarParseError,
     SpectrumError,
 )
 from .linsolve import matrix_rank
-from .ratfun import RatFun
+from .ratfun import RatFun, blaschke
 from .ratmat import RatMat
 from .poly import Poly
 from .scalars import Comparison, GaussianRational, Point
@@ -174,7 +175,7 @@ class Spectrum:
             raise SpectrumError("a spectrum must be square")
         if not phi.has_real_coeffs():
             raise SpectrumError("a spectrum must have real coefficients")
-        if phi != phi.paraconj_transpose():
+        if not is_parahermitian(phi):
             raise SpectrumError("a spectrum must be para-Hermitian")
         if phi.is_zero():
             raise SpectrumError("the zero matrix is not a spectrum")
@@ -385,7 +386,8 @@ def uniqueness_check(
     if failed:
         return UniquenessResult(Verdict.HYPOTHESIS_FAILED, tuple(failed), None)
     t = _transfer(w1, w, w_inv)
-    if t.has_real_coeffs() and _constant_unitary(t):
+    # _transfer proved T para-unitary, and a constant para-unitary T is unitary
+    if t.has_real_coeffs() and t.is_constant():
         return UniquenessResult(Verdict.UNIQUE, (), t)
     return UniquenessResult(Verdict.UNIQUENESS_VIOLATED, (), t)
 
@@ -459,13 +461,25 @@ def _draw_full_rank_constant(rng: random.Random, rows: int, cols: int) -> RatMat
     raise _RetryDraw("could not draw a full row rank constant matrix")
 
 
+_MAX_RETRIES = 60  # fresh draws before generation gives up
+# No draw reaches a higher degree.  Real draws take n/d with 0 < |n| <= 9,
+# 1 <= d <= 9, n/d != +-1: 108 values in 54 pairs {x, 1/x}.  Complex draws
+# take (a + b*i)/d with |a| <= 5, 1 <= b, d <= 5 off the circle: 244 values
+# in 211 classes {w, conj w, 1/w, 1/conj w}.  A region leaves one point of
+# each pair {x, 1/x} outside, so a pair yields one real point and a class
+# one conjugate pair.  Poles are distinct, zeros too, and no zero is a pole
+# or a pole's reciprocal, so poles and zeros take disjoint pairs and classes
+# in equal atom sizes: a real and c complex atoms need 2a <= 54 and
+# 2c <= 211, so the degree a + 2c is at most 27 + 2 * 105.
+_MAX_DEGREE = 237
+
+
 def generate_instance(
     seed: int,
     size: tuple[int, int],
     degree: int,
     region_p: Region,
     region_z: Region,
-    max_retries: int = 60,
 ) -> tuple[Spectrum, RatMat]:
     """Deterministically build a spectrum and a stochastically minimal
     spectral factor with poles outside the pole region and zeros outside
@@ -474,17 +488,22 @@ def generate_instance(
     The factor is D M with D a diagonal of real rational functions (poles
     and zeros drawn from the region complements, conjugate-closed, chosen
     so no reciprocal pairing collapses degrees) and M a constant real full
-    row rank matrix.  All four defining properties are re-verified exactly;
-    degenerate draws are retried with fresh randomness.
+    row rank matrix.  Analyticity and minimality are re-verified exactly
+    (W is a factor of Phi = W* W by construction); degenerate draws are
+    retried with fresh randomness.  A degree above _MAX_DEGREE can never
+    be drawn and raises InputTooLargeError before any draw.
     """
     r, n = size
     if not (1 <= r <= n):
         raise ValueError("need 1 <= rows <= cols")
     if degree < 0:
         raise ValueError("degree must be nonnegative")
+    if degree > _MAX_DEGREE:
+        raise InputTooLargeError(
+            f"no instance of degree {degree} can be drawn (limit {_MAX_DEGREE})")
     rng = random.Random(seed)
     reasons: list[str] = []
-    for _ in range(max_retries):
+    for _ in range(_MAX_RETRIES):
         try:
             sizes = _atom_sizes(rng, degree)
             pole_atoms: list[tuple[Point, ...]] = []
@@ -524,44 +543,35 @@ def generate_instance(
             if not w.has_real_coeffs():
                 raise _RetryDraw("factor picked up complex coefficients")
             spectrum = Spectrum(_gram(w))
-            if not is_spectral_factor(w, spectrum):
-                raise _RetryDraw("factor identity failed")
             if not analytic_in(w, region_p):
                 raise _RetryDraw("factor not analytic in the pole region")
             if not analytic_in(w.minimal_right_inverse(), region_z):
                 raise _RetryDraw("right inverse not analytic in the zero region")
-            if not is_stochastically_minimal(w, spectrum):
+            if 2 * w.mcmillan_degree() != spectrum.mcmillan_degree():
                 raise _RetryDraw("factor degree is not half the spectrum degree")
             return spectrum, w
         except _RetryDraw as exc:
             reasons.append(exc.reason)
             continue
     raise GenerationError(
-        f"instance generation failed after {max_retries} attempts: {reasons[-3:]}"
+        f"instance generation failed after {_MAX_RETRIES} attempts: {reasons[-3:]}"
     )
 
 
-def perturb_with_allpass(w: RatMat, poles, directions=None) -> RatMat:
-    """Left multiply by elementary all-pass factors at the given poles.
+def perturb_with_allpass(w: RatMat, poles) -> RatMat:
+    """Left multiply by elementary all-pass factors at the given poles, each
+    with direction e_1, applied by the factor's rank-one update.
 
     The result is co-spectral with w; generically it violates minimality
     or one of the analyticity constraints, which is exactly what the
     negative branches of the uniqueness harness need.  With an empty pole
     list w is returned unchanged.
     """
-    r = w.rows
-    acc: RatMat | None = None
-    poles = list(poles)
-    if directions is None:
-        directions = [None] * len(poles)
-    for pole, direction in zip(poles, directions):
-        if direction is None:
-            direction = [1] + [0] * (r - 1)
-        u = make_elementary(pole if isinstance(pole, Point) else Point(pole), direction)
-        acc = u if acc is None else acc * u
-    if acc is None:
-        return w
-    return acc * w
+    direction = [1] + [0] * (w.rows - 1)
+    for pole in reversed(list(poles)):
+        factor = ElementaryFactor(pole, direction)
+        w = factor._update(w, *w.cleared(), blaschke(factor.alpha))
+    return w
 
 
 # -- seeded sweep ------------------------------------------------------------------
@@ -608,36 +618,18 @@ _SWEEP_SIZES = [
 ]
 
 
-def _orthogonal_pool(r: int) -> list[RatMat]:
-    if r == 1:
-        return [RatMat([[1]]), RatMat([[-1]])]
-    if r == 2:
-        h = Fraction(3, 5)
-        s = Fraction(4, 5)
-        return [
-            RatMat([[1, 0], [0, 1]]),
-            RatMat([[0, 1], [1, 0]]),
-            RatMat([[1, 0], [0, -1]]),
-            RatMat([[-1, 0], [0, -1]]),
-            RatMat([[h, s], [-s, h]]),
-            RatMat([[Fraction(5, 13), Fraction(12, 13)], [-Fraction(12, 13), Fraction(5, 13)]]),
-        ]
-    pool = []
-    base = _orthogonal_pool(2)
-    for b in base:
-        vals = b.entries
-        pool.append(
-            RatMat(
-                [
-                    [vals[0][0], vals[0][1], RatFun.zero()],
-                    [vals[1][0], vals[1][1], RatFun.zero()],
-                    [RatFun.zero(), RatFun.zero(), RatFun.one()],
-                ]
-            )
-        )
-    pool.append(RatMat([[0, 0, 1], [1, 0, 0], [0, 1, 0]]))
-    pool.append(RatMat([[0, 0, -1], [0, 1, 0], [1, 0, 0]]))
-    return pool
+# the exact orthogonal multiples the sweep draws from, by row count
+_ORTHOGONAL_POOLS = {
+    1: [RatMat([[1]]), RatMat([[-1]])],
+    2: [
+        RatMat([[1, 0], [0, 1]]),
+        RatMat([[0, 1], [1, 0]]),
+        RatMat([[1, 0], [0, -1]]),
+        RatMat([[-1, 0], [0, -1]]),
+        RatMat([[Fraction(3, 5), Fraction(4, 5)], [-Fraction(4, 5), Fraction(3, 5)]]),
+        RatMat([[Fraction(5, 13), Fraction(12, 13)], [-Fraction(12, 13), Fraction(5, 13)]]),
+    ],
+}
 
 
 def run_sweep(instances: int, base_seed: int = 20240) -> dict:
@@ -650,12 +642,7 @@ def run_sweep(instances: int, base_seed: int = 20240) -> dict:
     """
     geometries = default_geometries()
     records = []
-    summary = {
-        "unique": 0,
-        "hypothesis_failed": 0,
-        "uniqueness_violated": 0,
-        "transfer_mismatches": 0,
-    }
+    summary = {**{verdict.value.lower(): 0 for verdict in Verdict}, "transfer_mismatches": 0}
     for idx in range(instances):
         seed = base_seed + idx
         geo = geometries[idx % len(geometries)]
@@ -664,18 +651,13 @@ def run_sweep(instances: int, base_seed: int = 20240) -> dict:
         region_z = geo["region_z"]
         spectrum, w = generate_instance(seed, size, degree, region_p, region_z)
         rng = random.Random(seed ^ 0xA5A5A5)
-        q = rng.choice(_orthogonal_pool(size[0]))
+        q = rng.choice(_ORTHOGONAL_POOLS[size[0]])
         res_orth = uniqueness_check(w, q * w, region_p, region_z)
         transfer_exact = res_orth.transfer == q if res_orth.transfer is not None else False
         perturbed = perturb_with_allpass(w, [geo["allpass_pole"]])
         res_pert = uniqueness_check(w, perturbed, region_p, region_z)
         for res in (res_orth, res_pert):
-            if res.verdict is Verdict.UNIQUE:
-                summary["unique"] += 1
-            elif res.verdict is Verdict.HYPOTHESIS_FAILED:
-                summary["hypothesis_failed"] += 1
-            else:
-                summary["uniqueness_violated"] += 1
+            summary[res.verdict.value.lower()] += 1
         if not transfer_exact:
             summary["transfer_mismatches"] += 1
         records.append(

@@ -17,7 +17,7 @@ from specfactor import Poly, RatFun, RatMat, Point
 from specfactor.scalars import GaussianRational
 
 
-def perm_sign(perm) -> int:
+def _perm_sign(perm) -> int:
     sign = 1
     seen = [False] * len(perm)
     for start in range(len(perm)):
@@ -41,7 +41,7 @@ def permutation_det(rows):
         term = Poly.one()
         for i in range(n):
             term = term * rows[i][perm[i]]
-        total = total + term * GaussianRational(perm_sign(perm))
+        total = total + term * GaussianRational(_perm_sign(perm))
     return total
 
 

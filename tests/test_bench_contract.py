@@ -75,3 +75,19 @@ def test_minimal_inverse_solves_through_the_traced_name(g, monkeypatch):
     monkeypatch.undo()
     assert len(calls) == 1
     assert g * x == RatMat.identity(g.rows)
+
+
+def test_building_elementary_products_leaves_every_memo_cold(spans):
+    # the workload inputs are products of make_elementary matrices, and a
+    # worker checks that every library memo is still empty afterwards
+    from specfactor import INFINITY, Point, make_elementary
+
+    caches = spans.library_caches()
+    for fn in caches.values():
+        fn.cache_clear()
+    v = (make_elementary(Point(2), [1, GaussianRational(0, 1), 0])
+         * make_elementary(INFINITY, [1, 1, 1])
+         * make_elementary(Point(GaussianRational(1, 1)), [0, 2, -1]))
+    assert v.rows == 3
+    assert {name: fn.cache_info().currsize for name, fn in caches.items()
+            if fn.cache_info().currsize} == {}

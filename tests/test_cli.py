@@ -3,11 +3,13 @@ import io
 import json
 import subprocess
 import sys
+import time
 
 from hypothesis import given, settings, strategies as st
 
 from specfactor import jsonio
 from specfactor.cli import main, run
+from specfactor.spectra import _MAX_DEGREE
 
 from helpers import M, RF
 
@@ -132,6 +134,21 @@ def test_generate_and_reverify(tmp_path, capsys):
         "--region-z", "outer,flip=5",
     )
     assert out == out2
+
+
+def test_generate_degree_above_the_bound_is_too_large(capsys):
+    args = ["generate", "--seed", "1", "--size", "1,2", "--region-p", "outer",
+            "--region-z", "outer", "--degree"]
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *args, str(_MAX_DEGREE + 1))
+    assert time.perf_counter() - start < 1.0
+    assert code == 1 and not out
+    assert json.loads(err)["error"]["code"] == "too_large"
+    # at the bound itself every draw repeats a point; 60 attempts take about 2 s
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *args, str(_MAX_DEGREE))
+    assert time.perf_counter() - start < 30.0
+    assert code == 0 or json.loads(err)["error"]["code"] == "generation_failed"
 
 
 def test_sweep_deterministic_bytes(tmp_path, capsys):
@@ -375,15 +392,42 @@ _json_docs = st.one_of(_json_any, _json_matrices, _json_broken).filter(
     lambda doc: _levels(doc) <= 5)
 
 
-@settings(max_examples=300, deadline=None)
-@given(_json_docs, st.sampled_from(["smform", "degree", "allpass-factorize"]))
-def test_fuzzed_matrix_files_exit_cleanly(tmp_path_factory, doc, command):
-    path = tmp_path_factory.mktemp("fuzz") / "m.json"
-    path.write_text(json.dumps(doc))
+def _exits_cleanly(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = run([command, str(path)])
+        code = run(argv)
     assert code in (0, 1)
     if code == 1:
         error = json.loads(err.getvalue())["error"]
         assert set(error) == {"code", "message"}
+
+
+@settings(max_examples=300, deadline=None)
+@given(_json_docs, st.sampled_from(["smform", "degree", "polezeros", "allpass-factorize"]))
+def test_fuzzed_matrix_files_exit_cleanly(tmp_path_factory, doc, command):
+    path = tmp_path_factory.mktemp("fuzz") / "m.json"
+    path.write_text(json.dumps(doc))
+    _exits_cleanly([command, str(path)])
+
+
+_fuzz_points = st.sampled_from(["0", "2", "-1/2", "1+i", "i", "inf", "1", "x", "1/0", ""])
+_fuzz_regions = st.sampled_from(["outer", "inner,weak", "outer,flip=2;1/3", "inner,flip=inf",
+                                 "sideways", "outer,flip=1"])
+_fuzz_commands = st.one_of(
+    st.tuples(st.just("analyze"), _fuzz_points.map(lambda p: [f"--point={p}"])),
+    st.tuples(st.just("verify-factor"), st.just([])),
+    st.tuples(st.just("check-uniqueness"), st.tuples(_fuzz_regions, _fuzz_regions).map(
+        lambda r: ["--region-p", r[0], "--region-z", r[1]])),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_json_docs, _json_docs, _fuzz_commands)
+def test_fuzzed_matrix_pairs_exit_cleanly(tmp_path_factory, first, second, command):
+    folder = tmp_path_factory.mktemp("fuzz")
+    paths = []
+    for name, doc in (("a.json", first), ("b.json", second)):
+        (folder / name).write_text(json.dumps(doc))
+        paths.append(str(folder / name))
+    name, options = command
+    _exits_cleanly([name, *paths, *options])

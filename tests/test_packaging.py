@@ -150,3 +150,19 @@ def test_every_memo_has_an_integer_bound():
     bad = {name: {line: bound for line, bound in found.items() if type(bound) is not int}
            for name, found in bounds.items()}
     assert {name: found for name, found in bad.items() if found} == {}
+
+
+def test_every_public_oracle_is_used_by_a_test():
+    # an oracle no test calls checks nothing; private helpers start with _
+    tests = Path(__file__).resolve().parent
+    oracles = ast.parse((tests / "oracles.py").read_text(encoding="utf-8"))
+    public = {node.name for node in oracles.body
+              if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
+    used = set()
+    for path in tests.glob("test_*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    assert sorted(public - used) == []

@@ -374,3 +374,20 @@ def test_taylor_kernel_order_matches_synthetic_division(planted, cofactor, alpha
     u = gr(Fraction(2, 3), -1)
     expected = ref_eval([gr(*c) for c in num], alpha + u / delta) * delta**top
     assert ref_eval([gr(*c) for c in shifted], u) == expected
+
+
+@settings(max_examples=80)
+@given(coeff_lists, wide_scalars, wide_fractions)
+def test_scalar_add_and_sub(a, s, q):
+    p = Poly(a)
+    for c in (s, q, int(q)):
+        assert p + c == c + p == p + Poly([c])
+        assert p - c == -(c - p) == p - Poly([c])
+
+
+@settings(max_examples=80)
+@given(coeff_lists, nonzero_coeff_lists)
+def test_floordiv_is_the_quotient(a, b):
+    p, q = Poly(a), Poly(b)
+    assert p // q == divmod(p, q)[0]
+    assert p - (p // q) * q == p % q

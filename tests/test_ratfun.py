@@ -118,3 +118,17 @@ def test_division():
     assert f / f == RatFun.one()
     with pytest.raises(ZeroDivisionError):
         f / RatFun.zero()
+
+
+def test_reflected_operators_inverse_and_negative_powers():
+    f = RF([1, 2], [-3, 1])
+    for c in (1, Fraction(-2, 3), gr(0, 1), P(1, 1)):
+        assert c - f == -(f - c)
+        assert c / f == c * f.inverse()
+    assert f * f.inverse() == RatFun.one()
+    assert f.inverse().inverse() == f
+    assert f ** -2 == f.inverse() ** 2
+    assert f ** -3 * f ** 3 == RatFun.one()
+    for bad in (RatFun.zero().inverse, lambda: 1 / RatFun.zero(), lambda: RatFun.zero() ** -1):
+        with pytest.raises(ZeroDivisionError):
+            bad()

@@ -22,10 +22,10 @@ from specfactor.errors import (
 )
 from specfactor.linsolve import matrix_rank
 from specfactor.poly import gaussian_roots, require_split
-from specfactor.ratmat import point_degrees_by_valuation
+from specfactor.ratmat import _poly_det, point_degrees_by_valuation
 
 from helpers import M, P, RF, gr, pt, random_elementary_product, random_full_rank_pair
-from oracles import brute_point_degrees, ref_matmul
+from oracles import brute_point_degrees, permutation_det, ref_matmul
 
 GOLDEN_G = M([[1, -1]])
 GOLDEN_H = M([[RF([3, 2], [2, 3, 1])], [RF([1], [2, 1])]])
@@ -479,3 +479,49 @@ def test_reciprocal_subs_matrix():
     g = M([[RF([0, 1]), 1]])
     flipped = g.reciprocal_subs()
     assert flipped == M([[RF([1], [0, 1]), 1]])
+
+
+# entries with zero, rational and complex coefficients; zero entries are common
+_det_coeffs = st.sampled_from([gr(0), gr(0), gr(1), gr(-2), gr(Fraction(1, 3)), gr(0, 1),
+                               gr(Fraction(-1, 2), 2)])
+_det_polys = st.lists(_det_coeffs, max_size=3).map(Poly)
+_det_dens = st.sampled_from([P(1), P(-2, 1), P(1, 0, 1), P(Fraction(1, 2), 1)])
+
+
+@st.composite
+def _square_grids(draw, entries):
+    """n x n grids for n from 1 to 5 (the cofactor formulas and Bareiss),
+    some with one row repeated."""
+    n = draw(st.integers(1, 5))
+    rows = [draw(st.lists(entries, min_size=n, max_size=n)) for _ in range(n)]
+    if n > 1 and draw(st.booleans()):
+        rows[draw(st.integers(1, n - 1))] = list(rows[0])
+    return rows
+
+
+@settings(max_examples=80, deadline=None)
+@given(_square_grids(_det_polys))
+def test_poly_det_matches_permutation_expansion(rows):
+    assert _poly_det(rows) == permutation_det(rows)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_square_grids(st.builds(RatFun, _det_polys, _det_dens)))
+def test_determinant_matches_permutation_expansion(rows):
+    assert RatMat(rows).determinant() == permutation_det(rows)
+
+
+def test_add_and_sub_identities():
+    a = M([[RF([1, 1], [2, 1]), 3], [0, RF([1], [0, 1])]])
+    b = M([[RF([-1], [2, 1]), RF([0, 1])], [gr(0, 2), -3]])
+    c = M([[1, RF([1], [-3, 1])], [RF([0, 1]), 2]])
+    assert a + b == b + a
+    assert (a + b) - b == a
+    assert a - b == a + (-b)
+    assert a - a == RatMat.zeros(2, 2)
+    assert (a + b) * c == a * c + b * c
+    assert c * (a - b) == c * a - c * b
+    with pytest.raises(DimensionMismatchError):
+        a + M([[1, 2]])
+    with pytest.raises(DimensionMismatchError):
+        a - M([[1], [2]])

@@ -147,3 +147,14 @@ def test_point_equality_and_hash():
     assert pt(2) == pt(2)
     assert pt(2) != INFINITY
     assert len({pt(2), pt(2), INFINITY}) == 2
+
+
+@given(scalars, fractions)
+def test_reflected_sub_and_div(a, q):
+    for c in (q, int(q)):
+        assert c - a == -(a - c)
+        if a:
+            assert (c / a) * a == c
+    assert 1 / gr(0, 1) == gr(0, -1)
+    with pytest.raises(ZeroDivisionError):
+        1 / gr(0)

@@ -31,10 +31,18 @@ from specfactor import (
 from specfactor.errors import (
     CoSpectralityError,
     DimensionMismatchError,
+    InputTooLargeError,
     ScalarParseError,
     SpectrumError,
 )
-from specfactor.spectra import _gram, _hermitian_eigenvalues, default_geometries
+from specfactor.spectra import (
+    _MAX_DEGREE,
+    _draw_conjugate_pair_outside,
+    _draw_real_outside,
+    _gram,
+    _hermitian_eigenvalues,
+    default_geometries,
+)
 
 from helpers import M, RF, gr, pt
 from oracles import householder_hermitian
@@ -329,6 +337,29 @@ def test_generate_instance_rejects_bad_arguments():
         generate_instance(1, (3, 2), 1, OUTER, OUTER)
     with pytest.raises(ValueError):
         generate_instance(1, (1, 1), -1, OUTER, OUTER)
+
+
+def test_degree_bound_follows_from_the_draw_pools():
+    # the values the two draws start from, written out independently
+    reals = {gr(Fraction(n, d)) for n in range(-9, 10) for d in range(1, 10)
+             if n and abs(Fraction(n, d)) != 1}
+    complexes = {gr(Fraction(a, d), Fraction(b, d)) for d in range(1, 6)
+                 for a in range(-5, 6) for b in range(1, 6) if a * a + b * b != d * d}
+    real_pairs = {frozenset({x, x.inverse()}) for x in reals}
+    classes = {frozenset({w, w.conj(), w.inverse(), w.conj().inverse()}) for w in complexes}
+    assert (len(reals), len(real_pairs), len(complexes), len(classes)) == (108, 54, 244, 211)
+    # poles and zeros take disjoint pairs and classes, atom sizes mirrored
+    assert _MAX_DEGREE == len(real_pairs) // 2 + 2 * (len(classes) // 2)
+    real_points = set().union(*real_pairs)
+    complex_points = set().union(*classes)
+    rng = random.Random(7)
+    for region in (OUTER, INNER, Region(Side.OUTER, [pt(2), pt(1, 1)], weak=True)):
+        for _ in range(200):
+            assert _draw_real_outside(rng, region).value in real_points
+            p, q = _draw_conjugate_pair_outside(rng, region)
+            assert p.value in complex_points and q == p.conj()
+    with pytest.raises(InputTooLargeError):
+        generate_instance(1, (1, 2), _MAX_DEGREE + 1, OUTER, OUTER)
 
 
 def test_perturb_with_allpass():
