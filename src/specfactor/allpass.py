@@ -6,8 +6,11 @@ projection is stored through an unnormalized direction vector v (P equals
 v v* / (v* v)), which keeps every coefficient inside Q(i); unit-norm
 normalization would need square roots.  A factor acts by one rank-one
 update, W + (k - 1) P W for a kernel k: ``matrix`` updates the identity
-with b, ``left_divide`` updates W with b~ (U~ W = U^-1 W), and
-``spectra.perturb_with_allpass`` updates W with b.
+with b, ``left_divide`` updates W with b~ = 1/b (U~ W = U^-1 W), and
+``spectra.perturb_with_allpass`` updates W with b.  The update divides by
+the integer norm v* v of the primitive direction, works on W's cleared
+form N/d and hands the result's cleared form to ``RatMat.from_cleared``,
+which reduces it once; no entry is reduced on its own.
 
 ``potapov_factorize`` peels a para-unitary matrix into a constant unitary
 times elementary factors, one per unit of McMillan degree.  The peel order
@@ -28,12 +31,13 @@ construction and C exactly unitary.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from math import gcd as int_gcd
 
 from .errors import DimensionMismatchError, FactorizationError
 from .linsolve import cleared
 from .poly import Poly, order_of
-from .ratfun import RatFun, blaschke
+from .ratfun import RatFun, blaschke, blaschke_parts
 from .ratmat import RatMat, point_degrees_by_valuation, point_expansions
 from .scalars import Comparison, GaussianRational, INFINITY, Point
 
@@ -86,47 +90,44 @@ class ElementaryFactor:
     def dimension(self) -> int:
         return len(self._v)
 
-    def _scaled(self) -> list[GaussianRational]:
-        """v / (v* v), so that the projection is this times v*."""
-        norm = GaussianRational(0)
-        for x in self._v:
-            norm = norm + x * x.conj()
-        inv = norm.inverse()
-        return [x * inv for x in self._v]
+    def _norm(self) -> int:
+        """The integer v* v of the primitive direction."""
+        return int(sum(x.abs2() for x in self._v))
 
     def projection(self) -> list[list[GaussianRational]]:
         """The rank-one orthogonal projection v v* / (v* v); idempotent and
         Hermitian by construction."""
-        return [[si * vj.conj() for vj in self._v] for si in self._scaled()]
+        norm = self._norm()
+        return [[vi * vj.conj() / norm for vj in self._v] for vi in self._v]
 
-    def _update(self, w: RatMat, d: Poly, n, kernel: RatFun) -> RatMat:
-        """W + (k - 1) P W for the kernel k and W = N/d, as a rank-one update.
+    def _update(self, w: RatMat, inverse: bool = False) -> RatMat:
+        """W + (k - 1) P W as a rank-one update of W = N/d, for the kernel
+        k = b, or k = b~ = 1/b with ``inverse``.
 
-        P W = v (v* N) / ((v* v) d), so each entry is one fraction over d
-        times the denominator of k, reduced once; rows with v_i = 0 and
-        columns with (v* N)_j = 0 keep W's entries.
+        With k = kn/kd and the integer norm nv = v* v, P W is
+        v (v* N) / (nv d), so the result is kd N + v (kn - kd)(v* N) / nv
+        over kd d, reduced once; rows with v_i = 0 are kd N.
         """
         if w.rows != len(self._v):
             raise DimensionMismatchError("factor dimension mismatch")
-        shift = kernel.num - kernel.den
-        # (k - 1) (v* N)_j, over the denominator of k
+        kn, kd = blaschke_parts(self._alpha)
+        if inverse:
+            c = kn.lead.inverse()
+            kn, kd = kd * c, kn * c
+        n = w.num
+        shift = (kn - kd) * Fraction(1, self._norm())
+        # (k - 1) (v* N)_j / nv, over kd
         updates = [
             shift * sum((row[j] * x.conj() for row, x in zip(n, self._v) if x), Poly.zero())
             for j in range(w.cols)
         ]
-        den = d * kernel.den
-        return RatMat([
-            [w.entry(i, j) if not si or not u else RatFun(n[i][j] * kernel.den + u * si, den)
-             for j, u in enumerate(updates)]
-            for i, si in enumerate(self._scaled())
-        ])
+        return RatMat.from_cleared(w.den * kd, (
+            [p * kd + u * x if x else p * kd for p, u in zip(row, updates)]
+            for row, x in zip(n, self._v)))
 
     def matrix(self) -> RatMat:
-        """U = I + (b - 1) P, the update of the identity with b.  Its cleared
-        form is written down, so no memo cache is touched."""
-        identity = RatMat.identity(len(self._v))
-        n = [[e.num for e in row] for row in identity.entries]
-        return self._update(identity, Poly.one(), n, blaschke(self._alpha))
+        """U = I + (b - 1) P, the update of the identity with b."""
+        return self._update(RatMat.identity(len(self._v)))
 
     def determinant(self) -> RatFun:
         return blaschke(self._alpha)
@@ -134,7 +135,7 @@ class ElementaryFactor:
     def left_divide(self, w: RatMat) -> RatMat:
         """U~ W, which is U^-1 W, without forming U or a matrix product: the
         update of W with b~, since U~ = I + (b~ - 1) P."""
-        return self._update(w, *w.cleared(), blaschke(self._alpha).paraconj())
+        return self._update(w, inverse=True)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ElementaryFactor):

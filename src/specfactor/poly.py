@@ -400,9 +400,12 @@ class Poly:
             return 0
         return order_of(taylor_numerators(self._num, point.value, len(self._num) - 1))
 
-    def reversed(self) -> Poly:
-        """Coefficient reversal z**deg * p(1/z)."""
+    def reversed(self, top: int | None = None) -> Poly:
+        """Coefficient reversal z**top * p(1/z), top at least the degree
+        and the degree by default."""
         num = self._num[::-1]
+        if top is not None and num:
+            num = ((0, 0),) * (top + 1 - len(num)) + num
         k = len(num)
         while k and num[k - 1] == (0, 0):
             k -= 1

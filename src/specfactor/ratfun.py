@@ -192,10 +192,8 @@ def _reciprocal(num: Poly, den: Poly) -> RatFun:
     """num(1/z) / den(1/z) as a reduced rational function."""
     if num.is_zero():
         return _RF_ZERO
-    shift = Poly.variable() ** abs(den.degree - num.degree)
-    if den.degree >= num.degree:
-        return RatFun(num.reversed() * shift, den.reversed())
-    return RatFun(num.reversed(), den.reversed() * shift)
+    top = max(num.degree, den.degree)
+    return RatFun(num.reversed(top), den.reversed(top))
 
 
 def as_ratfun(x) -> RatFun | None:
@@ -217,13 +215,17 @@ def blaschke(alpha: Point) -> RatFun:
     Degenerates to z for alpha at infinity.  Poles on the unit circle are
     rejected at construction: the factor would not be all-pass there.
     """
+    return RatFun(*blaschke_parts(alpha))
+
+
+def blaschke_parts(alpha: Point) -> tuple[Poly, Poly]:
+    """Numerator and monic denominator of ``blaschke(alpha)``, which are
+    coprime, built without a RatFun."""
     if not isinstance(alpha, Point):
         alpha = Point(alpha)
     if alpha.abs_vs_one() is Comparison.EQUAL:
         raise CirclePoleError(f"pole on the unit circle: {alpha}")
     if alpha.is_infinite:
-        return RatFun(Poly.variable())
+        return Poly.variable(), Poly.one()
     a = alpha.value
-    num = Poly((ONE, -a.conj()))
-    den = Poly((-a, ONE))
-    return RatFun(num, den)
+    return Poly((ONE, -a.conj())), Poly.linear(a)

@@ -1,13 +1,22 @@
 """Rational matrix-valued functions over Q(i).
 
-The structural queries all reduce to exact polynomial arithmetic:
+A matrix G is stored as its cleared form N/d: d monic, N a polynomial
+matrix and gcd(d, every entry of N) = 1.  The form is canonical (d is the
+lcm of the reduced entry denominators), so equality and hashing are
+structural.  Whatever builds a matrix from another one (products, sums,
+paraconjugation, ``allpass``'s rank-one update, the minimal inverse) hands
+over N/d and reduces it once, by a running gcd that stops at 1; a matrix
+built from entries works out its form once from them.  The per-entry
+``RatFun``s are derived only when something reads them (``entries``,
+``str``, JSON output).
 
-* ``normal_rank`` uses fraction-free (Bareiss) elimination on a cleared
-  polynomial matrix,
+The structural queries all reduce to exact polynomial arithmetic on N/d:
+
+* ``normal_rank`` uses fraction-free (Bareiss) elimination on N,
 * ``sm_structure`` computes the Smith-McMillan diagonal through
-  determinantal divisors: write G = N/d with N polynomial, take monic gcds
-  D_k of all k x k minors of N, divide consecutive divisors to get the
-  invariant polynomials, and reduce against d,
+  determinantal divisors: take monic gcds D_k of all k x k minors of N,
+  divide consecutive divisors to get the invariant polynomials, and reduce
+  against d,
 * pole locations are the roots of the common denominator d, which is the
   first Smith-McMillan pole invariant; zero locations are the roots of the
   Smith-McMillan zero polynomial,
@@ -55,28 +64,93 @@ def _coerce_entry(x) -> RatFun:
     return e
 
 
-class RatMat:
-    """Immutable dense matrix of rational functions."""
+def _require_grid(grid) -> None:
+    if not grid or not grid[0]:
+        raise ValueError("matrices must have positive dimensions")
+    if any(len(row) != len(grid[0]) for row in grid):
+        raise ValueError("ragged rows in matrix literal")
 
-    __slots__ = ("_entries", "_rows", "_cols", "_hash")
+
+def _wrap(d: Poly, n: tuple[tuple[Poly, ...], ...]) -> RatMat:
+    """A matrix from a cleared form that is already canonical."""
+    m = object.__new__(RatMat)
+    m._d = d
+    m._n = n
+    m._entries = None
+    m._hash = None
+    return m
+
+
+def _monic(d: Poly, n) -> RatMat:
+    """N/d with d made monic, for d coprime to N."""
+    if not d.is_monic():
+        c = d.lead.inverse()
+        d = d * c
+        n = tuple(tuple(p * c for p in row) for row in n)
+    return _wrap(d, n)
+
+
+def _over(e: RatFun, d: Poly) -> Poly:
+    """The numerator of e over a multiple d of its denominator."""
+    if e.den == d:
+        return e.num
+    return e.num * (d if e.den.is_one() else d.exact_div(e.den))
+
+
+def _common_factor(d: Poly, n) -> Poly:
+    """gcd(d, every entry of n), by a running gcd that stops at 1."""
+    g = d
+    for row in n:
+        for p in row:
+            if p:
+                g = poly_gcd(g, p)
+                if g.is_one():
+                    return g
+    return g
+
+
+class RatMat:
+    """Immutable dense matrix of rational functions.
+
+    Stored as its canonical cleared form N/d: d monic, N polynomial and
+    gcd(d, every entry of N) = 1.  The entries are derived from it on
+    request."""
+
+    __slots__ = ("_d", "_n", "_entries", "_hash")
 
     def __init__(self, entries):
         grid = tuple(tuple(_coerce_entry(x) for x in row) for row in entries)
-        if not grid or not grid[0]:
-            raise ValueError("matrices must have positive dimensions")
-        width = len(grid[0])
-        if any(len(row) != width for row in grid):
-            raise ValueError("ragged rows in matrix literal")
+        _require_grid(grid)
+        d = Poly.one()
+        for row in grid:
+            for e in row:
+                if not e.den.is_one() and e.den != d:
+                    d = poly_lcm(d, e.den)
+        self._d = d
+        self._n = tuple(tuple(_over(e, d) for e in row) for row in grid)
         self._entries = grid
-        self._rows = len(grid)
-        self._cols = width
         self._hash = None
 
     @classmethod
+    def from_cleared(cls, d: Poly, n) -> RatMat:
+        """The matrix N/d for a nonzero polynomial d and a grid N of
+        polynomials, reduced once: the common factor of d and all of N is
+        divided out and d made monic."""
+        n = tuple(tuple(row) for row in n)
+        _require_grid(n)
+        if d.is_zero():
+            raise ZeroDivisionError("matrix with zero denominator")
+        if not d.is_constant():
+            g = _common_factor(d, n)
+            if not g.is_one():
+                d = d.exact_div(g)
+                n = tuple(tuple(p.exact_div(g) if p else p for p in row) for row in n)
+        return _monic(d, n)
+
+    @classmethod
     def identity(cls, n: int) -> RatMat:
-        return cls(
-            [[RatFun.one() if i == j else RatFun.zero() for j in range(n)] for i in range(n)]
-        )
+        return _wrap(Poly.one(), tuple(
+            tuple(Poly.one() if i == j else Poly.zero() for j in range(n)) for i in range(n)))
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> RatMat:
@@ -92,130 +166,148 @@ class RatMat:
 
     @property
     def rows(self) -> int:
-        return self._rows
+        return len(self._n)
 
     @property
     def cols(self) -> int:
-        return self._cols
+        return len(self._n[0])
+
+    @property
+    def den(self) -> Poly:
+        """The monic common denominator d of G = N/d."""
+        return self._d
+
+    @property
+    def num(self) -> tuple[tuple[Poly, ...], ...]:
+        """The polynomial matrix N of G = N/d."""
+        return self._n
 
     @property
     def entries(self) -> tuple[tuple[RatFun, ...], ...]:
+        if self._entries is None:
+            d = self._d
+            self._entries = tuple(tuple(RatFun(p, d) for p in row) for row in self._n)
         return self._entries
 
     def entry(self, i: int, j: int) -> RatFun:
-        return self._entries[i][j]
+        return self.entries[i][j]
 
     def __getitem__(self, key) -> RatFun:
         i, j = key
-        return self._entries[i][j]
+        return self.entries[i][j]
 
     def is_zero(self) -> bool:
-        return all(e.is_zero() for row in self._entries for e in row)
+        return not any(p for row in self._n for p in row)
 
     def is_square(self) -> bool:
-        return self._rows == self._cols
+        return self.rows == self.cols
 
     def is_constant(self) -> bool:
-        return all(e.is_constant() for row in self._entries for e in row)
+        return self._d.is_one() and all(p.is_constant() for row in self._n for p in row)
 
     def constant_values(self) -> list[list[GaussianRational]]:
-        return [[e.constant_value() for e in row] for row in self._entries]
+        if not self.is_constant():
+            raise ValueError(f"not a constant matrix: {self}")
+        return [[p.coefficient(0) for p in row] for row in self._n]
 
     def has_real_coeffs(self) -> bool:
-        return all(e.has_real_coeffs() for row in self._entries for e in row)
+        return self._d.has_real_coeffs() and all(
+            p.has_real_coeffs() for row in self._n for p in row)
 
     def __add__(self, other):
         if not isinstance(other, RatMat):
             return NotImplemented
         self._require_same_shape(other)
-        return RatMat(
-            [
-                [a + b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self._entries, other._entries)
-            ]
-        )
+        d1, d2 = self._d, other._d
+        g = poly_gcd(d1, d2)
+        f1, f2 = d2.exact_div(g), d1.exact_div(g)
+        return RatMat.from_cleared(d1 * f1, (
+            [a * f1 + b * f2 for a, b in zip(ra, rb)] for ra, rb in zip(self._n, other._n)))
 
     def __sub__(self, other):
         if not isinstance(other, RatMat):
             return NotImplemented
-        self._require_same_shape(other)
-        return RatMat(
-            [
-                [a - b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self._entries, other._entries)
-            ]
-        )
+        return self + (-other)
 
     def __neg__(self) -> RatMat:
-        return RatMat([[-e for e in row] for row in self._entries])
+        return _wrap(self._d, tuple(tuple(-p for p in row) for row in self._n))
 
     def __mul__(self, other):
         if isinstance(other, RatMat):
-            if self._cols != other._rows:
+            if self.cols != other.rows:
                 raise DimensionMismatchError(
-                    f"cannot multiply {self._rows}x{self._cols} by {other._rows}x{other._cols}"
+                    f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
                 )
-            cols_t = list(zip(*other._entries))
-            return RatMat([[_dot(row, col) for col in cols_t] for row in self._entries])
+            cols_t = list(zip(*other._n))
+            return RatMat.from_cleared(self._d * other._d, (
+                [sum((a * b for a, b in zip(row, col) if a and b), Poly.zero())
+                 for col in cols_t] for row in self._n))
         try:
             s = _coerce_entry(other)
         except TypeError:
             return NotImplemented
-        return RatMat([[e * s for e in row] for row in self._entries])
+        return RatMat.from_cleared(self._d * s.den, (
+            [p * s.num for p in row] for row in self._n))
 
-    def __rmul__(self, other):
-        try:
-            s = _coerce_entry(other)
-        except TypeError:
-            return NotImplemented
-        return RatMat([[s * e for e in row] for row in self._entries])
+    __rmul__ = __mul__
 
     def _require_same_shape(self, other: RatMat):
-        if self._rows != other._rows or self._cols != other._cols:
+        if self.rows != other.rows or self.cols != other.cols:
             raise DimensionMismatchError(
-                f"shape mismatch: {self._rows}x{self._cols} vs {other._rows}x{other._cols}"
+                f"shape mismatch: {self.rows}x{self.cols} vs {other.rows}x{other.cols}"
             )
 
     def transpose(self) -> RatMat:
-        return RatMat(list(zip(*self._entries)))
+        return _wrap(self._d, tuple(zip(*self._n)))
 
     def paraconj_transpose(self) -> RatMat:
         """Entrywise paraconjugation followed by transposition; an involution."""
-        return RatMat(
-            [[self._entries[j][i].paraconj() for j in range(self._rows)] for i in range(self._cols)]
-        )
+        return self._reciprocal(True)
 
     def reciprocal_subs(self) -> RatMat:
         """Entrywise substitution z -> 1/z (no conjugation, no transpose)."""
-        return RatMat([[e.reciprocal_subs() for e in row] for row in self._entries])
+        return self._reciprocal(False)
+
+    def _reciprocal(self, paraconj: bool) -> RatMat:
+        """z**t N(1/z) over z**t d(1/z) for t the largest degree in d and N,
+        conjugated and transposed for the paraconjugate.
+
+        This is already reduced: a common factor would be the reciprocal of
+        a common root of d and N, which the canonical form excludes, or z,
+        which does not divide whichever of d and N has degree t.  So only
+        the lead of the new d is divided out."""
+        d, n = self._d, self._n
+        if paraconj:
+            d = d.conj_coeffs()
+            n = zip(*((p.conj_coeffs() for p in row) for row in n))
+        n = tuple(tuple(row) for row in n)
+        top = max(int(p.degree) for p in itertools.chain((d,), *n) if p)
+        return _monic(d.reversed(top), tuple(tuple(p.reversed(top) for p in row) for row in n))
 
     def eval_complex(self, z: complex) -> list[list[complex]]:
-        return [[e.eval_complex(z) for e in row] for row in self._entries]
+        return [[e.eval_complex(z) for e in row] for row in self.entries]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RatMat):
             return NotImplemented
-        return (
-            self._rows == other._rows
-            and self._cols == other._cols
-            and self._entries == other._entries
-        )
+        return self._d == other._d and self._n == other._n
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self._rows, self._cols, self._entries))
+            self._hash = hash((self._d, self._n))
         return self._hash
 
     def __str__(self) -> str:
-        return "[" + "; ".join(", ".join(str(e) for e in row) for row in self._entries) + "]"
+        return "[" + "; ".join(", ".join(str(e) for e in row) for row in self.entries) + "]"
 
     def __repr__(self) -> str:
-        return f"RatMat({self._rows}x{self._cols})[{self}]"
+        return f"RatMat({self.rows}x{self.cols})[{self}]"
 
     # -- polynomial normalizations -------------------------------------------------
 
     def cleared(self) -> tuple[Poly, list[list[Poly]]]:
-        """Monic common denominator d and polynomial matrix N with G = N/d."""
+        """Monic common denominator d and polynomial matrix N with G = N/d,
+        as a fresh list grid (``den`` and ``num`` read the stored form)."""
         d, n = _cleared_cached(self)
         return d, [list(row) for row in n]
 
@@ -228,9 +320,7 @@ class RatMat:
     def determinant(self) -> RatFun:
         if not self.is_square():
             raise DimensionMismatchError("determinant of a non-square matrix")
-        d, n = self.cleared()
-        det_n = _poly_det(n)
-        return RatFun(det_n) / RatFun(d) ** self._rows
+        return RatFun(_poly_det(self._n)) / RatFun(self._d) ** self.rows
 
     def sm_structure(self) -> SMStructure:
         """Smith-McMillan diagonal data (rank and coprime fraction chains)."""
@@ -260,18 +350,15 @@ class RatMat:
         """
         if self.is_zero():
             raise ZeroMatrixError("the zero matrix has no Smith-McMillan structure")
-        return _root_points(_cleared_cached(self)[0], strict, "pole locations")
+        return _root_points(self._d, strict, "pole locations")
 
     def finite_zero_points(self, strict: bool = True) -> tuple[Point, ...]:
         return _root_points(self.sm_structure().zero_polynomial(), strict, "zeros enumeration")
 
     def has_pole_at_infinity(self) -> bool:
-        return any(
-            e.num.degree > e.den.degree
-            for row in self._entries
-            for e in row
-            if not e.is_zero()
-        )
+        # an entry N_ij / d reduces by a common factor of both, so its
+        # numerator outgrows its denominator exactly when N_ij outgrows d
+        return any(p.degree > self._d.degree for row in self._n for p in row)
 
     # -- right inverses --------------------------------------------------------------
 
@@ -290,7 +377,7 @@ class RatMat:
         return _minimal_right_inverse(self)
 
     def _is_minimal_inverse(self, x: RatMat) -> bool:
-        if (self * x) != RatMat.identity(self._rows):
+        if (self * x) != RatMat.identity(self.rows):
             return False
         sm_g = self.sm_structure()
         sm_x = x.sm_structure()
@@ -312,7 +399,7 @@ def _minimal_right_inverse(mat: RatMat) -> RatMat:
     sm = mat.sm_structure()
     m = sm.zero_polynomial()
     dz_inf = mat.zero_degree(INFINITY)
-    d, nmat = mat.cleared()
+    d, nmat = mat.den, mat.num
     target = d * m
     deg_y = int(m.degree) + dz_inf
     deg_n = max(
@@ -351,8 +438,8 @@ def _minimal_right_inverse(mat: RatMat) -> RatMat:
 
     def build(grid) -> RatMat:
         blocks = [grid[k * (deg_y + 1):(k + 1) * (deg_y + 1)] for k in range(n)]
-        return RatMat([[RatFun(Poly.from_parts(den, [cs[j] for cs in block]), m)
-                        for j in range(r)] for block in blocks])
+        return RatMat.from_cleared(m, ([Poly.from_parts(den, [cs[j] for cs in block])
+                                        for j in range(r)] for block in blocks))
 
     candidate = build(particular)
     if mat._is_minimal_inverse(candidate):
@@ -375,33 +462,6 @@ def _minimal_right_inverse(mat: RatMat) -> RatMat:
     raise MinimalInverseError(
         "right inverse found but exact pole/zero degree matching failed"
     )
-
-
-def _dot(row, col) -> RatFun:
-    """sum(a * b) over the paired entries with one reduction.
-
-    Each term stays an unreduced num/den pair; numerators over the same
-    denominator are added first, then the distinct denominators are merged
-    through their lcm, and only the final fraction is reduced.
-    """
-    by_den: dict[Poly, Poly] = {}
-    for a, b in zip(row, col):
-        if a.is_zero() or b.is_zero():
-            continue
-        den = a.den * b.den
-        num = a.num * b.num
-        acc = by_den.get(den)
-        by_den[den] = num if acc is None else acc + num
-    if not by_den:
-        return RatFun.zero()
-    terms = iter(by_den.items())
-    den, num = next(terms)
-    for d, n in terms:
-        g = poly_gcd(den, d)
-        d_g, den_g = (d, den) if g.is_one() else (d.exact_div(g), den.exact_div(g))
-        num = num * d_g + n * den_g
-        den = den * d_g
-    return RatFun(num, den)
 
 
 def _root_points(poly: Poly, strict: bool, context: str) -> tuple[Point, ...]:
@@ -470,16 +530,9 @@ class SMStructure:
 
 @lru_cache(maxsize=4096)
 def _cleared_cached(mat: RatMat) -> tuple[Poly, tuple[tuple[Poly, ...], ...]]:
-    d = Poly.one()
-    for row in mat.entries:
-        for e in row:
-            if not e.is_zero():
-                d = poly_lcm(d, e.den)
-    n = tuple(
-        tuple(e.num * d.exact_div(e.den) if not e.is_zero() else Poly.zero() for e in row)
-        for row in mat.entries
-    )
-    return d, n
+    """The stored form behind ``RatMat.cleared``; the structural queries
+    read ``den`` and ``num`` themselves."""
+    return mat.den, mat.num
 
 
 def point_expansions(mat: RatMat, point: Point):
@@ -493,8 +546,8 @@ def point_expansions(mat: RatMat, point: Point):
     """
     if mat.is_zero():
         raise ZeroMatrixError("degrees of the zero matrix are undefined")
-    d, n = _cleared_cached(mat)
-    parts = [[p.parts for p in row] for row in n]
+    d = mat.den
+    parts = [[p.parts for p in row] for row in mat.num]
     den = lcm(*(p_den for row in parts for p_den, num in row if num))
     top = max(len(num) for row in parts for _, num in row) - 1
     d_num = d.parts[1]
@@ -645,14 +698,14 @@ def _bareiss(a: list[list[Poly]]) -> tuple[int, Poly]:
 
 @lru_cache(maxsize=4096)
 def _normal_rank(mat: RatMat) -> int:
-    return _bareiss([list(row) for row in _cleared_cached(mat)[1]])[0]
+    return _bareiss([list(row) for row in mat.num])[0]
 
 
 @lru_cache(maxsize=4096)
 def _sm_of(mat: RatMat) -> SMStructure:
     if mat.is_zero():
         raise ZeroMatrixError("the zero matrix has no Smith-McMillan structure")
-    d, n = _cleared_cached(mat)
+    d, n = mat.den, mat.num
     rank = _normal_rank(mat)
     eps: list[Poly] = []
     psi: list[Poly] = []

@@ -45,7 +45,7 @@ from .errors import (
     SpectrumError,
 )
 from .linsolve import matrix_rank
-from .ratfun import RatFun, blaschke
+from .ratfun import RatFun
 from .ratmat import RatMat
 from .poly import Poly
 from .scalars import Comparison, GaussianRational, Point
@@ -570,7 +570,7 @@ def perturb_with_allpass(w: RatMat, poles) -> RatMat:
     direction = [1] + [0] * (w.rows - 1)
     for pole in reversed(list(poles)):
         factor = ElementaryFactor(pole, direction)
-        w = factor._update(w, *w.cleared(), blaschke(factor.alpha))
+        w = factor._update(w)
     return w
 
 

@@ -7,13 +7,16 @@ and point degrees come from minimum minor valuations via the partial-sum
 identity (the sorted diagonal valuations d_1 <= ... <= d_k of the
 canonical form satisfy d_1 + ... + d_k = min valuation over k x k minors),
 and Laurent leading coefficients come from the same division and exact
-evaluation.  Hermitian matrices with a planted spectrum are built from a
-Householder reflector, not from an eigenvalue routine.
+evaluation.  The cleared form of a matrix is rebuilt from its reduced
+entries, one lcm at a time, without ``ratmat``.  Hermitian matrices with a
+planted spectrum are built from a Householder reflector, not from an
+eigenvalue routine.
 """
 
 from itertools import combinations, permutations
 
 from specfactor import Poly, RatFun, RatMat, Point
+from specfactor.poly import poly_gcd
 from specfactor.scalars import GaussianRational
 
 
@@ -70,6 +73,16 @@ def _product_cleared(mat: RatMat):
         for row in mat.entries
     ]
     return d, n
+
+
+def cleared_from_entries(grid):
+    """(d, N) for a grid of reduced rational functions: d the monic lcm of
+    the entry denominators and N_ij the entry times d."""
+    d = Poly.one()
+    for row in grid:
+        for e in row:
+            d = (d * e.den).exact_div(poly_gcd(d, e.den)).monic()
+    return d, tuple(tuple(e.num * d.exact_div(e.den) for e in row) for row in grid)
 
 
 def _reciprocal_entry(e: RatFun) -> RatFun:

@@ -1,15 +1,19 @@
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from specfactor import (
     INFINITY,
+    ElementaryFactor,
     Point,
     Poly,
     RatFun,
     RatMat,
+    blaschke,
     make_elementary,
     ratmat,
 )
@@ -20,12 +24,14 @@ from specfactor.errors import (
     RankDeficiencyError,
     ZeroMatrixError,
 )
+from specfactor.jsonio import ratmat_from_json, ratmat_to_json
 from specfactor.linsolve import matrix_rank
 from specfactor.poly import gaussian_roots, require_split
 from specfactor.ratmat import _poly_det, point_degrees_by_valuation
 
-from helpers import M, P, RF, gr, pt, random_elementary_product, random_full_rank_pair
-from oracles import brute_point_degrees, permutation_det, ref_matmul
+from helpers import (M, P, RF, SAFE_POLE_POOL, gr, pt, random_elementary_product,
+                     random_full_rank_pair)
+from oracles import brute_point_degrees, cleared_from_entries, permutation_det, ref_matmul
 
 GOLDEN_G = M([[1, -1]])
 GOLDEN_H = M([[RF([3, 2], [2, 3, 1])], [RF([1], [2, 1])]])
@@ -63,6 +69,95 @@ def _product_pairs(draw):
 def test_product_matches_entrywise_sum(pair):
     a, b = pair
     assert a * b == ref_matmul(a, b)
+
+
+def _assert_canonical(m, grid):
+    """m holds the oracle's cleared form of the entry grid and derives the
+    grid's entries, and == and hash agree with the matrix rebuilt from them."""
+    grid = tuple(tuple(row) for row in grid)
+    assert (m.den, m.num) == cleared_from_entries(grid)
+    assert m.entries == grid
+    rebuilt = RatMat(m.entries)
+    assert m == rebuilt and hash(m) == hash(rebuilt)
+
+
+@st.composite
+def _form_cases(draw):
+    n, k, m = (draw(st.integers(1, 3)) for _ in range(3))
+    a = RatMat([[draw(_entries) for _ in range(k)] for _ in range(n)])
+    b = RatMat([[draw(_entries) for _ in range(m)] for _ in range(k)])
+    c = RatMat([[draw(_entries) for _ in range(k)] for _ in range(n)])
+    v = draw(st.lists(st.builds(gr, st.integers(-2, 2), st.integers(-1, 1)), min_size=n,
+                      max_size=n).filter(lambda xs: any(not x.is_zero() for x in xs)))
+    return a, b, c, draw(st.sampled_from(SAFE_POLE_POOL)), v
+
+
+@settings(max_examples=80, deadline=None)
+@given(_form_cases())
+@example((M([[RF([1], [-1, 1])]]), M([[RF([-1, 1])]]), M([[0]]), pt(2), [gr(1)]))
+def test_every_route_builds_the_canonical_cleared_form(case):
+    # each result is compared with entries worked out by RatFun arithmetic
+    a, b, c, alpha, v = case
+    ea, eb, ec = a.entries, b.entries, c.entries
+    rows, cols = a.rows, a.cols
+    _assert_canonical(a * b, [[sum((ea[i][k] * eb[k][j] for k in range(cols)), RatFun.zero())
+                               for j in range(b.cols)] for i in range(rows)])
+    _assert_canonical(a + c, [[x + y for x, y in zip(ra, rc)] for ra, rc in zip(ea, ec)])
+    _assert_canonical(a - c, [[x - y for x, y in zip(ra, rc)] for ra, rc in zip(ea, ec)])
+    _assert_canonical(a.paraconj_transpose(),
+                      [[ea[j][i].paraconj() for j in range(rows)] for i in range(cols)])
+    # U = I + (b - 1) P and, P being Hermitian, U~ = I + (b~ - 1) P
+    factor = ElementaryFactor(alpha, v)
+    proj = factor.projection()
+    kernel = blaschke(alpha)
+    u = [[int(i == j) + (kernel - 1) * proj[i][j] for j in range(rows)] for i in range(rows)]
+    u_star = [[int(i == j) + (kernel.paraconj() - 1) * proj[i][j] for j in range(rows)]
+              for i in range(rows)]
+    _assert_canonical(factor.matrix(), u)
+    _assert_canonical(factor.left_divide(a),
+                      [[sum((u_star[i][k] * ea[k][j] for k in range(rows)), RatFun.zero())
+                        for j in range(cols)] for i in range(rows)])
+    if rows <= cols and a.normal_rank() == rows:
+        try:
+            x = a.minimal_right_inverse()
+        except MinimalInverseError:
+            return
+        _assert_canonical(x, x.entries)
+
+
+def _golden_input(name: str) -> RatMat:
+    path = Path(__file__).parent / "golden" / "inputs" / name
+    return ratmat_from_json(json.loads(path.read_text(encoding="utf-8")))
+
+
+def test_products_and_left_divide_build_no_entry(monkeypatch):
+    # the entries of a derived matrix are built when read, not before
+    g, h, v = (_golden_input(name) for name in ("g.json", "h.json", "v.json"))
+    built = []
+    init = RatFun.__init__
+
+    def spy(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(RatFun, "__init__", spy)
+    results = [g * h, v.paraconj_transpose() * v,
+               ElementaryFactor(pt(2), [1, gr(0, 1)]).left_divide(v)]
+    assert built == []
+    for m in results:
+        m.entries
+    assert len(built) == sum(m.rows * m.cols for m in results)
+
+
+@pytest.mark.parametrize("left, right", [("g.json", "h.json"), ("h.json", "g.json"),
+                                         ("m.json", "n.json"), ("w1.json", "w.json"),
+                                         ("phi.json", "v.json")])
+def test_products_print_like_entry_built_matrices(left, right):
+    a, b = _golden_input(left), _golden_input(right)
+    m = a * b
+    for other in (RatMat(m.entries), ref_matmul(a, b)):
+        assert str(m) == str(other)
+        assert json.dumps(ratmat_to_json(m)) == json.dumps(ratmat_to_json(other))
 
 
 def test_identity_product():

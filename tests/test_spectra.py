@@ -370,6 +370,18 @@ def test_perturb_with_allpass():
     assert bumped.paraconj_transpose() * bumped == w.paraconj_transpose() * w
 
 
+def test_two_pole_perturbation_touches_no_memo():
+    # each factor updates the cleared form it is handed; no intermediate
+    # product passes through a memo
+    _, w = generate_instance(4, (2, 3), 1, OUTER, OUTER)
+    memos = _library_memos()
+    sizes = [memo.cache_info().currsize for memo in memos]
+    bumped = perturb_with_allpass(w, [pt(5), pt(-3)])
+    assert [memo.cache_info().currsize for memo in memos] == sizes
+    expected = make_elementary(pt(5), [1, 0]) * make_elementary(pt(-3), [1, 0]) * w
+    assert bumped == expected
+
+
 def test_perturb_cancellation_mechanism():
     # a perturbation pole at the reciprocal of a pole of W puts the zero of
     # the elementary factor on that pole: the product cancels there
