@@ -39,7 +39,7 @@ from .linsolve import cleared
 from .poly import Poly, order_of
 from .ratfun import RatFun, blaschke, blaschke_parts
 from .ratmat import RatMat, point_degrees_by_valuation, point_expansions
-from .scalars import Comparison, GaussianRational, INFINITY, Point
+from .scalars import Comparison, GaussianRational, INFINITY, Point, scalar_parts
 
 
 def _canonical_direction(v) -> tuple[GaussianRational, ...]:
@@ -92,7 +92,7 @@ class ElementaryFactor:
 
     def _norm(self) -> int:
         """The integer v* v of the primitive direction."""
-        return int(sum(x.abs2() for x in self._v))
+        return sum(a * a + b * b for a, b, _ in map(scalar_parts, self._v))
 
     def projection(self) -> list[list[GaussianRational]]:
         """The rank-one orthogonal projection v v* / (v* v); idempotent and

@@ -93,11 +93,14 @@ def factorization_from_json(data) -> AllPassFactorization:
     if not isinstance(data, dict) or "constant" not in data or "factors" not in data:
         raise ScalarParseError("factorization must have constant and factors")
     constant = ratmat_from_json(data["constant"])
-    factors = []
-    for item in data["factors"]:
-        alpha = Point.from_string(str(item["alpha"]))
-        v = [GaussianRational.from_string(str(x)) for x in item["v"]]
-        factors.append(ElementaryFactor(alpha, v))
+    items = data["factors"]
+    if not isinstance(items, list) or not all(
+            isinstance(item, dict) and "alpha" in item and isinstance(item.get("v"), list)
+            for item in items):
+        raise ScalarParseError("factors must be an array of objects with alpha and a v array")
+    factors = [ElementaryFactor(Point.from_string(str(item["alpha"])),
+                                [GaussianRational.from_string(str(x)) for x in item["v"]])
+               for item in items]
     return AllPassFactorization(constant, factors)
 
 

@@ -3,8 +3,9 @@
 Fraction-free Gauss-Jordan elimination over the Gaussian integers (Bareiss
 1968, in the Gauss-Jordan form of Nakos, Turner and Williams 1997).  Entries
 are Gaussian integers ``(re, im)``, the numerator layout of the integer
-``Poly``; a matrix with rational entries is cleared row by row first, which
-changes neither its rank nor the solutions of a system.
+``Poly``; a matrix with rational entries is cleared row by row first, each
+row times the lcm of its entries' denominators, which changes neither its
+rank nor the solutions of a system.
 
 At each pivot p every other row, above and below, becomes
 ``(p * row - f * pivot_row) / prev``, where f is the row's entry in the
@@ -28,7 +29,7 @@ from __future__ import annotations
 
 from math import lcm
 
-from .scalars import GaussianRational
+from .scalars import GaussianRational, scalar_parts
 
 GInt = tuple[int, int]
 Row = tuple[list[int], list[int]]
@@ -77,9 +78,9 @@ def _eliminate(rows: list[Row], width: int) -> tuple[list[int], GInt]:
 
 def cleared(row: list[GaussianRational]) -> Row:
     """The row times the lcm of its denominators, as Gaussian integers."""
-    den = lcm(*(x.re.denominator for x in row), *(x.im.denominator for x in row))
-    return ([x.re.numerator * (den // x.re.denominator) for x in row],
-            [x.im.numerator * (den // x.im.denominator) for x in row])
+    parts = [scalar_parts(x) for x in row]
+    den = lcm(*(d for _, _, d in parts))
+    return [a * (den // d) for a, _, d in parts], [b * (den // d) for _, b, d in parts]
 
 
 def matrix_rank(a: list[list[GaussianRational]]) -> int:

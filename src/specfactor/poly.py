@@ -9,10 +9,11 @@ is the empty tuple over 1 and has degree -inf.  Canonical forms are
 unique, so equality and hashing are structural.
 
 Every arithmetic kernel runs in integers and reduces its result with one
-gcd over the denominator and all numerator parts.  ``GaussianRational``
-scalars appear only at the boundary: constructor arguments, ``coeffs``,
-``coefficient``, ``lead`` and ``eval`` results, and the roots; ``parts``
-and ``from_parts`` hand over the integer form itself.
+gcd over the denominator and all numerator parts.  A ``GaussianRational``
+is laid out as one coefficient, so the scalar boundary (constructor
+arguments, ``coeffs``, ``coefficient``, ``lead``, ``eval`` and the roots)
+passes integers through ``scalar_parts`` and ``GaussianRational.from_parts``;
+``parts`` and ``from_parts`` hand over the polynomial's integer form itself.
 
 Division, gcd and expansion about a point (``taylor_numerators``, which
 gives multiplicities) are exact; root finding is restricted to roots in
@@ -30,7 +31,7 @@ import cmath
 from collections.abc import Iterator
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd as int_gcd, inf, isfinite, prod, ulp
+from math import gcd as int_gcd, inf, isfinite, lcm, prod, ulp
 
 from .errors import InputTooLargeError, NonGaussianPoleError
 from .gaussint import (
@@ -42,30 +43,15 @@ from .gaussint import (
     gi_gcd,
     gi_mul,
 )
-from .scalars import GaussianRational, Point, ZERO
+from .scalars import GaussianRational, Point, ZERO, scalar_parts
 
 NEG_INF = -inf
 
 
-def _scalar_parts(x) -> tuple[int, int, int] | None:
-    """(d, re, im) integers with x == (re + im*i) / d and d > 0."""
-    if isinstance(x, GaussianRational):
-        re, im = x.re, x.im
-        rd, idn = re.denominator, im.denominator
-        if rd == idn:
-            return rd, re.numerator, im.numerator
-        d = rd * idn // int_gcd(rd, idn)
-        return d, re.numerator * (d // rd), im.numerator * (d // idn)
-    if isinstance(x, int):
-        return 1, x, 0
-    if isinstance(x, Fraction):
-        return x.denominator, x.numerator, 0
-    return None
-
-
 def _parts(x) -> tuple[int, int, int]:
-    """_scalar_parts of anything GaussianRational accepts, strings included."""
-    return _scalar_parts(x) or _scalar_parts(GaussianRational(x))
+    """``scalar_parts`` of anything GaussianRational accepts, strings included."""
+    sp = scalar_parts(x)
+    return scalar_parts(GaussianRational(x)) if sp is None else sp
 
 
 def _make(den: int, num: tuple[tuple[int, int], ...]) -> Poly:
@@ -127,12 +113,9 @@ class Poly:
 
     def __init__(self, coeffs=()):
         parts = [_parts(c) for c in coeffs]
-        den = 1
-        for d, _, _ in parts:
-            if den % d:
-                den = den * d // int_gcd(den, d)
-        p = _reduce(den, [x * (den // d) for d, x, _ in parts],
-                    [y * (den // d) for d, _, y in parts])
+        den = lcm(*(d for _, _, d in parts))
+        p = _reduce(den, [x * (den // d) for x, _, d in parts],
+                    [y * (den // d) for _, y, d in parts])
         self._den = p._den
         self._num = p._num
 
@@ -161,7 +144,7 @@ class Poly:
     @classmethod
     def linear(cls, root) -> Poly:
         """The monic factor z - root."""
-        d, re, im = _parts(root)
+        re, im, d = _parts(root)
         return _make(d, ((-re, -im), (d, 0)))
 
     @classmethod
@@ -172,9 +155,7 @@ class Poly:
         return p
 
     def _scalar(self, k: int) -> GaussianRational:
-        re, im = self._num[k]
-        d = self._den
-        return GaussianRational(Fraction(re, d), Fraction(im, d))
+        return GaussianRational.from_parts(*self._num[k], self._den)
 
     @property
     def parts(self) -> tuple[int, tuple[tuple[int, int], ...]]:
@@ -275,10 +256,10 @@ class Poly:
                         re[k] += xr * yr
                         im[k] += xr * yi
             return _reduce(self._den * other._den, re, im)
-        sp = _scalar_parts(other)
+        sp = scalar_parts(other)
         if sp is None:
             return NotImplemented
-        d, sr, si = sp
+        sr, si, d = sp
         if not sr and not si:
             return _ZERO
         re, im = _split(self._num)
@@ -380,10 +361,9 @@ class Poly:
         """Exact Horner evaluation, homogenized over alpha's denominator."""
         if not self._num:
             return ZERO
-        d, xr, xi = _parts(alpha)
+        xr, xi, d = _parts(alpha)
         ar, ai = _homogeneous_eval(self._num, (xr, xi), (d, 0))
-        den = self._den * d ** (len(self._num) - 1)
-        return GaussianRational(Fraction(ar, den), Fraction(ai, den))
+        return GaussianRational.from_parts(ar, ai, self._den * d ** (len(self._num) - 1))
 
     def eval_complex(self, z: complex) -> complex:
         acc = 0j
@@ -465,10 +445,10 @@ def _coerce_poly(x) -> Poly | None:
     anything else."""
     if isinstance(x, Poly):
         return x
-    sp = _scalar_parts(x)
+    sp = scalar_parts(x)
     if sp is None:
         return None
-    d, re, im = sp
+    re, im, d = sp
     return _reduce(d, [re], [im])
 
 
@@ -481,10 +461,10 @@ def taylor_numerators(num, alpha, top: int) -> list[tuple[int, int]]:
     """Coefficients, ascending in u = delta * (z - alpha), of
     delta**top * P((u + x) / delta) for P with Gaussian-integer coefficients
     num (ascending pairs, the last nonzero), top >= deg P and alpha = x /
-    delta over the least common denominator of its parts.  They are
-    Gaussian integers; the order of P at alpha is the index of the first
-    nonzero one, and expansions padded to one top share the scale."""
-    delta, xr, xi = _parts(alpha)
+    delta in its canonical scalar form.  They are Gaussian integers; the
+    order of P at alpha is the index of the first nonzero one, and
+    expansions padded to one top share the scale."""
+    xr, xi, delta = _parts(alpha)
     n = len(num)
     re = [c[0] * delta ** (top - k) for k, c in enumerate(num)]
     im = [c[1] * delta ** (top - k) for k, c in enumerate(num)]
@@ -686,11 +666,9 @@ def _guessed_roots(work: Poly) -> list[tuple[tuple[int, int], tuple[int, int]]]:
     for z in _complex_roots(monic):
         if not (isfinite(z.real) and isfinite(z.imag)):
             continue
-        re = Fraction(z.real).limit_denominator(cap)
-        im = Fraction(z.imag).limit_denominator(cap)
-        d = re.denominator * im.denominator // int_gcd(re.denominator, im.denominator)
-        out.append(((re.numerator * (d // re.denominator), im.numerator * (d // im.denominator)),
-                    (d, 0)))
+        x, y, d = scalar_parts(GaussianRational(Fraction(z.real).limit_denominator(cap),
+                                                Fraction(z.imag).limit_denominator(cap)))
+        out.append(((x, y), (d, 0)))
     return out
 
 

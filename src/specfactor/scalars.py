@@ -1,9 +1,10 @@
 """Exact scalars: Gaussian rationals and points of the extended plane.
 
-A scalar is a complex number ``a + b*i`` with exact rational parts, kept in
-canonical reduced form by ``fractions.Fraction`` (coprime numerator and
-denominator, positive denominator).  Equality is structural and canonical
-forms are unique, so scalars are safe dictionary keys.
+A scalar is three integers ``(a, b, d)`` meaning ``(a + b*i) / d``, with
+d > 0 and gcd(a, b, d) == 1: the layout of one ``Poly`` coefficient.  Every
+operation works on these integers and reduces once, by one gcd; ``re`` and
+``im`` are reduced ``Fraction``s built when read.  Canonical forms are
+unique, so equality is structural and scalars are safe dictionary keys.
 
 Points add a first-class infinity so that reciprocal pairs ``(z, 1/z)`` and
 conjugate-reciprocal pairs ``(z, 1/conj(z))`` can be manipulated without a
@@ -23,6 +24,7 @@ from __future__ import annotations
 import enum
 import re
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import ScalarParseError
 
@@ -43,34 +45,63 @@ _TERMS = re.compile(_TERM)
 _SCALAR = re.compile(rf"{_TERM}(?:(?=[+-]){_TERM})*")
 
 
-def _as_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
+def _rational(x) -> tuple[int, int]:
+    """(numerator, denominator) in lowest terms of an int, Fraction or string."""
     if isinstance(x, str):
         if _RATIONAL.fullmatch(x) is None:
             raise ScalarParseError(f"not an exact rational: {x!r}")
-        return Fraction(x)
+        x = Fraction(x)
+    if isinstance(x, (int, Fraction)):
+        return x.numerator, x.denominator
     raise TypeError(f"cannot build an exact rational from {type(x).__name__}")
+
+
+def scalar_parts(x) -> tuple[int, int, int] | None:
+    """The canonical integers (a, b, d) of a GaussianRational, int or
+    Fraction x, so that x == (a + b*i) / d; None for anything else."""
+    if isinstance(x, GaussianRational):
+        return x._a, x._b, x._d
+    if isinstance(x, (int, Fraction)):
+        return x.numerator, 0, x.denominator
+    return None
+
+
+def _reduced(a: int, b: int, d: int) -> GaussianRational:
+    """The canonical GaussianRational (a + b*i) / d, for d > 0."""
+    g = gcd(a, b, d)
+    x = object.__new__(GaussianRational)
+    x._a = a // g
+    x._b = b // g
+    x._d = d // g
+    return x
 
 
 class GaussianRational:
     """Immutable element of Q(i)."""
 
-    __slots__ = ("_re", "_im")
+    __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, re=0, im=0):
-        self._re = _as_fraction(re)
-        self._im = _as_fraction(im)
+        p, q = _rational(re)
+        r, s = _rational(im)
+        # each part is in lowest terms, so over the lcm gcd(a, b, d) is 1
+        d = lcm(q, s)
+        self._a = p * (d // q)
+        self._b = r * (d // s)
+        self._d = d
+
+    @classmethod
+    def from_parts(cls, a: int, b: int, d: int) -> GaussianRational:
+        """The scalar (a + b*i) / d for integers a, b and d > 0."""
+        return _reduced(a, b, d)
 
     @property
     def re(self) -> Fraction:
-        return self._re
+        return Fraction(self._a, self._d)
 
     @property
     def im(self) -> Fraction:
-        return self._im
+        return Fraction(self._b, self._d)
 
     @classmethod
     def from_string(cls, text: str) -> GaussianRational:
@@ -97,109 +128,98 @@ class GaussianRational:
         return cls(re_part, im_part)
 
     def conj(self) -> GaussianRational:
-        return GaussianRational(self._re, -self._im)
+        return _reduced(self._a, -self._b, self._d)
 
     def abs2(self) -> Fraction:
         """Exact squared modulus re**2 + im**2."""
-        return self._re * self._re + self._im * self._im
+        return Fraction(self._a * self._a + self._b * self._b, self._d * self._d)
 
     def is_zero(self) -> bool:
-        return not self._re and not self._im
+        return not self._a and not self._b
 
     def is_one(self) -> bool:
-        return self._re == 1 and not self._im
+        return self._a == self._d and not self._b
 
     def inverse(self) -> GaussianRational:
-        n = self.abs2()
+        a, b, d = self._a, self._b, self._d
+        n = a * a + b * b
         if not n:
             raise ZeroDivisionError("inverse of zero scalar")
-        return GaussianRational(self._re / n, -self._im / n)
-
-    def _coerce(self, other):
-        if isinstance(other, GaussianRational):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return GaussianRational(other)
-        return None
+        return _reduced(a * d, -b * d, n)
 
     def __add__(self, other):
-        o = self._coerce(other)
+        o = scalar_parts(other)
         if o is None:
             return NotImplemented
-        return GaussianRational(self._re + o._re, self._im + o._im)
+        a, b, d = o
+        e = self._d
+        return _reduced(self._a * d + a * e, self._b * d + b * e, e * d)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
+        o = scalar_parts(other)
         if o is None:
             return NotImplemented
-        return GaussianRational(self._re - o._re, self._im - o._im)
+        a, b, d = o
+        e = self._d
+        return _reduced(self._a * d - a * e, self._b * d - b * e, e * d)
 
     def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
+        return (-self).__add__(other)
 
     def __neg__(self) -> GaussianRational:
-        return GaussianRational(-self._re, -self._im)
+        return _reduced(-self._a, -self._b, self._d)
 
     def __mul__(self, other):
-        o = self._coerce(other)
+        o = scalar_parts(other)
         if o is None:
             return NotImplemented
-        if not self._im and not o._im:
-            return GaussianRational(self._re * o._re)
-        return GaussianRational(
-            self._re * o._re - self._im * o._im,
-            self._re * o._im + self._im * o._re,
-        )
+        a, b, d = o
+        x, y = self._a, self._b
+        return _reduced(x * a - y * b, x * b + y * a, self._d * d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = self._coerce(other)
+        o = scalar_parts(other)
         if o is None:
             return NotImplemented
-        if o.is_zero():
+        a, b, d = o
+        n = a * a + b * b
+        if not n:
             raise ZeroDivisionError("scalar division by zero")
-        return self * o.inverse()
+        x, y = self._a, self._b
+        return _reduced((x * a + y * b) * d, (y * a - x * b) * d, self._d * n)
 
     def __rtruediv__(self, other):
-        o = self._coerce(other)
+        o = scalar_parts(other)
         if o is None:
             return NotImplemented
-        return o / self
+        return _reduced(*o) / self
 
     def __eq__(self, other) -> bool:
-        o = self._coerce(other)
+        o = scalar_parts(other)
         if o is None:
             return NotImplemented
-        return self._re == o._re and self._im == o._im
+        return (self._a, self._b, self._d) == o
 
     def __hash__(self):
-        return hash((self._re, self._im))
+        return hash((self.re, self.im))
 
     def __bool__(self) -> bool:
         return not self.is_zero()
 
     def __str__(self) -> str:
-        if self.is_zero():
-            return "0"
-        parts = []
-        if self._re:
-            parts.append(str(self._re))
-        if self._im:
-            imag = f"{self._im}*i"
-            if parts and self._im > 0:
-                parts.append("+" + imag)
-            else:
-                parts.append(imag)
-        return "".join(parts)
+        re, im = self.re, self.im
+        if not im:
+            return str(re)
+        if not re:
+            return f"{im}*i"
+        return f"{re}+{im}*i" if im > 0 else f"{re}{im}*i"
 
     def __repr__(self) -> str:
-        return f"GaussianRational({self._re!r}, {self._im!r})"
+        return f"GaussianRational({self.re!r}, {self.im!r})"
 
 
 ZERO = GaussianRational(0)
@@ -244,12 +264,9 @@ class Point:
         """Compare |p| against 1 exactly; infinity compares GREATER."""
         if self._value is None:
             return Comparison.GREATER
-        n = self._value.abs2()
-        if n < 1:
-            return Comparison.LESS
-        if n == 1:
-            return Comparison.EQUAL
-        return Comparison.GREATER
+        a, b, d = scalar_parts(self._value)
+        n, dd = a * a + b * b, d * d
+        return Comparison((n > dd) - (n < dd))
 
     def symplectic_pair(self) -> Point:
         """Map p to 1/p, with 0 and infinity swapped."""

@@ -10,9 +10,11 @@ and Laurent leading coefficients come from the same division and exact
 evaluation.  The cleared form of a matrix is rebuilt from its reduced
 entries, one lcm at a time, without ``ratmat``.  Hermitian matrices with a
 planted spectrum are built from a Householder reflector, not from an
-eigenvalue routine.
+eigenvalue routine.  Gaussian rationals are checked against a pair of
+``Fraction``s (``RefGaussian``), not against the integer layout.
 """
 
+from fractions import Fraction
 from itertools import combinations, permutations
 
 from specfactor import Poly, RatFun, RatMat, Point
@@ -318,3 +320,114 @@ def householder_hermitian(eigenvalues, v):
     q = [[(i == j) - 2 * v[i] * v[j].conjugate() / vv for j in range(n)] for i in range(n)]
     return [[sum(q[i][k] * eigenvalues[k] * q[j][k].conjugate() for k in range(n))
              for j in range(n)] for i in range(n)]
+
+
+class RefGaussian:
+    """Reference Gaussian rational: a pair of ``Fraction``s with schoolbook
+    field arithmetic.  It shares no code with ``specfactor.scalars``, which
+    keeps integers over one denominator; the text forms are the documented
+    ones (``re`` then ``+im*i``, ``GaussianRational(re, im)`` for repr)."""
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re=0, im=0):
+        self.re = Fraction(re)
+        self.im = Fraction(im)
+
+    @staticmethod
+    def of(x) -> "RefGaussian":
+        return x if isinstance(x, RefGaussian) else RefGaussian(x)
+
+    def conj(self):
+        return RefGaussian(self.re, -self.im)
+
+    def abs2(self) -> Fraction:
+        return self.re ** 2 + self.im ** 2
+
+    def is_zero(self) -> bool:
+        return self.re == 0 and self.im == 0
+
+    def is_one(self) -> bool:
+        return self.re == 1 and self.im == 0
+
+    def inverse(self):
+        n = self.abs2()
+        if n == 0:
+            raise ZeroDivisionError("inverse of zero")
+        return RefGaussian(self.re / n, -self.im / n)
+
+    def __add__(self, other):
+        o = RefGaussian.of(other)
+        return RefGaussian(self.re + o.re, self.im + o.im)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return RefGaussian(-self.re, -self.im)
+
+    def __sub__(self, other):
+        return self + -RefGaussian.of(other)
+
+    def __rsub__(self, other):
+        return RefGaussian.of(other) + -self
+
+    def __mul__(self, other):
+        o = RefGaussian.of(other)
+        return RefGaussian(self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        return self * RefGaussian.of(other).inverse()
+
+    def __rtruediv__(self, other):
+        return RefGaussian.of(other) * self.inverse()
+
+    def __eq__(self, other):
+        o = RefGaussian.of(other)
+        return self.re == o.re and self.im == o.im
+
+    def __hash__(self):
+        return hash((self.re, self.im))
+
+    def __str__(self):
+        if self.is_zero():
+            return "0"
+        text = str(self.re) if self.re else ""
+        if self.im:
+            text += ("+" if text and self.im > 0 else "") + f"{self.im}*i"
+        return text
+
+    def __repr__(self):
+        return f"GaussianRational({self.re!r}, {self.im!r})"
+
+
+# Reference point maps on RefGaussian, with None for the point at infinity.
+
+
+def ref_abs_vs_one(z) -> int:
+    """-1, 0 or 1 as |z| is below, on or above 1; infinity is above."""
+    if z is None:
+        return 1
+    n = z.abs2()
+    return (n > 1) - (n < 1)
+
+
+def ref_symplectic_pair(z):
+    """1/z, with 0 and infinity swapped."""
+    if z is None:
+        return RefGaussian(0)
+    return None if z.is_zero() else z.inverse()
+
+
+def ref_conj_pair(z):
+    """1/conj(z), with 0 and infinity swapped."""
+    w = ref_symplectic_pair(z)
+    return None if w is None else w.conj()
+
+
+def ref_sort_key(z) -> tuple:
+    """(|z|^2, re, im) after a 0 flag; infinity flagged 1, after all."""
+    if z is None:
+        return (1, 0, 0, 0)
+    return (0, z.abs2(), z.re, z.im)

@@ -5,9 +5,11 @@ import subprocess
 import sys
 import time
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from specfactor import jsonio
+from specfactor.errors import ScalarParseError
 from specfactor.cli import main, run
 from specfactor.spectra import _MAX_DEGREE
 
@@ -348,6 +350,13 @@ def test_malformed_grid_is_parse_error(tmp_path, capsys):
         code, out, err = run_cli(capsys, "smform", str(path))
         assert code == 1 and not out, rows
         assert json.loads(err)["error"]["code"] == "parse_error", rows
+
+
+def test_malformed_factors_are_parse_errors():
+    constant = jsonio.ratmat_to_json(M([[1]]))
+    for factors in ([{}], 5, ["x"], [{"alpha": "2", "v": 5}]):
+        with pytest.raises(ScalarParseError):
+            jsonio.factorization_from_json({"constant": constant, "factors": factors})
 
 
 def _levels(doc) -> int:

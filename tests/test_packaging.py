@@ -120,6 +120,21 @@ def test_every_import_is_used():
     assert {name: found for name, found in unused.items() if found} == {}
 
 
+def _part_reads(tree: ast.Module) -> list[str]:
+    """Every ``.re`` or ``.im`` attribute read in a module, by line."""
+    return [f"{node.attr} (line {node.lineno})" for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr in ("re", "im")]
+
+
+def test_only_scalars_reads_rational_parts():
+    # a Gaussian rational's layout is scalars.py's alone: every other module
+    # reads its integers through ``parts``, not through the Fractions
+    # ``re`` and ``im``, so no module converts between the two layouts
+    reads = {path.name: _part_reads(ast.parse(path.read_text(encoding="utf-8")))
+             for path in sorted(PACKAGE.glob("*.py")) if path.name != "scalars.py"}
+    assert {name: found for name, found in reads.items() if found} == {}
+
+
 def _memo_bounds(tree: ast.Module) -> dict[str, object]:
     """The bound of every memo a module declares, by line: the integer
     maxsize, or the source text where there is no integer literal."""

@@ -1,12 +1,13 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from specfactor import Comparison, GaussianRational, INFINITY, Point
 from specfactor.errors import ScalarParseError
 
 from helpers import gr, pt
+from oracles import RefGaussian, ref_abs_vs_one, ref_conj_pair, ref_sort_key, ref_symplectic_pair
 
 fractions = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 scalars = st.builds(GaussianRational, fractions, fractions)
@@ -158,3 +159,70 @@ def test_reflected_sub_and_div(a, q):
     assert 1 / gr(0, 1) == gr(0, -1)
     with pytest.raises(ZeroDivisionError):
         1 / gr(0)
+
+
+# operands for the reference check: small and large integers and fractions,
+# zero, the four units and two more points of the unit circle among the
+# scalars, bare ints and Fractions too
+_rationals = st.one_of(
+    st.integers(-3, 3),
+    st.integers(-(2 ** 130), 2 ** 130),
+    st.fractions(min_value=-5, max_value=5, max_denominator=6),
+    st.fractions(max_denominator=10 ** 20),
+)
+_pairs = st.sampled_from([(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1), (Fraction(3, 5), Fraction(4, 5)),
+                          (Fraction(-5, 13), Fraction(12, 13))]) | st.tuples(_rationals, _rationals)
+_operands = (_pairs.map(lambda p: (GaussianRational(*p), RefGaussian(*p)))
+             | _rationals.map(lambda x: (x, x)))
+
+
+def _same_point(got: Point, want):
+    if want is None:
+        assert got.is_infinite
+    else:
+        assert (got.value.re, got.value.im) == (want.re, want.im)
+
+
+def _same(got, want: RefGaussian):
+    """Every reading of got, and of its point, equals the reference's."""
+    assert isinstance(got, GaussianRational)
+    assert (got.re, got.im) == (want.re, want.im)
+    assert type(got.re) is Fraction and type(got.im) is Fraction
+    assert (str(got), repr(got), hash(got)) == (str(want), repr(want), hash(want))
+    assert (got.is_zero(), got.is_one(), got.abs2()) == (want.is_zero(), want.is_one(), want.abs2())
+    assert GaussianRational.from_string(str(got)) == got
+    p = Point(got)
+    assert p.abs_vs_one().value == ref_abs_vs_one(want)
+    assert p.sort_key() == ref_sort_key(want)
+    _same_point(p.symplectic_pair(), ref_symplectic_pair(want))
+    _same_point(p.conj_pair(), ref_conj_pair(want))
+
+
+def test_infinity_agrees_with_reference():
+    assert INFINITY.abs_vs_one().value == ref_abs_vs_one(None)
+    assert INFINITY.sort_key() == ref_sort_key(None)
+    _same_point(INFINITY.symplectic_pair(), ref_symplectic_pair(None))
+    _same_point(INFINITY.conj_pair(), ref_conj_pair(None))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_pairs, _operands)
+def test_agrees_with_fraction_pair_reference(x, y):
+    a, ra = GaussianRational(*x), RefGaussian(*x)
+    b, rb = y
+    _same(a, ra)
+    for got, want in ((-a, -ra), (a.conj(), ra.conj()), (a + b, ra + rb), (b + a, rb + ra),
+                      (a - b, ra - rb), (b - a, rb - ra), (a * b, ra * rb), (b * a, rb * ra)):
+        _same(got, want)
+    for num, den, rnum, rden in ((a, b, ra, rb), (b, a, rb, ra), (1, a, 1, ra)):
+        if RefGaussian.of(rden).is_zero():
+            with pytest.raises(ZeroDivisionError):
+                num / den
+        else:
+            _same(num / den, rnum / rden)
+    if ra.is_zero():
+        with pytest.raises(ZeroDivisionError):
+            a.inverse()
+    else:
+        _same(a.inverse(), ra.inverse())
+    assert (a == b) == (b == a) == (ra == rb)
