@@ -217,7 +217,8 @@ def degree_of_factorization(f: AllPassFactorization) -> int:
     return len(f.factors)
 
 
-def _poles_of(v: RatMat) -> list[Point]:
+def poles_of(v: RatMat) -> list[Point]:
+    """The pole locations of V in Q(i), infinity last."""
     pts = list(v.finite_pole_points(strict=True))
     if v.has_pole_at_infinity():
         pts.append(INFINITY)
@@ -268,7 +269,7 @@ def _peel(v: RatMat) -> AllPassFactorization:
     size = v.rows
     work = v
     peeled: list[tuple[Point, tuple[GaussianRational, ...]]] = []
-    while poles := _poles_of(work):
+    while poles := poles_of(work):
         pole = poles[0]
         partner = pole.conj_pair()
         # an elementary peel changes pole degrees only at the pole and its

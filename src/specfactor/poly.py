@@ -216,7 +216,7 @@ class Poly:
         return _reduce(den, re, im)
 
     def __add__(self, other):
-        s = _coerce_poly(other)
+        s = as_poly(other)
         if s is None:
             return NotImplemented
         return self._add(s, 1)
@@ -224,13 +224,13 @@ class Poly:
     __radd__ = __add__
 
     def __sub__(self, other):
-        s = _coerce_poly(other)
+        s = as_poly(other)
         if s is None:
             return NotImplemented
         return self._add(s, -1)
 
     def __rsub__(self, other):
-        s = _coerce_poly(other)
+        s = as_poly(other)
         if s is None:
             return NotImplemented
         return s._add(self, -1)
@@ -399,7 +399,7 @@ class Poly:
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Poly):
-            other = _coerce_poly(other)
+            other = as_poly(other)
             if other is None:
                 return NotImplemented
         return self._den == other._den and self._num == other._num
@@ -440,9 +440,9 @@ def monic_ratio(num: Poly, den: Poly) -> tuple[Poly, Poly]:
     return _reduce(num._den * lead, re, im), den.monic()
 
 
-def _coerce_poly(x) -> Poly | None:
-    """A polynomial itself, a scalar as a constant polynomial; None for
-    anything else."""
+def as_poly(x) -> Poly | None:
+    """x as a polynomial: a Poly itself, a scalar as a constant polynomial;
+    None for anything else."""
     if isinstance(x, Poly):
         return x
     sp = scalar_parts(x)

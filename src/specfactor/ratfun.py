@@ -10,7 +10,7 @@ inside the representation.
 from __future__ import annotations
 
 from .errors import CirclePoleError
-from .poly import Poly, _coerce_poly, monic_ratio, poly_gcd
+from .poly import Poly, as_poly, monic_ratio, poly_gcd
 from .scalars import Comparison, GaussianRational, Point, ONE
 
 
@@ -20,10 +20,10 @@ class RatFun:
     __slots__ = ("_num", "_den")
 
     def __init__(self, num, den=None):
-        n = _coerce_poly(num)
+        n = as_poly(num)
         if n is None:
             raise TypeError(f"cannot build a rational function from {type(num).__name__}")
-        d = Poly.one() if den is None else _coerce_poly(den)
+        d = Poly.one() if den is None else as_poly(den)
         if d is None:
             raise TypeError(f"cannot build a rational function from {type(den).__name__}")
         if d.is_zero():
@@ -201,7 +201,7 @@ def as_ratfun(x) -> RatFun | None:
     quotient over 1; None for anything else."""
     if isinstance(x, RatFun):
         return x
-    p = _coerce_poly(x)
+    p = as_poly(x)
     return None if p is None else RatFun(p)
 
 

@@ -25,9 +25,8 @@ The structural queries all reduce to exact polynomial arithmetic on N/d:
   (``point_expansions``, which also gives the Laurent leading coefficient
   up to a positive rational), pivoting on an entry of least order,
 * ``minimal_right_inverse``, for square and wide G alike, solves one exact
-  Z[i] system for a right inverse whose denominators divide the zero
-  polynomial of G and then verifies exact pole/zero degree matching; the
-  result is memoized per matrix value in a bounded cache (32 entries).
+  Z[i] system for right inverses with poles on the zeros of G and keeps one
+  with G's zero degrees as pole degrees; memoized per value (32 entries).
 
 Only ``sm_structure`` enumerates all k x k minors, which is exponential in
 the matrix size; pole locations and pointwise degrees do not use it.  The
@@ -369,16 +368,16 @@ class RatMat:
         polynomial of G (the product of the numerator invariants), with the
         degree of Y capped so poles at infinity cannot exceed the zero
         degree of G at infinity.  Matching G * X = I then becomes an exact
-        linear system in the coefficients of Y.  A solvable system yields a
-        right inverse whose poles are trapped on the zeros of G; exact
-        degree equality is verified afterwards.  An inconsistent system
-        means no such right inverse exists; for a square G it is unique.
+        linear system in the coefficients of Y.  Each solution is a right
+        inverse with poles on the zeros of G, and one with exactly G's zero
+        degrees is kept.  An inconsistent system means no such right
+        inverse exists; for a square G it is unique.
         """
         return _minimal_right_inverse(self)
 
     def _is_minimal_inverse(self, x: RatMat) -> bool:
-        if (self * x) != RatMat.identity(self.rows):
-            return False
+        """Whether the right inverse x has G's zero degrees as pole degrees.
+        G * x is not formed: every candidate Y/m solves N Y = d m I exactly."""
         sm_g = self.sm_structure()
         sm_x = x.sm_structure()
         if sm_x.pole_polynomial() != sm_g.zero_polynomial():

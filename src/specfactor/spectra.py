@@ -10,12 +10,12 @@ satisfies the symplectic pairing law by construction: exactly one of z and
 A spectrum is a real para-Hermitian rational matrix, positive semidefinite
 on the unit circle where defined.  Spectral factors W (with Phi = W* W) are
 compared through exact symbolic equality; stochastic minimality means the
-McMillan degree of W is half that of Phi.  ``uniqueness_check`` evaluates
-the hypotheses of the uniqueness statement for two candidate factors and
-prescribed pole/zero regions, and classifies the outcome: a failed
-hypothesis, a constant orthogonal transfer (the expected outcome), or a
-non-constant transfer despite all hypotheses holding, which would indicate
-a defect in this implementation and is surfaced loudly.
+McMillan degree of W is half that of Phi.  ``uniqueness_check`` tests the
+uniqueness hypotheses for two factors and pole/zero regions (each per-factor
+one by the helper the generator uses too) and classifies the outcome: a
+failed hypothesis, a constant orthogonal transfer T (expected; T is
+para-unitary because the factors are co-spectral), or a non-constant T
+despite all hypotheses holding, which only a defect here can produce.
 
 Exactness note: apart from root guesses that are confirmed exactly, the
 only floating-point computation in the package is ``psd_on_circle``, an
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .allpass import ElementaryFactor, _poles_of, is_parahermitian, is_paraunitary
+from .allpass import ElementaryFactor, is_parahermitian, poles_of
 from .errors import (
     CoSpectralityError,
     DimensionMismatchError,
@@ -208,7 +208,20 @@ class Spectrum:
 
 def analytic_in(g: RatMat, region: Region) -> bool:
     """True when no pole of g (infinity included) lies in the region."""
-    return not any(region.contains(p) for p in _poles_of(g))
+    return not any(region.contains(p) for p in poles_of(g))
+
+
+def _inverse_analytic(w: RatMat, region: Region) -> bool:
+    """True when W has a minimal right inverse with no pole in the region."""
+    try:
+        return analytic_in(w.minimal_right_inverse(), region)
+    except MinimalInverseError:
+        return False
+
+
+def _is_minimal(w: RatMat, phi: RatMat) -> bool:
+    """Stochastic minimality of a factor W of Phi: 2 deg W = deg Phi."""
+    return 2 * w.mcmillan_degree() == phi.mcmillan_degree()
 
 
 @lru_cache(maxsize=32)
@@ -229,7 +242,7 @@ def is_spectral_factor(w: RatMat, spectrum: Spectrum) -> bool:
 def is_stochastically_minimal(w: RatMat, spectrum: Spectrum) -> bool:
     if not is_spectral_factor(w, spectrum):
         raise SpectrumError("not a spectral factor of the given spectrum")
-    return 2 * w.mcmillan_degree() == spectrum.mcmillan_degree()
+    return _is_minimal(w, spectrum.phi)
 
 
 @dataclass(frozen=True)
@@ -301,24 +314,21 @@ def _hermitian_eigenvalues(a: list[list[complex]]) -> list[float]:
 
 def transfer_between(w1: RatMat, w: RatMat) -> RatMat:
     """The para-unitary transfer T with W1 = T W, computed as W1 times a
-    minimal right inverse of W.  Raises when the inputs are not exact
-    co-spectral factors."""
+    minimal right inverse X of W.  Raises when the inputs are not exact
+    co-spectral factors.
+
+    Co-spectrality is the one check T needs.  With W X = I it gives
+    T* T = X* W1* W1 X = X* W* W X = (W X)* (W X) = I, and for
+    A = W1 (I - X W) it gives A* A = (W - W X W)* (W - W X W) = 0; on the
+    unit circle A* A is A^H A, so A = 0 and W1 = T W."""
     if w1.rows != w.rows or w1.cols != w.cols:
         raise DimensionMismatchError("factors must share dimensions")
     if w.normal_rank() != w.rows or w1.normal_rank() != w1.rows:
         raise RankDeficiencyError("transfer needs full row rank factors")
-    return _transfer(w1, w, w.minimal_right_inverse())
-
-
-def _transfer(w1: RatMat, w: RatMat, w_inv: RatMat) -> RatMat:
-    """W1 times the minimal right inverse w_inv of W, checked to be a
-    para-unitary T with W1 = T W."""
-    t = w1 * w_inv
-    if not is_paraunitary(t):
-        raise CoSpectralityError("transfer is not para-unitary; factors are not co-spectral")
-    if w1 != t * w:
-        raise CoSpectralityError("transfer does not reproduce the first factor exactly")
-    return t
+    w_inv = w.minimal_right_inverse()
+    if _gram(w1) != _gram(w):
+        raise CoSpectralityError("factors are not co-spectral: W1* W1 differs from W* W")
+    return w1 * w_inv
 
 
 class Verdict(enum.Enum):
@@ -339,13 +349,13 @@ def uniqueness_check(
 ) -> UniquenessResult:
     """Evaluate the uniqueness hypotheses for two candidate factors.
 
-    Checks, exactly: real coefficients, full row rank, co-spectrality
-    (W* W equal to W1* W1), analyticity of both factors in the pole region
-    and of their minimal right inverses in the zero region, and stochastic
-    minimality of both.  When every hypothesis holds the transfer W1 W^-R
-    is computed; a constant real orthogonal transfer yields UNIQUE, and a
-    non-constant one yields UNIQUENESS_VIOLATED, which only a defect in
-    this package can produce.
+    Checks, exactly and in this order: real coefficients, full row rank,
+    co-spectrality (W* W = W1* W1), analyticity of W and W1 in the pole
+    region, then of their minimal right inverses in the zero region, then
+    stochastic minimality of W and W1 (the last two need full row rank).
+    Co-spectrality makes T = W1 W^-R para-unitary with W1 = T W (see
+    ``transfer_between``): a constant real T is orthogonal and yields
+    UNIQUE, a non-constant one UNIQUENESS_VIOLATED, a defect of this package.
     """
     if w.rows != w1.rows or w.cols != w1.cols:
         raise DimensionMismatchError("candidate factors must share dimensions")
@@ -358,35 +368,24 @@ def uniqueness_check(
         failed.append("full_row_rank")
     phi = _gram(w)
     phi1 = _gram(w1)
-    co_spectral = phi == phi1
-    if not co_spectral:
+    if phi != phi1:
         failed.append("co_spectrality")
     if not analytic_in(w, region_p):
         failed.append("analyticity_W")
     if not analytic_in(w1, region_p):
         failed.append("analyticity_W1")
-    w_inv = None
     if full_rank:
-        try:
-            w_inv = w.minimal_right_inverse()
-            if not analytic_in(w_inv, region_z):
-                failed.append("analyticity_W_inverse")
-        except MinimalInverseError:
+        if not _inverse_analytic(w, region_z):
             failed.append("analyticity_W_inverse")
-        try:
-            if not analytic_in(w1.minimal_right_inverse(), region_z):
-                failed.append("analyticity_W1_inverse")
-        except MinimalInverseError:
+        if not _inverse_analytic(w1, region_z):
             failed.append("analyticity_W1_inverse")
-        phi_degree = phi.mcmillan_degree()
-        if 2 * w.mcmillan_degree() != phi_degree:
+        if not _is_minimal(w, phi):
             failed.append("minimality_W")
-        if 2 * w1.mcmillan_degree() != phi1.mcmillan_degree():
+        if not _is_minimal(w1, phi1):
             failed.append("minimality_W1")
     if failed:
         return UniquenessResult(Verdict.HYPOTHESIS_FAILED, tuple(failed), None)
-    t = _transfer(w1, w, w_inv)
-    # _transfer proved T para-unitary, and a constant para-unitary T is unitary
+    t = w1 * w.minimal_right_inverse()
     if t.has_real_coeffs() and t.is_constant():
         return UniquenessResult(Verdict.UNIQUE, (), t)
     return UniquenessResult(Verdict.UNIQUENESS_VIOLATED, (), t)
@@ -545,9 +544,9 @@ def generate_instance(
             spectrum = Spectrum(_gram(w))
             if not analytic_in(w, region_p):
                 raise _RetryDraw("factor not analytic in the pole region")
-            if not analytic_in(w.minimal_right_inverse(), region_z):
+            if not _inverse_analytic(w, region_z):
                 raise _RetryDraw("right inverse not analytic in the zero region")
-            if 2 * w.mcmillan_degree() != spectrum.mcmillan_degree():
+            if not _is_minimal(w, spectrum.phi):
                 raise _RetryDraw("factor degree is not half the spectrum degree")
             return spectrum, w
         except _RetryDraw as exc:

@@ -19,7 +19,7 @@ from specfactor import (
     make_elementary,
     potapov_factorize,
 )
-from specfactor.allpass import _laurent_leading, _poles_of
+from specfactor.allpass import _laurent_leading, poles_of
 from specfactor import ratmat
 from specfactor.errors import DimensionMismatchError, NonGaussianPoleError
 from specfactor.jsonio import ratmat_from_json
@@ -247,7 +247,7 @@ elementary_products = st.builds(
 # unless the conj(c) factor of the expansion is applied
 @example(V_JSON)
 def test_laurent_leading_is_oracle_times_positive_rational(v):
-    for pole in _poles_of(v):
+    for pole in poles_of(v):
         ours = _laurent_leading(v, pole)
         ref = laurent_leading(v, pole)
         pairs = [(x, y) for row_x, row_y in zip(ours, ref) for x, y in zip(row_x, row_y)]

@@ -8,12 +8,12 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from specfactor import jsonio
+from specfactor import Region, Side, blaschke, jsonio, uniqueness_check
 from specfactor.errors import ScalarParseError
 from specfactor.cli import main, run
 from specfactor.spectra import _MAX_DEGREE
 
-from helpers import M, RF
+from helpers import M, RF, pt
 
 GOLDEN_G = M([[1, -1]])
 GOLDEN_H = M([[RF([3, 2], [2, 3, 1])], [RF([1], [2, 1])]])
@@ -109,6 +109,24 @@ def test_check_uniqueness(tmp_path, capsys):
     assert payload["failed_hypotheses"] == []
     transfer = jsonio.ratmat_from_json(payload["transfer"])
     assert transfer == -M([[1]])
+
+
+def test_check_uniqueness_names_failed_hypotheses_in_order(tmp_path, capsys):
+    # co-spectral factors with extra all-pass poles at 4 and 5: in the
+    # outer region both factors and both inverses fail analyticity and both
+    # fail minimality, named kind by kind, W before W1
+    w = M([[blaschke(pt(4))]]) * W
+    w1 = M([[blaschke(pt(5))]]) * W
+    failed = ("analyticity_W", "analyticity_W1", "analyticity_W_inverse",
+              "analyticity_W1_inverse", "minimality_W", "minimality_W1")
+    outer = Region(Side.OUTER)
+    assert uniqueness_check(w, w1, outer, outer).failed_hypotheses == failed
+    code, out, _ = run_cli(capsys, "check-uniqueness", write_matrix(tmp_path / "w.json", w),
+                           write_matrix(tmp_path / "w1.json", w1),
+                           "--region-p", "outer", "--region-z", "outer")
+    assert code == 0
+    assert out == json.dumps({"failed_hypotheses": list(failed), "schema_version": "1",
+                              "transfer": None, "verdict": "HYPOTHESIS_FAILED"}, indent=2) + "\n"
 
 
 def test_generate_and_reverify(tmp_path, capsys):

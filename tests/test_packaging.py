@@ -120,6 +120,22 @@ def test_every_import_is_used():
     assert {name: found for name, found in unused.items() if found} == {}
 
 
+def _private_imports(tree: ast.Module) -> list[str]:
+    """Every ``_name`` a module imports from another module of the package."""
+    return [f"{alias.name} (line {node.lineno})" for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            and (node.level or (node.module or "").partition(".")[0] == "specfactor")
+            for alias in node.names if alias.name.startswith("_")]
+
+
+def test_no_module_imports_another_modules_private_name():
+    # a name one module shares with another is part of its interface and
+    # is spelled without the leading underscore
+    found = {path.name: _private_imports(ast.parse(path.read_text(encoding="utf-8")))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    assert {name: names for name, names in found.items() if names} == {}
+
+
 def _part_reads(tree: ast.Module) -> list[str]:
     """Every ``.re`` or ``.im`` attribute read in a module, by line."""
     return [f"{node.attr} (line {node.lineno})" for node in ast.walk(tree)

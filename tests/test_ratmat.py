@@ -553,6 +553,50 @@ def test_minimal_right_inverse_needs_the_mixing_fallback(monkeypatch):
     assert x.pole_degree(INFINITY) == g.zero_degree(INFINITY)
 
 
+_RINV_ZEROS = [gr(0), gr(2), gr(-3)]
+_RINV_POLES = [gr(Fraction(1, 2)), gr(1, 1), gr(Fraction(-1, 3))]
+
+
+@st.composite
+def _right_invertible(draw):
+    """U D M, square or wide: D a diagonal of split rational functions of
+    any degree balance (so with structure at infinity), M a constant of
+    full row rank and U an optional elementary all-pass factor.  M+ (U D)^-1
+    is a minimal right inverse for any constant right inverse M+ of M, so
+    every draw has one."""
+    r = draw(st.integers(1, 2))
+    n = draw(st.integers(r, 3))
+    diag = [RatFun(Poly.from_roots(draw(st.lists(st.sampled_from(_RINV_ZEROS), max_size=2))),
+                   Poly.from_roots(draw(st.lists(st.sampled_from(_RINV_POLES), max_size=2))))
+            for _ in range(r)]
+    row = st.lists(st.integers(-2, 2), min_size=n, max_size=n)
+    grid = draw(st.lists(row, min_size=r, max_size=r))
+    assume(matrix_rank([[gr(x) for x in row] for row in grid]) == r)
+    g = RatMat.diagonal(diag) * M(grid)
+    if draw(st.booleans()):
+        alpha = draw(st.sampled_from([pt(3), pt(Fraction(1, 2), 1), INFINITY]))
+        direction = draw(st.lists(st.sampled_from([gr(0), gr(1), gr(-2), gr(1, 1)]),
+                                  min_size=r, max_size=r).filter(any))
+        g = make_elementary(alpha, direction) * g
+    return g
+
+
+@settings(max_examples=40, deadline=None)
+@given(_right_invertible())
+@example(M([[RF([0, -1]), 0, 0], [0, RF([-2, 1]), -1]]))  # needs the mixing fallback
+def test_minimal_right_inverse_is_a_right_inverse_with_the_zero_degrees(g):
+    # the construction never forms G * X, and reads X's degrees only through
+    # the Smith-McMillan form; here both facts are checked, the degrees by
+    # the brute-force minor oracle
+    ratmat._minimal_right_inverse.cache_clear()
+    x = g.minimal_right_inverse()
+    assert g * x == RatMat.identity(g.rows)
+    zeros = g.finite_zero_points()
+    assert set(x.finite_pole_points()) <= set(zeros)
+    for point in (*zeros, INFINITY):
+        assert brute_point_degrees(x, point)[1] == brute_point_degrees(g, point)[0]
+
+
 def test_determinant():
     u = make_elementary(pt(2), [1, 1])
     from specfactor import blaschke

@@ -18,6 +18,7 @@ from specfactor import (
     analyze_product,
     blaschke,
     generate_instance,
+    is_paraunitary,
     is_spectral_factor,
     is_stochastically_minimal,
     make_elementary,
@@ -32,11 +33,14 @@ from specfactor.errors import (
     CoSpectralityError,
     DimensionMismatchError,
     InputTooLargeError,
+    MinimalInverseError,
+    RankDeficiencyError,
     ScalarParseError,
     SpectrumError,
 )
 from specfactor.spectra import (
     _MAX_DEGREE,
+    _ORTHOGONAL_POOLS,
     _draw_conjugate_pair_outside,
     _draw_real_outside,
     _gram,
@@ -260,6 +264,64 @@ def test_transfer_between_rejects_non_cospectral():
     w2 = M([[RF([-5, 1], [-3, 1])]])
     with pytest.raises(CoSpectralityError):
         transfer_between(w1, w2)
+
+
+# (W1, W) pairs that fail transfer_between at each of its checks, with the
+# error it raises and the outcome of uniqueness_check(W, W1) in the unit disc
+_FAILED_TRANSFERS = {
+    "no_minimal_inverse": ((M([[RF([0, 1]), RF([1], [0, 1])]]),) * 2, MinimalInverseError,
+                           ("analyticity_W", "analyticity_W1", "analyticity_W_inverse",
+                            "analyticity_W1_inverse")),
+    "not_co_spectral": ((W_SCALAR, M([[RF([-5, 1], [-3, 1])]])), CoSpectralityError,
+                        ("co_spectrality",)),
+    # T = 1 is para-unitary here, but T W differs from W1
+    "not_co_spectral_wide": ((M([[1, 1]]), M([[1, 0]])), CoSpectralityError,
+                             ("co_spectrality",)),
+    "w_rank_deficient": ((M([[1, 0], [0, 1]]), M([[1, 1], [1, 1]])), RankDeficiencyError,
+                         ("full_row_rank", "co_spectrality")),
+    "w1_rank_deficient": ((M([[1, 1], [1, 1]]), M([[1, 0], [0, 1]])), RankDeficiencyError,
+                          ("full_row_rank", "co_spectrality")),
+    "shapes_differ": ((M([[1]]), M([[1, 0]])), DimensionMismatchError, DimensionMismatchError),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_FAILED_TRANSFERS))
+def test_failed_transfers_keep_their_error_classes(name):
+    (w1, w), error, uniqueness = _FAILED_TRANSFERS[name]
+    with pytest.raises(error) as info:
+        transfer_between(w1, w)
+    assert type(info.value) is error
+    if uniqueness is DimensionMismatchError:
+        with pytest.raises(DimensionMismatchError):
+            uniqueness_check(w, w1, INNER, INNER)
+    else:
+        res = uniqueness_check(w, w1, INNER, INNER)
+        assert (res.verdict, res.failed_hypotheses) == (Verdict.HYPOTHESIS_FAILED, uniqueness)
+
+
+_ELEMENTARY_POLES = [pt(3), pt(Fraction(1, 2)), pt(1, 2), INFINITY]
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2**16), st.integers(0, 3), st.sampled_from([(1, 1), (1, 2), (2, 2), (2, 3)]),
+       st.integers(0, 2), st.data())
+def test_transfers_are_paraunitary_and_reproduce_the_factor(seed, geo_index, size, degree, data):
+    # neither function checks these facts at run time: they follow from
+    # co-spectrality and W X = I for the minimal right inverse X
+    geo = default_geometries()[geo_index]
+    region_p, region_z = geo["region_p"], geo["region_z"]
+    _, w = generate_instance(seed, size, degree, region_p, region_z)
+    q = data.draw(st.sampled_from(_ORTHOGONAL_POOLS[size[0]]))
+    direction = data.draw(st.lists(st.sampled_from([gr(0), gr(1), gr(-2), gr(1, 1)]),
+                                   min_size=size[0], max_size=size[0]).filter(any))
+    u = make_elementary(data.draw(st.sampled_from(_ELEMENTARY_POLES)), direction)
+    for w1, expected in ((q * w, q), (q * u * w, q * u)):
+        t = transfer_between(w1, w)
+        assert t == expected and is_paraunitary(t) and w1 == t * w
+        res = uniqueness_check(w, w1, region_p, region_z)
+        if res.verdict is Verdict.UNIQUE:
+            assert is_paraunitary(res.transfer) and w1 == res.transfer * w
+    assert uniqueness_check(w, q * w, region_p, region_z).verdict is Verdict.UNIQUE
 
 
 def test_uniqueness_sign_flip():
