@@ -5,12 +5,12 @@ for a pole off the unit circle and P a rank-one orthogonal projection.  The
 projection is stored through an unnormalized direction vector v (P equals
 v v* / (v* v)), which keeps every coefficient inside Q(i); unit-norm
 normalization would need square roots.  A factor acts by one rank-one
-update, W + (k - 1) P W for a kernel k: ``matrix`` updates the identity
-with b, ``left_divide`` updates W with b~ = 1/b (U~ W = U^-1 W), and
-``spectra.perturb_with_allpass`` updates W with b.  The update divides by
-the integer norm v* v of the primitive direction, works on W's cleared
-form N/d and hands the result's cleared form to ``RatMat.from_cleared``,
-which reduces it once; no entry is reduced on its own.
+update, W + (k - 1) P W for a kernel k: ``left_multiply`` (U W) updates W
+with b, ``left_divide`` (U~ W = U^-1 W) with b~ = 1/b, and ``matrix`` is
+the left multiplication of the identity.  The update divides by the
+integer norm v* v of the primitive direction, works on W's cleared form
+N/d and hands the result's cleared form to ``RatMat.from_cleared``, which
+reduces it once; no entry is reduced on its own.
 
 ``potapov_factorize`` peels a para-unitary matrix into a constant unitary
 times elementary factors, one per unit of McMillan degree.  The peel order
@@ -18,8 +18,8 @@ is fixed (poles ascending by squared modulus, then lexicographically by
 real and imaginary part, infinity last; direction from the first usable
 column of the Laurent leading coefficient, cleared to a primitive Gaussian
 integer vector), so factorizations are reproducible byte for byte.  The
-Laurent leading coefficient comes from ``ratmat.point_expansions`` up to a
-positive rational, which that clearing removes.
+peel asks ``RatMat`` for pole locations and degrees and for the Laurent
+leading coefficient up to a positive rational, which that clearing removes.
 
 The peel enumerates no minors: pole locations are the roots of the common
 denominator, pole degrees come from the local Smith form at a point, and
@@ -36,10 +36,10 @@ from math import gcd as int_gcd
 
 from .errors import DimensionMismatchError, FactorizationError
 from .linsolve import cleared
-from .poly import Poly, order_of
+from .poly import Poly
 from .ratfun import RatFun, blaschke, blaschke_parts
-from .ratmat import RatMat, point_degrees_by_valuation, point_expansions
-from .scalars import Comparison, GaussianRational, INFINITY, Point, scalar_parts
+from .ratmat import RatMat
+from .scalars import Comparison, GaussianRational, Point, scalar_parts
 
 
 def _canonical_direction(v) -> tuple[GaussianRational, ...]:
@@ -100,20 +100,16 @@ class ElementaryFactor:
         norm = self._norm()
         return [[vi * vj.conj() / norm for vj in self._v] for vi in self._v]
 
-    def _update(self, w: RatMat, inverse: bool = False) -> RatMat:
+    def _update(self, w: RatMat, kn: Poly, kd: Poly) -> RatMat:
         """W + (k - 1) P W as a rank-one update of W = N/d, for the kernel
-        k = b, or k = b~ = 1/b with ``inverse``.
+        k = kn/kd.
 
-        With k = kn/kd and the integer norm nv = v* v, P W is
-        v (v* N) / (nv d), so the result is kd N + v (kn - kd)(v* N) / nv
-        over kd d, reduced once; rows with v_i = 0 are kd N.
+        With the integer norm nv = v* v, P W is v (v* N) / (nv d), so the
+        result is kd N + v (kn - kd)(v* N) / nv over kd d, reduced once;
+        rows with v_i = 0 are kd N.
         """
         if w.rows != len(self._v):
             raise DimensionMismatchError("factor dimension mismatch")
-        kn, kd = blaschke_parts(self._alpha)
-        if inverse:
-            c = kn.lead.inverse()
-            kn, kd = kd * c, kn * c
         n = w.num
         shift = (kn - kd) * Fraction(1, self._norm())
         # (k - 1) (v* N)_j / nv, over kd
@@ -126,16 +122,22 @@ class ElementaryFactor:
             for row, x in zip(n, self._v)))
 
     def matrix(self) -> RatMat:
-        """U = I + (b - 1) P, the update of the identity with b."""
-        return self._update(RatMat.identity(len(self._v)))
+        """U = I + (b - 1) P."""
+        return self.left_multiply(RatMat.identity(len(self._v)))
 
     def determinant(self) -> RatFun:
         return blaschke(self._alpha)
 
+    def left_multiply(self, w: RatMat) -> RatMat:
+        """U W without forming U or a matrix product: the update of W with b."""
+        return self._update(w, *blaschke_parts(self._alpha))
+
     def left_divide(self, w: RatMat) -> RatMat:
         """U~ W, which is U^-1 W, without forming U or a matrix product: the
-        update of W with b~, since U~ = I + (b~ - 1) P."""
-        return self._update(w, inverse=True)
+        update of W with b~ = 1/b, since U~ = I + (b~ - 1) P."""
+        kn, kd = blaschke_parts(self._alpha)
+        c = kn.lead.inverse()
+        return self._update(w, kd * c, kn * c)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ElementaryFactor):
@@ -217,28 +219,6 @@ def degree_of_factorization(f: AllPassFactorization) -> int:
     return len(f.factors)
 
 
-def poles_of(v: RatMat) -> list[Point]:
-    """The pole locations of V in Q(i), infinity last."""
-    pts = list(v.finite_pole_points(strict=True))
-    if v.has_pole_at_infinity():
-        pts.append(INFINITY)
-    return pts
-
-
-def _laurent_leading(v: RatMat, pole: Point) -> list[list[GaussianRational]]:
-    """Laurent leading coefficient of V at the pole up to a positive
-    rational: each entry's expansion coefficient at the least order over
-    all entries times conj(c), or zero (see ``point_expansions``)."""
-    _, (cr, ci), grid = point_expansions(v, pole)
-    least = min(order_of(e) for row in grid for e in row if e)
-
-    def lead(e) -> GaussianRational:
-        x, y = e[least] if len(e) > least else (0, 0)
-        return GaussianRational(x * cr + y * ci, y * cr - x * ci)
-
-    return [[lead(e) for e in row] for row in grid]
-
-
 def potapov_factorize(v: RatMat) -> AllPassFactorization:
     """Minimal decomposition of a para-unitary matrix into elementary factors.
 
@@ -269,15 +249,15 @@ def _peel(v: RatMat) -> AllPassFactorization:
     size = v.rows
     work = v
     peeled: list[tuple[Point, tuple[GaussianRational, ...]]] = []
-    while poles := poles_of(work):
+    while poles := work.pole_points():
         pole = poles[0]
         partner = pole.conj_pair()
         # an elementary peel changes pole degrees only at the pole and its
         # conjugate-reciprocal partner, so the total degree drops by one
         # exactly when the degree at the pole drops and the partner holds
-        dp_pole = point_degrees_by_valuation(work, pole)[1]
-        dp_partner = point_degrees_by_valuation(work, partner)[1]
-        leading = _laurent_leading(work, pole)
+        dp_pole = work.pole_degree(pole)
+        dp_partner = work.pole_degree(partner)
+        leading = work.laurent_leading(pole)
         for col in range(size):
             column = [leading[i][col] for i in range(size)]
             if all(x.is_zero() for x in column):
@@ -285,8 +265,8 @@ def _peel(v: RatMat) -> AllPassFactorization:
             factor = ElementaryFactor(pole, column)
             candidate = factor.left_divide(work)
             if (
-                point_degrees_by_valuation(candidate, pole)[1] == dp_pole - 1
-                and point_degrees_by_valuation(candidate, partner)[1] == dp_partner
+                candidate.pole_degree(pole) == dp_pole - 1
+                and candidate.pole_degree(partner) == dp_partner
             ):
                 peeled.append((pole, factor.v))
                 work = candidate

@@ -17,9 +17,9 @@ The structural queries all reduce to exact polynomial arithmetic on N/d:
   determinantal divisors: take monic gcds D_k of all k x k minors of N,
   divide consecutive divisors to get the invariant polynomials, and reduce
   against d,
-* pole locations are the roots of the common denominator d, which is the
-  first Smith-McMillan pole invariant; zero locations are the roots of the
-  Smith-McMillan zero polynomial,
+* pole locations (``pole_points``) are the roots of the common denominator
+  d, the first Smith-McMillan pole invariant, plus infinity when N outgrows
+  d; zero locations are the roots of the Smith-McMillan zero polynomial,
 * pole/zero degrees at one point of the extended plane, infinity included,
   come from a local Smith form on the expansion of G about the point
   (``point_expansions``, which also gives the Laurent leading coefficient
@@ -358,6 +358,24 @@ class RatMat:
         # an entry N_ij / d reduces by a common factor of both, so its
         # numerator outgrows its denominator exactly when N_ij outgrows d
         return any(p.degree > self._d.degree for row in self._n for p in row)
+
+    def pole_points(self) -> tuple[Point, ...]:
+        """Every pole location, infinity last; a location outside Q(i) raises."""
+        finite = self.finite_pole_points()
+        return finite + (INFINITY,) if self.has_pole_at_infinity() else finite
+
+    def laurent_leading(self, point: Point) -> list[list[GaussianRational]]:
+        """The Laurent leading coefficient of G at a pole up to a positive
+        rational: each entry's expansion coefficient at the least order over
+        all entries times conj(c), or zero (see ``point_expansions``)."""
+        _, (cr, ci), grid = point_expansions(self, point)
+        least = min(order_of(e) for row in grid for e in row if e)
+
+        def lead(e) -> GaussianRational:
+            x, y = e[least] if len(e) > least else (0, 0)
+            return GaussianRational(x * cr + y * ci, y * cr - x * ci)
+
+        return [[lead(e) for e in row] for row in grid]
 
     # -- right inverses --------------------------------------------------------------
 

@@ -11,11 +11,11 @@ A spectrum is a real para-Hermitian rational matrix, positive semidefinite
 on the unit circle where defined.  Spectral factors W (with Phi = W* W) are
 compared through exact symbolic equality; stochastic minimality means the
 McMillan degree of W is half that of Phi.  ``uniqueness_check`` tests the
-uniqueness hypotheses for two factors and pole/zero regions (each per-factor
-one by the helper the generator uses too) and classifies the outcome: a
-failed hypothesis, a constant orthogonal transfer T (expected; T is
-para-unitary because the factors are co-spectral), or a non-constant T
-despite all hypotheses holding, which only a defect here can produce.
+uniqueness hypotheses for two factors and pole/zero regions and classifies
+the outcome: a failed hypothesis, a constant orthogonal transfer T
+(expected; T is para-unitary because the factors are co-spectral), or a
+non-constant T despite all hypotheses holding, which only a defect here
+can produce.  ``generate_instance`` meets every hypothesis by construction.
 
 Exactness note: apart from root guesses that are confirmed exactly, the
 only floating-point computation in the package is ``psd_on_circle``, an
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .allpass import ElementaryFactor, is_parahermitian, poles_of
+from .allpass import ElementaryFactor, is_parahermitian
 from .errors import (
     CoSpectralityError,
     DimensionMismatchError,
@@ -208,7 +208,7 @@ class Spectrum:
 
 def analytic_in(g: RatMat, region: Region) -> bool:
     """True when no pole of g (infinity included) lies in the region."""
-    return not any(region.contains(p) for p in poles_of(g))
+    return not any(region.contains(p) for p in g.pole_points())
 
 
 def _inverse_analytic(w: RatMat, region: Region) -> bool:
@@ -385,7 +385,7 @@ def uniqueness_check(
             failed.append("minimality_W1")
     if failed:
         return UniquenessResult(Verdict.HYPOTHESIS_FAILED, tuple(failed), None)
-    t = w1 * w.minimal_right_inverse()
+    t = transfer_between(w1, w)
     if t.has_real_coeffs() and t.is_constant():
         return UniquenessResult(Verdict.UNIQUE, (), t)
     return UniquenessResult(Verdict.UNIQUENESS_VIOLATED, (), t)
@@ -484,13 +484,20 @@ def generate_instance(
     spectral factor with poles outside the pole region and zeros outside
     the zero region.
 
-    The factor is D M with D a diagonal of real rational functions (poles
-    and zeros drawn from the region complements, conjugate-closed, chosen
-    so no reciprocal pairing collapses degrees) and M a constant real full
-    row rank matrix.  Analyticity and minimality are re-verified exactly
-    (W is a factor of Phi = W* W by construction); degenerate draws are
-    retried with fresh randomness.  A degree above _MAX_DEGREE can never
-    be drawn and raises InputTooLargeError before any draw.
+    W = D M for D = diag(n_k / d_k) and M a constant integer matrix of
+    full row rank.  Poles (roots of the d_k) and zeros (of the n_k) are real
+    points or conjugate pairs drawn outside their regions and off the unit
+    circle, with pole and zero atoms of equal size per slot; a draw is
+    retried when a point repeats, a zero is a pole or a pole's reciprocal,
+    or M is rank deficient.  So W is real and meets every hypothesis of
+    ``uniqueness_check``, none checked here.  Its poles lie outside the pole
+    region, none at infinity as deg n_k = deg d_k.  M is r rows of a
+    constant invertible matrix, so W has D's Smith-McMillan form, and for
+    M M+ = I, M+ D^-1 is a right inverse with W's zero degrees as pole
+    degrees: the minimal one has its poles on D's zeros, outside the zero
+    region.  Phi = M^T (D~ D) M has the degree of D~ D, 2 deg D = 2 deg W,
+    as no zero is a pole or a pole's reciprocal.  A degree above
+    _MAX_DEGREE can never be drawn and raises InputTooLargeError at once.
     """
     r, n = size
     if not (1 <= r <= n):
@@ -539,16 +546,7 @@ def generate_instance(
             d_mat = RatMat.diagonal(diag)
             m_mat = _draw_full_rank_constant(rng, r, n)
             w = d_mat * m_mat
-            if not w.has_real_coeffs():
-                raise _RetryDraw("factor picked up complex coefficients")
-            spectrum = Spectrum(_gram(w))
-            if not analytic_in(w, region_p):
-                raise _RetryDraw("factor not analytic in the pole region")
-            if not _inverse_analytic(w, region_z):
-                raise _RetryDraw("right inverse not analytic in the zero region")
-            if not _is_minimal(w, spectrum.phi):
-                raise _RetryDraw("factor degree is not half the spectrum degree")
-            return spectrum, w
+            return Spectrum(_gram(w)), w
         except _RetryDraw as exc:
             reasons.append(exc.reason)
             continue
@@ -559,7 +557,7 @@ def generate_instance(
 
 def perturb_with_allpass(w: RatMat, poles) -> RatMat:
     """Left multiply by elementary all-pass factors at the given poles, each
-    with direction e_1, applied by the factor's rank-one update.
+    with direction e_1 (``ElementaryFactor.left_multiply``).
 
     The result is co-spectral with w; generically it violates minimality
     or one of the analyticity constraints, which is exactly what the
@@ -569,7 +567,7 @@ def perturb_with_allpass(w: RatMat, poles) -> RatMat:
     direction = [1] + [0] * (w.rows - 1)
     for pole in reversed(list(poles)):
         factor = ElementaryFactor(pole, direction)
-        w = factor._update(w)
+        w = factor.left_multiply(w)
     return w
 
 

@@ -388,7 +388,8 @@ class RefGaussian:
         return self.re == o.re and self.im == o.im
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        # equal to its real part when real, so it hashes like that Fraction
+        return hash((self.re, self.im) if self.im else self.re)
 
     def __str__(self):
         if self.is_zero():

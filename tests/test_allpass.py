@@ -19,7 +19,6 @@ from specfactor import (
     make_elementary,
     potapov_factorize,
 )
-from specfactor.allpass import _laurent_leading, poles_of
 from specfactor import ratmat
 from specfactor.errors import DimensionMismatchError, NonGaussianPoleError
 from specfactor.jsonio import ratmat_from_json
@@ -247,8 +246,8 @@ elementary_products = st.builds(
 # unless the conj(c) factor of the expansion is applied
 @example(V_JSON)
 def test_laurent_leading_is_oracle_times_positive_rational(v):
-    for pole in poles_of(v):
-        ours = _laurent_leading(v, pole)
+    for pole in v.pole_points():
+        ours = v.laurent_leading(pole)
         ref = laurent_leading(v, pole)
         pairs = [(x, y) for row_x, row_y in zip(ours, ref) for x, y in zip(row_x, row_y)]
         assert all(x.is_zero() == y.is_zero() for x, y in pairs)
@@ -282,6 +281,19 @@ def test_rank_one_update_is_the_full_product(case):
     w, alpha, v = case
     factor = ElementaryFactor(alpha, v)
     assert factor.left_divide(w) == factor.matrix().paraconj_transpose() * w
+    assert factor.left_multiply(w) == factor.matrix() * w
+
+
+def test_elementary_factor_equality_hash_repr_and_determinant():
+    factor = ElementaryFactor(pt(2), [2, gr(0, 2)])
+    same = ElementaryFactor(pt(2), [gr(0, -1), 1])  # the same ray, rotated and scaled
+    assert factor == same and hash(factor) == hash(same)
+    assert factor != ElementaryFactor(pt(3), [1, gr(0, 1)])
+    assert factor != ElementaryFactor(pt(2), [1, 0])
+    assert factor != "factor"
+    assert repr(factor) == "ElementaryFactor(alpha=2, v=[1, 1*i])"
+    assert factor.determinant() == blaschke(pt(2))
+    assert ElementaryFactor(INFINITY, [1]).determinant() == blaschke(INFINITY)
 
 
 def test_left_divide_checks_the_dimension():

@@ -58,6 +58,17 @@ def test_polezeros(tmp_path, capsys):
     assert payload["zeros"] == [{"point": "2", "degree": 1}]
 
 
+def test_polezeros_lists_infinity_for_poles_and_zeros(tmp_path, capsys):
+    # diag(z, 1/z): a simple pole and a simple zero at 0 and at infinity
+    path = write_matrix(tmp_path / "d.json", M([[RF([0, 1]), 0], [0, RF([1], [0, 1])]]))
+    code, out, _ = run_cli(capsys, "polezeros", path)
+    assert code == 0
+    payload = json.loads(out)
+    listing = [{"point": "0", "degree": 1}, {"point": "inf", "degree": 1}]
+    assert payload["poles"] == listing
+    assert payload["zeros"] == listing
+
+
 def test_analyze_golden(tmp_path, capsys):
     g_path = write_matrix(tmp_path / "g.json", GOLDEN_G)
     h_path = write_matrix(tmp_path / "h.json", GOLDEN_H)
@@ -192,6 +203,8 @@ def test_sweep_inline_report(capsys):
 def test_sweep_negative_instances_is_usage_error(capsys):
     assert main(["sweep", "--instances", "-1"]) == 2
     assert "expected a non-negative integer, got '-1'" in capsys.readouterr().err
+    assert main(["sweep", "--instances", "x"]) == 2
+    assert "expected a non-negative integer, got 'x'" in capsys.readouterr().err
     code, out, _ = run_cli(capsys, "sweep", "--instances", "0")
     assert code == 0
     payload = json.loads(out)
@@ -375,6 +388,19 @@ def test_malformed_factors_are_parse_errors():
     for factors in ([{}], 5, ["x"], [{"alpha": "2", "v": 5}]):
         with pytest.raises(ScalarParseError):
             jsonio.factorization_from_json({"constant": constant, "factors": factors})
+    with pytest.raises(ScalarParseError):
+        jsonio.factorization_from_json({"factors": []})
+    for poly in ("1", {"0": "1"}, 1):
+        with pytest.raises(ScalarParseError):
+            jsonio.poly_from_json(poly)
+
+
+def test_generate_size_must_be_two_integers(capsys):
+    for size in ("1,x", "2", "1,2,3"):
+        code, out, err = run_cli(capsys, "generate", "--seed", "1", "--size", size,
+                                 "--degree", "1", "--region-p", "outer", "--region-z", "outer")
+        assert code == 1 and not out
+        assert json.loads(err)["error"]["code"] == "parse_error", size
 
 
 def _levels(doc) -> int:

@@ -136,6 +136,31 @@ def test_no_module_imports_another_modules_private_name():
     assert {name: names for name, names in found.items() if names} == {}
 
 
+def _foreign_private_reads(tree: ast.Module) -> list[str]:
+    """Every ``x._name`` whose name the module does not define itself by a
+    def, an attribute store or ``__slots__``."""
+    own = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            own.add(node.name)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+            own.add(node.attr)
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__slots__" for t in node.targets):
+            own.update(ast.literal_eval(node.value))
+    return [f"{node.attr} (line {node.lineno})" for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr.startswith("_")
+            and not node.attr.endswith("__") and node.attr not in own]
+
+
+def test_no_module_reads_another_modules_private_attribute():
+    # what one module calls on another's objects is public: a private
+    # method or attribute is used only in the module that defines it
+    found = {path.name: _foreign_private_reads(ast.parse(path.read_text(encoding="utf-8")))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    assert {name: names for name, names in found.items() if names} == {}
+
+
 def _part_reads(tree: ast.Module) -> list[str]:
     """Every ``.re`` or ``.im`` attribute read in a module, by line."""
     return [f"{node.attr} (line {node.lineno})" for node in ast.walk(tree)

@@ -17,6 +17,20 @@ def test_reduced_canonical_form():
     assert g == RatFun(P(1, 2), P(2, 1))
 
 
+def test_constant_and_realness_predicates():
+    one, three, zero, z = RatFun.one(), RF([3]), RatFun.zero(), RF([0, 1])
+    assert one.is_one() and not three.is_one() and not RF([1], [1, 1]).is_one()
+    assert one.is_constant() and three.is_constant() and zero.is_constant()
+    assert not z.is_constant() and not RF([1], [1, 1]).is_constant()
+    assert three.constant_value() == gr(3) and zero.constant_value() == gr(0)
+    with pytest.raises(ValueError, match="not a constant"):
+        z.constant_value()
+    assert z.has_real_coeffs() and RF([1], [2, 1]).has_real_coeffs()
+    assert not RF([gr(0, 1)]).has_real_coeffs()
+    assert not RF([1], [gr(0, 1), 1]).has_real_coeffs()
+    assert bool(one) and bool(z) and not bool(zero)
+
+
 def test_golden_subtraction():
     # (2z+3)/((z+1)(z+2)) - 1/(z+2) = 1/(z+1)
     lhs = RF([3, 2], [2, 3, 1]) - RF([1], [2, 1])

@@ -13,6 +13,7 @@ from specfactor import (
     Poly,
     RatFun,
     RatMat,
+    SMStructure,
     blaschke,
     make_elementary,
     ratmat,
@@ -35,6 +36,23 @@ from oracles import brute_point_degrees, cleared_from_entries, permutation_det, 
 
 GOLDEN_G = M([[1, -1]])
 GOLDEN_H = M([[RF([3, 2], [2, 3, 1])], [RF([1], [2, 1])]])
+
+
+def test_malformed_literals_and_cleared_forms_raise():
+    with pytest.raises(ValueError, match="positive dimensions"):
+        RatMat([])
+    with pytest.raises(ValueError, match="ragged"):
+        RatMat([[1, 2], [3]])
+    with pytest.raises(ZeroDivisionError):
+        RatMat.from_cleared(Poly.zero(), [[Poly.one()]])
+
+
+def test_sm_structure_equality_and_repr():
+    sm = GOLDEN_H.sm_structure()
+    assert sm == SMStructure(1, [P(1)], [P(2, 3, 1)])
+    assert sm != GOLDEN_G.sm_structure()
+    assert sm != "SMStructure"
+    assert repr(sm) == "SMStructure(rank=1, diag=[((1))/(z^2 + (3)*z + (2))])"
 
 
 def test_golden_product():

@@ -144,6 +144,15 @@ def test_infinity_has_no_value():
         INFINITY.value
 
 
+def test_real_scalars_find_int_and_fraction_keys():
+    # a real scalar equals its int or Fraction, so either finds the other's key
+    for x in (0, 1, -7, 10**30, Fraction(1, 3), Fraction(-22, 7)):
+        assert {x: "x"}.get(gr(x)) == "x"
+        assert {gr(x): "x"}.get(x) == "x"
+    assert {gr(1, 2): "y"}.get(gr(Fraction(4, 4), 2)) == "y"
+    assert {gr(1, 2): "y"}.get(1) is None
+
+
 def test_point_equality_and_hash():
     assert pt(2) == pt(2)
     assert pt(2) != INFINITY

@@ -5,11 +5,12 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from specfactor import (
     INFINITY,
     Point,
+    RatMat,
     Region,
     Side,
     Spectrum,
@@ -124,6 +125,28 @@ def test_region_parse_roundtrip():
         Region.parse("outer,bogus")
 
 
+def test_region_equality_hash_and_repr():
+    region = Region(Side.OUTER, [pt(3), pt(Fraction(1, 2), 2)], weak=True)
+    same = Region.parse(region.spec_string())
+    assert same == region and hash(same) == hash(region)
+    assert region == Region(Side.OUTER, [pt(Fraction(1, 3)), pt(Fraction(1, 2), 2)], True)
+    for other in (Region(Side.INNER, [pt(3), pt(Fraction(1, 2), 2)], weak=True),
+                  Region(Side.OUTER, [pt(3)], weak=True),
+                  Region(Side.OUTER, [pt(3), pt(Fraction(1, 2), 2)])):
+        assert region != other
+    assert region != region.spec_string()
+    assert repr(region) == "Region('outer,flip=1/2+2*i;3,weak')"
+
+
+def test_spectrum_equality_and_repr():
+    phi = W_SCALAR.paraconj_transpose() * W_SCALAR
+    spectrum = Spectrum(phi)
+    assert spectrum == Spectrum(_gram(W_SCALAR))
+    assert spectrum != Spectrum(M([[1]]))
+    assert spectrum != phi
+    assert repr(spectrum) == f"Spectrum({phi!r})"
+
+
 def test_spectrum_validation():
     phi = W_SCALAR.paraconj_transpose() * W_SCALAR
     spectrum = Spectrum(phi)
@@ -135,6 +158,8 @@ def test_spectrum_validation():
         Spectrum(M([[gr(0, 1)]]))  # complex constant
     with pytest.raises(SpectrumError):
         Spectrum(M([[1, 0]]))  # not square
+    with pytest.raises(SpectrumError, match="zero matrix"):
+        Spectrum(M([[0]]))
 
 
 def test_analytic_in():
@@ -379,6 +404,34 @@ def test_generate_instance_postconditions():
         assert analytic_in(w.minimal_right_inverse(), geo["region_z"])
         assert is_stochastically_minimal(w, spectrum)
         assert w.has_real_coeffs()
+
+
+_GEOMETRIES = {geo["name"]: (geo["region_p"], geo["region_z"]) for geo in default_geometries()}
+_FLIP_POOL = [pt(2), pt(-3), pt(Fraction(5, 2)), pt(Fraction(1, 4)), pt(1, 1), pt(0, 2),
+              pt(Fraction(-1, 2), Fraction(1, 3))]
+_regions = st.builds(Region, st.sampled_from(list(Side)),
+                     st.lists(st.sampled_from(_FLIP_POOL), max_size=3), st.booleans())
+_sizes = st.integers(1, 3).flatmap(lambda n: st.tuples(st.integers(1, n), st.just(n)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**16), _sizes, st.integers(0, 6),
+       st.sampled_from(list(_GEOMETRIES.values())) | st.tuples(_regions, _regions))
+# without the generator's reciprocal-collapse retry, a zero lands on a
+# pole's reciprocal in these two draws and W is not stochastically minimal
+@example(87, (2, 3), 3, _GEOMETRIES["weak_flipped"])
+@example(237, (1, 2), 3, _GEOMETRIES["flipped_disjoint"])
+def test_generated_factors_meet_every_hypothesis(seed, size, degree, regions):
+    # generate_instance checks none of these; its construction proves them
+    region_p, region_z = regions
+    spectrum, w = generate_instance(seed, size, degree, region_p, region_z)
+    assert w.has_real_coeffs()
+    assert analytic_in(w, region_p)
+    assert analytic_in(w.minimal_right_inverse(), region_z)
+    assert 2 * w.mcmillan_degree() == spectrum.mcmillan_degree()
+    result = uniqueness_check(w, w, region_p, region_z)
+    assert result.verdict is Verdict.UNIQUE
+    assert result.transfer == RatMat.identity(size[0])
 
 
 def test_generate_instance_deterministic():
