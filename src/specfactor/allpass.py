@@ -177,10 +177,12 @@ class AllPassFactorization:
         return self._factors
 
     def product(self) -> RatMat:
-        acc = self._constant
-        for f in self._factors:
-            acc = acc * f.matrix()
-        return acc
+        """C U_1 ... U_K, applying the factors right to left to the identity
+        as rank-one updates and multiplying by C once."""
+        acc = RatMat.identity(self._constant.rows)
+        for f in reversed(self._factors):
+            acc = f.left_multiply(acc)
+        return self._constant * acc
 
     def pole_points(self) -> tuple[Point, ...]:
         return tuple(f.alpha for f in self._factors)

@@ -405,7 +405,10 @@ class Poly:
         return self._den == other._den and self._num == other._num
 
     def __hash__(self):
-        return hash((self._den, self._num))
+        # a constant equals its scalar (zero equals 0), so it hashes like one
+        if len(self._num) > 1:
+            return hash((self._den, self._num))
+        return hash(self._scalar(0)) if self._num else 0
 
     def __bool__(self) -> bool:
         return bool(self._num)

@@ -174,7 +174,8 @@ class RatFun:
         return self._num == o._num and self._den == o._den
 
     def __hash__(self):
-        return hash((self._num, self._den))
+        # a fraction over 1 equals its numerator, so it hashes like it
+        return hash(self._num if self._den.is_one() else (self._num, self._den))
 
     def __bool__(self) -> bool:
         return not self.is_zero()

@@ -727,10 +727,8 @@ def _sm_of(mat: RatMat) -> SMStructure:
     eps: list[Poly] = []
     psi: list[Poly] = []
     d_prev = Poly.one()
-    row_idx = range(mat.rows)
-    col_idx = range(mat.cols)
     for k in range(1, rank + 1):
-        div = _minor_gcd(n, k, row_idx, col_idx)
+        div = _minor_gcd(n, k)
         if div is None:
             raise AssertionError("rank and nonzero minors disagree")
         lam = div.exact_div(d_prev).monic()
@@ -741,11 +739,11 @@ def _sm_of(mat: RatMat) -> SMStructure:
     return SMStructure(rank, eps, psi)
 
 
-def _minor_gcd(n: list[list[Poly]], k: int, row_idx, col_idx) -> Poly | None:
+def _minor_gcd(n: list[list[Poly]], k: int) -> Poly | None:
     """Monic gcd of all nonzero k x k minors, None if all vanish."""
     acc: Poly | None = None
-    for rows_sel in itertools.combinations(row_idx, k):
-        for cols_sel in itertools.combinations(col_idx, k):
+    for rows_sel in itertools.combinations(range(len(n)), k):
+        for cols_sel in itertools.combinations(range(len(n[0])), k):
             sub = [[n[i][j] for j in cols_sel] for i in rows_sel]
             det = _poly_det(sub)
             if det.is_zero():

@@ -207,7 +207,7 @@ class GaussianRational:
     def __hash__(self):
         # a real scalar equals an int or Fraction, so it hashes like one
         if self._b:
-            return hash((self.re, self.im))
+            return hash((self._a, self._b, self._d))
         return hash(self._a if self._d == 1 else Fraction(self._a, self._d))
 
     def __bool__(self) -> bool:

@@ -8,14 +8,16 @@ satisfies the symplectic pairing law by construction: exactly one of z and
 1/z is a member for |z| != 1.
 
 A spectrum is a real para-Hermitian rational matrix, positive semidefinite
-on the unit circle where defined.  Spectral factors W (with Phi = W* W) are
-compared through exact symbolic equality; stochastic minimality means the
-McMillan degree of W is half that of Phi.  ``uniqueness_check`` tests the
-uniqueness hypotheses for two factors and pole/zero regions and classifies
-the outcome: a failed hypothesis, a constant orthogonal transfer T
-(expected; T is para-unitary because the factors are co-spectral), or a
-non-constant T despite all hypotheses holding, which only a defect here
-can produce.  ``generate_instance`` meets every hypothesis by construction.
+on the unit circle where defined; its McMillan degree is even (proved in
+``Spectrum``), so building one computes no degree.  Spectral factors W
+(with Phi = W* W) are compared through exact symbolic equality; stochastic
+minimality means the McMillan degree of W is half that of Phi.
+``uniqueness_check`` tests the uniqueness hypotheses for two factors and
+pole/zero regions and classifies the outcome: a failed hypothesis, a
+constant orthogonal transfer T (expected; T is para-unitary because the
+factors are co-spectral), or a non-constant T despite all hypotheses
+holding, which only a defect here can produce.  ``generate_instance``
+meets every hypothesis by construction.
 
 Exactness note: apart from root guesses that are confirmed exactly, the
 only floating-point computation in the package is ``psd_on_circle``, an
@@ -159,13 +161,29 @@ def region_contains(region: Region, p: Point) -> bool:
 
 
 class Spectrum:
-    """Real para-Hermitian rational matrix with even McMillan degree.
+    """Real para-Hermitian rational matrix.
 
-    The exact invariants (realness, para-Hermitian symmetry, even degree)
-    are enforced at construction.  Positive semidefiniteness on the circle
-    cannot be decided exactly by sampling and is left to the advisory
-    ``psd_on_circle`` check; generator-built spectra are Gram products and
-    therefore positive semidefinite structurally.
+    Construction checks what can fail: Phi is square, real, para-Hermitian
+    and nonzero.  Its McMillan degree is computed only when asked for, and
+    that call raises for a pole outside Q(i) or a denominator too large to
+    split.  The degree is always even, so a stochastically minimal factor
+    (2 deg W = deg Phi) is never excluded by parity:
+
+    For real Phi, para-Hermitian means Phi(z) = Phi(1/z)^T.  Transposition
+    and z -> 1/z keep the local pole structure, so the local degree has
+    delta(a) = delta(1/a), and each orbit {a, 1/a} with a != +-1, {0, inf}
+    included, adds an even amount.  At z = 1 take the chart
+    w = (z - 1)/(z + 1), at z = -1 the chart w = (z + 1)/(z - 1); in both
+    z -> 1/z is w -> -w, so Psi(w) = Phi(z(w)) has real Laurent
+    coefficients with A_k^T = (-1)^k A_k.  The local degree at w = 0 is the
+    rank of the block Hankel matrix H = [A_-(i+j-1)], and for
+    D = diag((-1)^i I) the product D H is real skew-symmetric, so the rank
+    is even.
+
+    Positive semidefiniteness on the circle cannot be decided exactly by
+    sampling and is left to the advisory ``psd_on_circle`` check;
+    generator-built spectra are Gram products and therefore positive
+    semidefinite structurally.
     """
 
     __slots__ = ("_phi",)
@@ -179,8 +197,6 @@ class Spectrum:
             raise SpectrumError("a spectrum must be para-Hermitian")
         if phi.is_zero():
             raise SpectrumError("the zero matrix is not a spectrum")
-        if phi.mcmillan_degree() % 2:
-            raise SpectrumError("spectrum has odd McMillan degree; no factor can exist")
         self._phi = phi
 
     @property
@@ -454,8 +470,7 @@ def _atom_sizes(rng: random.Random, total: int) -> list[int]:
 def _draw_full_rank_constant(rng: random.Random, rows: int, cols: int) -> RatMat:
     for _ in range(64):
         grid = [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(rows)]
-        gr = [[GaussianRational(x) for x in row] for row in grid]
-        if matrix_rank(gr) == rows:
+        if matrix_rank(grid) == rows:
             return RatMat(grid)
     raise _RetryDraw("could not draw a full row rank constant matrix")
 
@@ -676,7 +691,6 @@ def run_sweep(instances: int, base_seed: int = 20240) -> dict:
                 },
             }
         )
-    records.sort(key=lambda rec: rec["seed"])
     return {
         "schema_version": "1",
         "base_seed": base_seed,

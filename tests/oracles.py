@@ -16,6 +16,7 @@ eigenvalue routine.  Gaussian rationals are checked against a pair of
 
 from fractions import Fraction
 from itertools import combinations, permutations
+from math import lcm
 
 from specfactor import Poly, RatFun, RatMat, Point
 from specfactor.poly import poly_gcd
@@ -388,8 +389,12 @@ class RefGaussian:
         return self.re == o.re and self.im == o.im
 
     def __hash__(self):
-        # equal to its real part when real, so it hashes like that Fraction
-        return hash((self.re, self.im) if self.im else self.re)
+        # equal to its real part when real, so it hashes like that Fraction;
+        # otherwise like the integers (a, b, d) of (a + b*i) / d in lowest terms
+        if not self.im:
+            return hash(self.re)
+        d = lcm(self.re.denominator, self.im.denominator)
+        return hash((int(self.re * d), int(self.im * d), d))
 
     def __str__(self):
         if self.is_zero():

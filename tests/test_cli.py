@@ -108,6 +108,32 @@ def test_verify_factor(tmp_path, capsys):
     assert payload["spectrum_degree"] == 2
 
 
+# a spectrum with poles at +-sqrt 2 and +-1/sqrt 2, and a factor of it
+W_IRRATIONAL = M([[RF([1], [-2, 0, 1])]])
+PHI_IRRATIONAL = W_IRRATIONAL.paraconj_transpose() * W_IRRATIONAL
+
+
+@pytest.mark.parametrize("w", [W_IRRATIONAL, W], ids=["factor", "not_a_factor"])
+def test_verify_factor_spectrum_outside_gaussian_rationals(tmp_path, capsys, w):
+    # the spectrum builds; its degree (or the factor's, for a factor) is
+    # where a pole outside Q(i) is found
+    w_path = write_matrix(tmp_path / "w.json", w)
+    phi_path = write_matrix(tmp_path / "phi.json", PHI_IRRATIONAL)
+    code, out, err = run_cli(capsys, "verify-factor", w_path, phi_path)
+    assert code == 1 and not out
+    assert json.loads(err)["error"]["code"] == "non_gaussian_pole"
+
+
+def test_verify_factor_double_fault_reports_the_column_count(tmp_path, capsys):
+    # W has two columns for a 1 x 1 spectrum with a pole outside Q(i): the
+    # dimension check comes before any degree is computed
+    w_path = write_matrix(tmp_path / "w.json", M([[1, 0]]))
+    phi_path = write_matrix(tmp_path / "phi.json", PHI_IRRATIONAL)
+    code, out, err = run_cli(capsys, "verify-factor", w_path, phi_path)
+    assert code == 1 and not out
+    assert json.loads(err)["error"]["code"] == "dimension_mismatch"
+
+
 def test_check_uniqueness(tmp_path, capsys):
     w_path = write_matrix(tmp_path / "w.json", W)
     w1_path = write_matrix(tmp_path / "w1.json", -W)

@@ -14,6 +14,16 @@ from test_golden import CASES, GOLDEN, INPUTS, SWEEP_INSTANCES, SWEEP_REPORT, _a
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "specfactor"
+MODULES = ("__init__", "allpass", "cancellation", "cli", "errors", "gaussint", "jsonio",
+           "linsolve", "poly", "ratfun", "ratmat", "scalars", "spectra")
+
+
+def _modules() -> dict[str, ast.Module]:
+    """The parsed source of every package module, by file name; the package
+    must be found whole, so no check below can pass on an empty glob."""
+    paths = sorted(PACKAGE.glob("*.py"))
+    assert sorted(path.stem for path in paths) == sorted(MODULES), PACKAGE
+    return {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in paths}
 
 
 def _run_python(script: str, *args: str) -> str:
@@ -75,8 +85,8 @@ print(json.dumps(results))
 
 def _imported_packages() -> set[str]:
     names = set()
-    for path in PACKAGE.glob("*.py"):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+    for tree in _modules().values():
+        for node in ast.walk(tree):
             if isinstance(node, ast.Import):
                 names.update(alias.name.partition(".")[0] for alias in node.names)
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
@@ -115,8 +125,7 @@ def _unused_imports(tree: ast.Module) -> list[str]:
 
 def test_every_import_is_used():
     # pyflakes is not installed; this is its unused-import check alone
-    unused = {path.name: _unused_imports(ast.parse(path.read_text(encoding="utf-8")))
-              for path in sorted(PACKAGE.glob("*.py"))}
+    unused = {name: _unused_imports(tree) for name, tree in _modules().items()}
     assert {name: found for name, found in unused.items() if found} == {}
 
 
@@ -131,8 +140,7 @@ def _private_imports(tree: ast.Module) -> list[str]:
 def test_no_module_imports_another_modules_private_name():
     # a name one module shares with another is part of its interface and
     # is spelled without the leading underscore
-    found = {path.name: _private_imports(ast.parse(path.read_text(encoding="utf-8")))
-             for path in sorted(PACKAGE.glob("*.py"))}
+    found = {name: _private_imports(tree) for name, tree in _modules().items()}
     assert {name: names for name, names in found.items() if names} == {}
 
 
@@ -156,8 +164,7 @@ def _foreign_private_reads(tree: ast.Module) -> list[str]:
 def test_no_module_reads_another_modules_private_attribute():
     # what one module calls on another's objects is public: a private
     # method or attribute is used only in the module that defines it
-    found = {path.name: _foreign_private_reads(ast.parse(path.read_text(encoding="utf-8")))
-             for path in sorted(PACKAGE.glob("*.py"))}
+    found = {name: _foreign_private_reads(tree) for name, tree in _modules().items()}
     assert {name: names for name, names in found.items() if names} == {}
 
 
@@ -171,8 +178,8 @@ def test_only_scalars_reads_rational_parts():
     # a Gaussian rational's layout is scalars.py's alone: every other module
     # reads its integers through ``parts``, not through the Fractions
     # ``re`` and ``im``, so no module converts between the two layouts
-    reads = {path.name: _part_reads(ast.parse(path.read_text(encoding="utf-8")))
-             for path in sorted(PACKAGE.glob("*.py")) if path.name != "scalars.py"}
+    reads = {name: _part_reads(tree) for name, tree in _modules().items()
+             if name != "scalars.py"}
     assert {name: found for name, found in reads.items() if found} == {}
 
 
@@ -200,8 +207,7 @@ def _memo_bounds(tree: ast.Module) -> dict[str, object]:
 def test_every_memo_has_an_integer_bound():
     # a long sweep must not grow memory without limit, so no memo is
     # unbounded (maxsize=None, functools.cache) or bounded implicitly
-    bounds = {path.name: _memo_bounds(ast.parse(path.read_text(encoding="utf-8")))
-              for path in sorted(PACKAGE.glob("*.py"))}
+    bounds = {name: _memo_bounds(tree) for name, tree in _modules().items()}
     assert sum(len(found) for found in bounds.values()) >= 8
     bad = {name: {line: bound for line, bound in found.items() if type(bound) is not int}
            for name, found in bounds.items()}

@@ -3,7 +3,7 @@ from math import lcm
 from unittest.mock import patch
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from specfactor import GaussianRational, INFINITY, Point, Poly, gaussian_roots
 from specfactor.errors import InputTooLargeError, NonGaussianPoleError
@@ -224,6 +224,19 @@ def test_canonical_form_across_coefficient_types(ints, k, s):
         rescaled = Poly([gr(x) * s for x in ints]) * s.inverse()
         assert rescaled == as_int and hash(rescaled) == hash(as_int)
     assert list(as_int.coeffs) == ref_trim(gr(x) for x in ints)
+
+
+@settings(max_examples=80)
+@given(st.integers(-9, 9) | fractions | scalars)
+@example(3)
+@example(0)
+@example(gr(1, 2))
+def test_constant_and_its_scalar_find_each_other_as_dict_keys(x):
+    # a constant polynomial equals its scalar, so == and hash agree across
+    # the two and a dict keyed by either finds the other
+    c = Poly([x])
+    assert c == x and hash(c) == hash(x)
+    assert {x: "scalar"}.get(c) == "scalar" and {c: "poly"}.get(x) == "poly"
 
 
 @settings(max_examples=80)

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from specfactor import INFINITY, RatFun, blaschke
+from specfactor import INFINITY, Poly, RatFun, blaschke
 from specfactor.errors import CirclePoleError
 
 from helpers import P, RF, gr, pt
@@ -15,6 +15,18 @@ def test_reduced_canonical_form():
     g = RF([2, 4], [4, 2])  # (4z+2)/(2z+4) -> (2z+1)/(z+2)
     assert g.den.is_monic()
     assert g == RatFun(P(1, 2), P(2, 1))
+
+
+def test_polynomial_fraction_and_its_numerator_find_each_other_as_dict_keys():
+    # RatFun(p) == p, so both hash alike and a dict keyed by either finds
+    # the other; through a constant numerator this reaches the scalars
+    for num, key in ((P(1, 2, 3), P(1, 2, 3)), (P(gr(1, -1), 0, 2), P(gr(1, -1), 0, 2)),
+                     (P(3), 3), (P(Fraction(1, 3)), Fraction(1, 3)), (P(gr(1, 2)), gr(1, 2)),
+                     (Poly.zero(), 0)):
+        f = RatFun(num)
+        assert f == key and hash(f) == hash(key)
+        assert {key: "key"}.get(f) == "key" and {f: "fraction"}.get(key) == "fraction"
+    assert {P(1, 1): "p"}.get(RF([1, 1], [2, 1])) is None
 
 
 def test_constant_and_realness_predicates():

@@ -24,7 +24,9 @@ from specfactor import (
     is_stochastically_minimal,
     make_elementary,
     perturb_with_allpass,
+    poly,
     psd_on_circle,
+    ratmat,
     region_contains,
     run_sweep,
     transfer_between,
@@ -35,6 +37,7 @@ from specfactor.errors import (
     DimensionMismatchError,
     InputTooLargeError,
     MinimalInverseError,
+    NonGaussianPoleError,
     RankDeficiencyError,
     ScalarParseError,
     SpectrumError,
@@ -49,7 +52,7 @@ from specfactor.spectra import (
     default_geometries,
 )
 
-from helpers import M, RF, gr, pt
+from helpers import M, P, RF, gr, pt
 from oracles import householder_hermitian
 
 OUTER = Region(Side.OUTER)
@@ -160,6 +163,66 @@ def test_spectrum_validation():
         Spectrum(M([[1, 0]]))  # not square
     with pytest.raises(SpectrumError, match="zero matrix"):
         Spectrum(M([[0]]))
+
+
+# denominators of A's entries, one per pole kind of Phi = A + A~: z - 1 and
+# z + 1 up to order 3, 0 (with infinity from A~), a real pair {2, 1/2} or
+# {1/3, 3}, a conjugate pair off the circle (1 +- 2i) and on it ((3 +- 4i)/5)
+_POLE_KINDS = [P(-1, 1), P(1, -2, 1), P(-1, 3, -3, 1), P(1, 1), P(1, 3, 3, 1), P(0, 1),
+               P(-2, 1), P(-1, 3), P(5, -2, 1), P(5, -6, 5)]
+
+
+@st.composite
+def _real_rational_matrices(draw):
+    n = draw(st.integers(1, 3))
+    entries = []
+    for _ in range(n * n):
+        num = P(*draw(st.lists(st.integers(-3, 3), min_size=1, max_size=3)))
+        den = P(1)
+        for kind in draw(st.lists(st.sampled_from(_POLE_KINDS), max_size=2 if n < 3 else 1)):
+            den = den * kind
+        entries.append(RF(num, den))
+    return M([entries[i * n:(i + 1) * n] for i in range(n)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(_real_rational_matrices())
+def test_every_real_parahermitian_matrix_has_even_degree(a):
+    # the theorem in the Spectrum docstring: no odd-degree spectrum exists,
+    # so construction has no degree to check
+    phi = a + a.paraconj_transpose()
+    assume(not phi.is_zero())
+    assert Spectrum(phi).mcmillan_degree() % 2 == 0
+
+
+def _sum_with_paraconjugate(f):
+    return Spectrum(M([[f + f.paraconj()]]))
+
+
+def test_spectrum_outside_gaussian_rationals_builds_and_its_degree_raises():
+    spectrum = _sum_with_paraconjugate(RF([1], [-2, 0, 1]))  # poles +-sqrt 2
+    with pytest.raises(NonGaussianPoleError):
+        spectrum.mcmillan_degree()
+
+
+def test_spectrum_too_large_to_root_find_builds_and_its_degree_raises():
+    # the product of two 13-digit primes from the CLI's too_large test
+    n = 1000000000039 * 3000000000013
+    spectrum = _sum_with_paraconjugate(RF([1], [-n, 0, 1]))
+    with pytest.raises(InputTooLargeError):
+        spectrum.mcmillan_degree()
+
+
+def test_building_a_spectrum_computes_no_smith_mcmillan_form_or_roots(monkeypatch):
+    _, w = generate_instance(3, (2, 3), 3, OUTER, OUTER)
+
+    def forbidden(*args):
+        raise AssertionError("a spectrum was built through its degree")
+
+    for module, name in ((ratmat, "_sm_of"), (ratmat, "gaussian_roots"),
+                         (poly, "gaussian_roots")):
+        monkeypatch.setattr(module, name, forbidden)
+    assert Spectrum(_gram(w)).phi == _gram(w)
 
 
 def test_analytic_in():
