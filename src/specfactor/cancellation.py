@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import RankDeficiencyError, ZeroMatrixError
-from .ratmat import RatMat
+from .ratmat import RatMat, point_degrees_by_valuation
 from .scalars import INFINITY, Point
 
 
@@ -48,16 +48,17 @@ def _product(g: RatMat, h: RatMat) -> RatMat:
 
 
 def analyze_product(g: RatMat, h: RatMat, point: Point) -> CancellationReport:
-    """Classify the cancellation behaviour of G H at one point."""
+    """Classify the cancellation behaviour of G H at one point.
+
+    Each matrix's (zero, pole) pair comes from one expansion about the
+    point: the pole-only route of ``RatMat.pole_degree`` would expand it
+    a second time."""
     product = _product(g, h)
     if g.is_zero() or h.is_zero() or product.is_zero():
         raise ZeroMatrixError("cancellation analysis needs nonzero G, H and G*H")
-    dp_g = g.pole_degree(point)
-    dp_h = h.pole_degree(point)
-    dp_gh = product.pole_degree(point)
-    dz_g = g.zero_degree(point)
-    dz_h = h.zero_degree(point)
-    dz_gh = product.zero_degree(point)
+    dz_g, dp_g = point_degrees_by_valuation(g, point)
+    dz_h, dp_h = point_degrees_by_valuation(h, point)
+    dz_gh, dp_gh = point_degrees_by_valuation(product, point)
     pole_cancel = dp_gh < dp_g + dp_h
     zero_cancel = dz_gh < dz_g + dz_h
     return CancellationReport(

@@ -15,12 +15,12 @@ arguments, ``coeffs``, ``coefficient``, ``lead``, ``eval`` and the roots)
 passes integers through ``scalar_parts`` and ``GaussianRational.from_parts``;
 ``parts`` and ``from_parts`` hand over the polynomial's integer form itself.
 
-Division, gcd and expansion about a point (``taylor_numerators``, which
-gives multiplicities) are exact; root finding is restricted to roots in
-Q(i) and reports the unsplit cofactor.  Floating point only proposes root
-candidates there, from an in-house Aberth-Ehrlich iteration: each one is
-confirmed exactly, and a bounded divisor search over Z[i] proves that no
-root is missed.
+Division, gcd and expansion about a point (``taylor_numerators``, to as
+many terms as asked for; it gives multiplicities) are exact; root finding
+is restricted to roots in Q(i) and reports the unsplit cofactor.  Floating
+point only proposes root candidates there, from an in-house Aberth-Ehrlich
+iteration: each one is confirmed exactly, and a bounded divisor search over
+Z[i] proves that no root is missed.
 
 Polynomials are immutable and hashable.
 """
@@ -378,7 +378,8 @@ class Poly:
             raise ValueError("multiplicity of a root in the zero polynomial")
         if point.is_infinite:
             return 0
-        return order_of(taylor_numerators(self._num, point.value, len(self._num) - 1))
+        n = len(self._num)
+        return order_of(taylor_numerators(self._num, point.value, n - 1, n))
 
     def reversed(self, top: int | None = None) -> Poly:
         """Coefficient reversal z**top * p(1/z), top at least the degree
@@ -460,19 +461,21 @@ _ONE = _make(1, ((1, 0),))
 _Z = _make(1, ((0, 0), (1, 0)))
 
 
-def taylor_numerators(num, alpha, top: int) -> list[tuple[int, int]]:
-    """Coefficients, ascending in u = delta * (z - alpha), of
-    delta**top * P((u + x) / delta) for P with Gaussian-integer coefficients
-    num (ascending pairs, the last nonzero), top >= deg P and alpha = x /
-    delta in its canonical scalar form.  They are Gaussian integers; the
-    order of P at alpha is the index of the first nonzero one, and
-    expansions padded to one top share the scale."""
+def taylor_numerators(num, alpha, top: int, terms: int) -> list[tuple[int, int]]:
+    """The first ``terms`` coefficients, ascending in u = delta * (z - alpha),
+    of delta**top * P((u + x) / delta) for P with Gaussian-integer
+    coefficients num (ascending pairs, the last nonzero), top >= deg P and
+    alpha = x / delta in its canonical scalar form; all of them when terms
+    exceeds deg P.  They are Gaussian integers; the order of P at alpha is
+    the index of the first nonzero one, and expansions padded to one top
+    share the scale."""
     xr, xi, delta = _parts(alpha)
     n = len(num)
     re = [c[0] * delta ** (top - k) for k, c in enumerate(num)]
     im = [c[1] * delta ** (top - k) for k, c in enumerate(num)]
-    # Taylor shift by x in place (Ruffini-Horner); pass i fixes coefficient i
-    for i in range(n - 1):
+    # Taylor shift by x in place (Ruffini-Horner); pass i fixes coefficient
+    # i, and the last coefficient needs no pass
+    for i in range(min(terms, n - 1)):
         if xi:
             for j in range(n - 2, i - 1, -1):
                 r, s = re[j + 1], im[j + 1]
@@ -482,12 +485,15 @@ def taylor_numerators(num, alpha, top: int) -> list[tuple[int, int]]:
             for j in range(n - 2, i - 1, -1):
                 re[j] += xr * re[j + 1]
                 im[j] += xr * im[j + 1]
+    if terms < n:
+        del re[terms:], im[terms:]
     return list(zip(re, im))
 
 
-def order_of(coeffs) -> int:
-    """Index of the first nonzero Gaussian-integer pair in coeffs."""
-    return next(k for k, c in enumerate(coeffs) if c != (0, 0))
+def order_of(coeffs) -> int | None:
+    """Index of the first nonzero Gaussian-integer pair in coeffs, None
+    when there is none."""
+    return next((k for k, c in enumerate(coeffs) if c != (0, 0)), None)
 
 
 def poly_gcd(p: Poly, q: Poly) -> Poly:

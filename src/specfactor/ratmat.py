@@ -21,9 +21,15 @@ The structural queries all reduce to exact polynomial arithmetic on N/d:
   d, the first Smith-McMillan pole invariant, plus infinity when N outgrows
   d; zero locations are the roots of the Smith-McMillan zero polynomial,
 * pole/zero degrees at one point of the extended plane, infinity included,
-  come from a local Smith form on the expansion of G about the point
-  (``point_expansions``, which also gives the Laurent leading coefficient
-  up to a positive rational), pivoting on an entry of least order,
+  come from a local Smith form on the expansion of N about the point
+  (``point_expansions``, to a given number of terms), pivoting on an entry
+  of least order and working mod u**precision.  The pole degree is the
+  sum of max(0, m - nu_k) over N's invariant orders nu_k, m the order of d
+  there (``_den_order``), so ``pole_degree`` expands and eliminates only m
+  terms, and none where d does not vanish; ``point_degrees_by_valuation``
+  answers the (zero, pole) pair at a precision no invariant order reaches.
+  The same m-term expansion gives the Laurent leading coefficient up to a
+  positive rational,
 * ``minimal_right_inverse``, for square and wide G alike, solves one exact
   Z[i] system for right inverses with poles on the zeros of G and keeps one
   with G's zero degrees as pole degrees; memoized per value (32 entries).
@@ -326,7 +332,8 @@ class RatMat:
         return _sm_of(self)
 
     def pole_degree(self, point: Point) -> int:
-        return point_degrees_by_valuation(self, point)[1]
+        """Pole degree at one point of the extended plane (``_pole_degree``)."""
+        return _pole_degree(self, point)
 
     def zero_degree(self, point: Point) -> int:
         return point_degrees_by_valuation(self, point)[0]
@@ -367,9 +374,15 @@ class RatMat:
     def laurent_leading(self, point: Point) -> list[list[GaussianRational]]:
         """The Laurent leading coefficient of G at a pole up to a positive
         rational: each entry's expansion coefficient at the least order over
-        all entries times conj(c), or zero (see ``point_expansions``)."""
-        _, (cr, ci), grid = point_expansions(self, point)
-        least = min(order_of(e) for row in grid for e in row if e)
+        all entries times conj(c), or zero (see ``point_expansions`` and
+        ``_den_order``).  The least order at a pole is below d's order m
+        there, so the m-term expansion holds it.  A point that is not a
+        pole raises ``ValueError``."""
+        m, (cr, ci) = _den_order(self, point)
+        if m <= 0:
+            raise ValueError(f"no pole at {point}")
+        grid = point_expansions(self, point, m)
+        least = min(o for row in grid for e in row if (o := order_of(e)) is not None)
 
         def lead(e) -> GaussianRational:
             x, y = e[least] if len(e) > least else (0, 0)
@@ -552,38 +565,52 @@ def _cleared_cached(mat: RatMat) -> tuple[Poly, tuple[tuple[Poly, ...], ...]]:
     return mat.den, mat.num
 
 
-def point_expansions(mat: RatMat, point: Point):
-    """(m, c, grid) for G = N/d about one point of the extended plane.
+def _top(mat: RatMat) -> int:
+    """The largest entry degree of N, the padding of ``point_expansions``."""
+    return max(len(p.parts[1]) for row in mat.num for p in row) - 1
 
-    grid holds the entries of N, cleared to one integer denominator and
-    expanded about the point (at infinity: reversed), all padded to the
-    largest entry degree so that one scalar scales them all (Gaussian-integer
-    pair lists, [] for zero); m is the order of d there and c the first
-    nonzero coefficient of its expansion (at infinity, d's lead numerator).
-    """
+
+def _den_order(mat: RatMat, point: Point) -> tuple[int, tuple[int, int]]:
+    """(m, c) for G = N/d about one point of the extended plane: m is the
+    order of d there and c the first nonzero coefficient of its expansion
+    (at infinity, where d is reversed and padded to ``_top``, m = top -
+    deg d and c is d's lead numerator).  Only d is expanded.
+
+    m > 0 exactly at a pole: gcd(d, N) = 1 leaves an entry of N nonzero at
+    a root of d, and at infinity m > 0 says some entry outgrows d."""
     if mat.is_zero():
         raise ZeroMatrixError("degrees of the zero matrix are undefined")
-    d = mat.den
+    d_num = mat.den.parts[1]
+    if point.is_infinite:
+        return _top(mat) - (len(d_num) - 1), d_num[-1]
+    d_exp = taylor_numerators(d_num, point.value, len(d_num) - 1, len(d_num))
+    m = order_of(d_exp)
+    return m, d_exp[m]
+
+
+def point_expansions(mat: RatMat, point: Point, terms: int):
+    """The entries of N about one point of the extended plane, mod u**terms.
+
+    Each entry is cleared to one integer denominator and expanded about the
+    point (at infinity: reversed), all padded to the largest entry degree
+    so that one scalar scales them all, and only its first ``terms``
+    coefficients are computed (Gaussian-integer pair lists, [] for zero).
+    With ``_den_order`` they give G = grid / (c u**m + ...) up to a
+    positive rational.
+    """
     parts = [[p.parts for p in row] for row in mat.num]
     den = lcm(*(p_den for row in parts for p_den, num in row if num))
     top = max(len(num) for row in parts for _, num in row) - 1
-    d_num = d.parts[1]
-    if point.is_infinite:
-        m, c = top - int(d.degree), d_num[-1]
-    else:
-        d_exp = taylor_numerators(d_num, point.value, len(d_num) - 1)
-        m = order_of(d_exp)
-        c = d_exp[m]
 
     def expand(p_den, num):
         if not num:
             return []
         num = [(x * (den // p_den), y * (den // p_den)) for x, y in num]
         if point.is_infinite:
-            return [(0, 0)] * (top + 1 - len(num)) + num[::-1]
-        return taylor_numerators(num, point.value, top)
+            return ([(0, 0)] * (top + 1 - len(num)) + num[::-1])[:terms]
+        return taylor_numerators(num, point.value, top, terms)
 
-    return m, c, [[expand(*p) for p in row] for row in parts]
+    return [[expand(*p) for p in row] for row in parts]
 
 
 @lru_cache(maxsize=4096)
@@ -592,22 +619,42 @@ def point_degrees_by_valuation(mat: RatMat, point: Point) -> tuple[int, int]:
 
     Local elimination on ``point_expansions`` gives the orders nu_k of N's
     invariant factors at the point; the pole degree is the sum of
-    max(0, m - nu_k), the zero degree that of max(0, nu_k - m).  The
-    independent reference is ``tests/oracles.brute_point_degrees``.
+    max(0, m - nu_k), the zero degree that of max(0, nu_k - m), with m from
+    ``_den_order``.  The zero degree needs every order, so this works at
+    full precision: the orders sum to that of a nonzero minor of size
+    rank, a polynomial of degree at most rank * top, so no order reaches
+    min(rows, cols) * top + 1.  ``RatMat.pole_degree`` takes the cheaper
+    route of ``_pole_degree``.  The independent reference is
+    ``tests/oracles.brute_point_degrees``.
     """
-    m, _, grid = point_expansions(mat, point)
-    orders = _local_smith_orders(grid)
+    m, _ = _den_order(mat, point)
+    precision = min(mat.rows, mat.cols) * _top(mat) + 1
+    orders = _local_smith_orders(point_expansions(mat, point, precision), precision)
     return sum(max(0, nu - m) for nu in orders), sum(max(0, m - nu) for nu in orders)
 
 
-def _local_smith_orders(grid) -> list[int]:
-    """Ascending orders at u = 0 of the invariant factors of a matrix of
-    Gaussian-integer polynomials in u (pair lists, [] for zero).
+@lru_cache(maxsize=4096)
+def _pole_degree(mat: RatMat, point: Point) -> int:
+    """``RatMat.pole_degree``: the sum of max(0, m - nu_k) counts only the
+    invariant orders below m, so the expansion and the elimination stop at
+    m terms, and where d does not vanish (m <= 0) N is not expanded."""
+    m, _ = _den_order(mat, point)
+    if m <= 0:
+        return 0
+    return sum(m - nu for nu in _local_smith_orders(point_expansions(mat, point, m), m))
+
+
+def _local_smith_orders(grid, terms: int) -> list[int]:
+    """Ascending orders below ``terms`` at u = 0 of the invariant factors of
+    a matrix of Gaussian-integer polynomials in u known mod u**terms (pair
+    lists, all zero or [] for zero).
 
     Each step pivots on an entry p of least order v (no later entry goes
     lower) and turns every other row x into (p/u^v)*x - (x[c]/u^v)*pivot
-    row; p/u^v is a unit at u = 0, so no column operation is needed."""
-    rows = [[(order_of(e) if e else None, e) for e in row] for row in grid]
+    row; p/u^v is a unit at u = 0, so no column operation is needed.  Every
+    entry left has order at least v, so p/u^v and x[c]/u^v are needed only
+    mod u**(terms - v), and the new rows are exact mod u**terms."""
+    rows = [[(order_of(e), e) for e in row] for row in grid]
     orders: list[int] = []
     while rows:
         floor = orders[-1] if orders else 0
@@ -629,14 +676,15 @@ def _local_smith_orders(grid) -> list[int]:
                 rows[i] = row[:pj] + row[pj + 1:]
                 continue
             f = row[pj][1][v:]
-            new = [_cross(unit, a, f, b) for j, ((_, a), (_, b)) in enumerate(zip(row, top))
-                   if j != pj]
-            rows[i] = [(order_of(e) if e else None, e) for e in new]
+            new = [_cross(unit, a, f, b, terms)
+                   for j, ((_, a), (_, b)) in enumerate(zip(row, top)) if j != pj]
+            rows[i] = [(order_of(e), e) for e in new]
     return orders
 
 
-def _cross(p, a, f, b) -> list[tuple[int, int]]:
-    """p*a - f*b for polynomials given as Gaussian-integer pairs."""
+def _cross(p, a, f, b, terms: int) -> list[tuple[int, int]]:
+    """p*a - f*b mod u**terms for polynomials in u given as Gaussian-integer
+    pairs."""
     n = max(len(p) + len(a), len(f) + len(b)) - 1
     re = [0] * n
     im = [0] * n
@@ -651,6 +699,7 @@ def _cross(p, a, f, b) -> list[tuple[int, int]]:
                 for k, (yr, yi) in enumerate(y, i):
                     re[k] += xr * yr
                     im[k] += xr * yi
+    n = min(n, terms)
     while n and not re[n - 1] and not im[n - 1]:
         n -= 1
     return list(zip(re[:n], im[:n]))

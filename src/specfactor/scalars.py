@@ -25,8 +25,11 @@ import enum
 import re
 from fractions import Fraction
 from math import gcd, lcm
+from sys import hash_info
 
 from .errors import ScalarParseError
+
+_MODULUS, _HASH_INF = hash_info.modulus, hash_info.inf
 
 
 class Comparison(enum.Enum):
@@ -205,10 +208,17 @@ class GaussianRational:
         return (self._a, self._b, self._d) == o
 
     def __hash__(self):
-        # a real scalar equals an int or Fraction, so it hashes like one
+        # a real scalar equals an int or Fraction, so it hashes like one;
+        # for a Fraction that is |a| / d mod the hash modulus, signed like
+        # a, with -1 read as -2 and a denominator the modulus divides as inf
+        a, d = self._a, self._d
         if self._b:
-            return hash((self._a, self._b, self._d))
-        return hash(self._a if self._d == 1 else Fraction(self._a, self._d))
+            return hash((a, self._b, d))
+        if d == 1:
+            return hash(a)
+        h = abs(a) * pow(d, -1, _MODULUS) % _MODULUS if d % _MODULUS else _HASH_INF
+        h = h if a >= 0 else -h
+        return -2 if h == -1 else h
 
     def __bool__(self) -> bool:
         return not self.is_zero()

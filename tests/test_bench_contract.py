@@ -7,15 +7,16 @@ under ``src/`` that breaks the trace fails here instead.
 """
 
 import importlib.util
+import random
 import sys
 from pathlib import Path
 
 import pytest
 
 import specfactor.jsonio  # noqa: F401  (its functions are trace boundaries)
-from specfactor import GaussianRational, RatMat, ratmat
+from specfactor import GaussianRational, RatMat, cancellation, ratmat
 
-from helpers import M, RF
+from helpers import M, RF, random_full_rank_pair
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -91,3 +92,37 @@ def test_building_elementary_products_leaves_every_memo_cold(spans):
     assert v.rows == 3
     assert {name: fn.cache_info().currsize for name, fn in caches.items()
             if fn.cache_info().currsize} == {}
+
+
+def test_analyze_product_expands_each_matrix_once_per_point(monkeypatch):
+    # the cancel workload reads both degrees of G, H and G H at every
+    # support point: one (zero, pole) pair per matrix and point, with no
+    # pole-only query expanding the same point a second time
+    g, h = random_full_rank_pair(random.Random(5), max_side=3)
+    points = cancellation.support_points(g, h)
+    ratmat.point_degrees_by_valuation.cache_clear()
+    asked = []
+    expansions = []
+    pair = cancellation.point_degrees_by_valuation
+    expand = ratmat.point_expansions
+
+    def spy_pair(mat, point):
+        asked.append((mat, point))
+        return pair(mat, point)
+
+    def spy_expand(mat, point, terms):
+        expansions.append((mat, point))
+        return expand(mat, point, terms)
+
+    def no_pole_only(mat, point):
+        raise AssertionError("pole-only query in analyze_product")
+
+    monkeypatch.setattr(cancellation, "point_degrees_by_valuation", spy_pair)
+    monkeypatch.setattr(ratmat, "point_expansions", spy_expand)
+    monkeypatch.setattr(ratmat, "_pole_degree", no_pole_only)
+    for point in points:
+        cancellation.analyze_product(g, h, point)
+    monkeypatch.undo()
+    assert asked == [(mat, point) for point in points for mat in (g, h, g * h)]
+    # each distinct (matrix, point) is expanded once
+    assert len(expansions) == len(set(expansions)) and set(expansions) == set(asked)

@@ -379,7 +379,7 @@ def test_taylor_kernel_order_matches_synthetic_division(planted, cofactor, alpha
         [r for r, m in planted for _ in range(m)] + [alpha] * len(planted))
     den, num = p.parts
     top = int(p.degree) + pad
-    shifted = taylor_numerators(num, alpha, top)
+    shifted = taylor_numerators(num, alpha, top, len(num))
     assert order_of(shifted) == synthetic_multiplicity(p, alpha) == p.multiplicity(Point(alpha))
     # the coefficients are those of delta**top * num((u + x) / delta) in
     # u = delta * (z - alpha), delta the common denominator of alpha's parts
@@ -387,6 +387,21 @@ def test_taylor_kernel_order_matches_synthetic_division(planted, cofactor, alpha
     u = gr(Fraction(2, 3), -1)
     expected = ref_eval([gr(*c) for c in num], alpha + u / delta) * delta**top
     assert ref_eval([gr(*c) for c in shifted], u) == expected
+
+
+@settings(max_examples=120)
+@given(root_lists, nonzero_coeff_lists, wide_scalars, st.integers(0, 3), st.integers(0, 12))
+def test_taylor_kernel_head_is_the_head_of_the_full_expansion(planted, cofactor, alpha, pad,
+                                                               terms):
+    # a head of a few terms from a polynomial with alpha as a root of
+    # order up to 7: the truncated passes give exactly the leading
+    # coefficients of the full shift, and no more of them
+    p = Poly(cofactor) * Poly.from_roots(
+        [r for r, m in planted for _ in range(m)] + [alpha] * len(planted))
+    num = p.parts[1]
+    top = int(p.degree) + pad
+    full = taylor_numerators(num, alpha, top, len(num))
+    assert taylor_numerators(num, alpha, top, terms) == full[:terms]
 
 
 @settings(max_examples=80)

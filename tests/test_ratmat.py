@@ -368,6 +368,80 @@ def test_point_degrees_enumerate_no_minors(monkeypatch):
     assert got == brute_point_degrees(mat, pt(0))
 
 
+@st.composite
+def _pole_matrices(draw):
+    # rows of a local matrix scaled by (z - r)**k or (z - r)**-k, k = 1..3:
+    # roots of d of multiplicity 1 to 3 (more where an entry brings its
+    # own), and poles at infinity from the positive powers
+    mat = draw(_local_matrices())
+    scale = []
+    for _ in range(mat.rows):
+        k = draw(st.integers(-3, 3))
+        root = Poly.linear(draw(st.sampled_from(_LOCAL_ROOTS))) ** abs(k)
+        scale.append(RatFun(root) if k >= 0 else RatFun(Poly.one(), root))
+    return RatMat.diagonal(scale) * mat
+
+
+@settings(max_examples=150, deadline=None)
+@given(_pole_matrices())
+def test_pole_degree_matches_minor_oracle(mat):
+    # every local root (poles or not), 0, infinity and pt(3), never a pole
+    for probe in _LOCAL_PROBES:
+        dz, dp = brute_point_degrees(mat, probe)
+        assert mat.pole_degree(probe) == dp
+        assert point_degrees_by_valuation(mat, probe) == (dz, dp)
+
+
+def _spy_expansions(monkeypatch):
+    calls = []
+    expand = ratmat.taylor_numerators
+
+    def spy(num, alpha, top, terms):
+        calls.append((tuple(num), terms))
+        return expand(num, alpha, top, terms)
+
+    monkeypatch.setattr(ratmat, "taylor_numerators", spy)
+    ratmat._pole_degree.cache_clear()
+    return calls
+
+
+def test_pole_degree_at_a_non_pole_expands_only_d(monkeypatch):
+    mat = M([[RF([1, 0, 2], [1, -2, 1]), RF([3, 1], [-1, 1])], [RF([0, 1], [1, 1]), 2]])
+    d_num = mat.den.parts[1]
+    calls = _spy_expansions(monkeypatch)
+    assert mat.pole_degree(pt(3)) == 0
+    assert calls == [(d_num, len(d_num))]
+    # no pole at infinity: nothing is expanded at all
+    calls.clear()
+    assert mat.pole_degree(INFINITY) == 0
+    assert calls == []
+
+
+def test_pole_degree_at_a_pole_expands_n_to_m_terms(monkeypatch):
+    # d = (z - 1)**3 (z + 2): m = 3 at z = 1, and N's entries have degree 4
+    mat = M([[RF([1, 0, 0, 0, 1], [-1, 3, -3, 1]), RF([0, 1], [2, 1])],
+             [RF([5, 1], [1, -2, 1]), RF([2, 0, 1], [-1, 1])]])
+    d_num = mat.den.parts[1]
+    calls = _spy_expansions(monkeypatch)
+    got = mat.pole_degree(pt(1))
+    monkeypatch.undo()
+    assert got == brute_point_degrees(mat, pt(1))[1] > 0
+    assert calls[0] == (d_num, len(d_num))
+    entries = calls[1:]
+    assert len(entries) == 4 and all(terms <= 3 for _, terms in entries)
+
+
+def test_laurent_leading_at_a_point_that_is_not_a_pole_raises():
+    mat = M([[RF([-1, 1], [-2, 1]), 1], [0, RF([0, 1])]])
+    assert mat.laurent_leading(pt(2))  # a pole: answered
+    # a zero of G (z = 1) and two regular points
+    for point in (pt(1), pt(3), pt(0)):
+        with pytest.raises(ValueError, match="no pole"):
+            mat.laurent_leading(point)
+    with pytest.raises(ValueError, match="no pole"):
+        M([[RF([1], [-2, 1])]]).laurent_leading(INFINITY)
+
+
 def _sm_pole_points(mat, strict):
     pole_poly = mat.sm_structure().pole_polynomial()
     if pole_poly.is_constant():

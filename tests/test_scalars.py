@@ -1,7 +1,8 @@
+import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from specfactor import Comparison, GaussianRational, INFINITY, Point
 from specfactor.errors import ScalarParseError
@@ -151,6 +152,26 @@ def test_real_scalars_find_int_and_fraction_keys():
         assert {gr(x): "x"}.get(x) == "x"
     assert {gr(1, 2): "y"}.get(gr(Fraction(4, 4), 2)) == "y"
     assert {gr(1, 2): "y"}.get(1) is None
+
+
+_MODULUS = sys.hash_info.modulus  # 2**61 - 1 on 64-bit builds
+
+
+@settings(max_examples=300)
+@given(st.one_of(st.integers(-10**6, 10**6), st.integers(-(2**70), 2**70),
+                 st.sampled_from([-1, 1, _MODULUS - 1, -_MODULUS - 1, _MODULUS + 1])),
+       st.one_of(st.integers(1, 10**6), st.integers(1, 2**70),
+                 st.sampled_from([_MODULUS, 2 * _MODULUS, _MODULUS + 1])))
+@example(-1, 1)
+@example(-_MODULUS - 1, 1)
+@example(-3, _MODULUS)
+@example(5, 2 * _MODULUS)
+def test_real_scalars_hash_like_the_equal_fraction(a, d):
+    # the sampled values reach the -1 -> -2 rule and the infinite hash of a
+    # denominator the modulus divides
+    f = Fraction(a, d)
+    assert hash(GaussianRational(f)) == hash(f)
+    assert hash(GaussianRational(-f)) == hash(-f)
 
 
 def test_point_equality_and_hash():
