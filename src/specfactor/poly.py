@@ -471,8 +471,12 @@ def taylor_numerators(num, alpha, top: int, terms: int) -> list[tuple[int, int]]
     share the scale."""
     xr, xi, delta = _parts(alpha)
     n = len(num)
-    re = [c[0] * delta ** (top - k) for k, c in enumerate(num)]
-    im = [c[1] * delta ** (top - k) for k, c in enumerate(num)]
+    re, im = [0] * n, [0] * n
+    # delta**(top - k) by one running product from the top coefficient down
+    scale = delta ** (top + 1 - n)
+    for k in range(n - 1, -1, -1):
+        re[k], im[k] = num[k][0] * scale, num[k][1] * scale
+        scale *= delta
     # Taylor shift by x in place (Ruffini-Horner); pass i fixes coefficient
     # i, and the last coefficient needs no pass
     for i in range(min(terms, n - 1)):

@@ -27,9 +27,11 @@ The structural queries all reduce to exact polynomial arithmetic on N/d:
   sum of max(0, m - nu_k) over N's invariant orders nu_k, m the order of d
   there (``_den_order``), so ``pole_degree`` expands and eliminates only m
   terms, and none where d does not vanish; ``point_degrees_by_valuation``
-  answers the (zero, pole) pair at a precision no invariant order reaches.
-  The same m-term expansion gives the Laurent leading coefficient up to a
-  positive rational,
+  answers the (zero, pole) pair from max(m, 0) + 2 terms, doubling them
+  until the orders found number min(rows, cols) or else the normal rank
+  (min(rows, cols) * top + 1 terms, top the largest entry degree, would
+  find them all, so the doubling ends).  The same m-term expansion gives
+  the Laurent leading coefficient up to a positive rational,
 * ``minimal_right_inverse``, for square and wide G alike, solves one exact
   Z[i] system for right inverses with poles on the zeros of G and keeps one
   with G's zero degrees as pole degrees; memoized per value (32 entries).
@@ -605,9 +607,11 @@ def point_expansions(mat: RatMat, point: Point, terms: int):
     def expand(p_den, num):
         if not num:
             return []
-        num = [(x * (den // p_den), y * (den // p_den)) for x, y in num]
+        k = den // p_den
+        if k != 1:
+            num = [(x * k, y * k) for x, y in num]
         if point.is_infinite:
-            return ([(0, 0)] * (top + 1 - len(num)) + num[::-1])[:terms]
+            return ([(0, 0)] * (top + 1 - len(num)) + [*reversed(num)])[:terms]
         return taylor_numerators(num, point.value, top, terms)
 
     return [[expand(*p) for p in row] for row in parts]
@@ -620,16 +624,26 @@ def point_degrees_by_valuation(mat: RatMat, point: Point) -> tuple[int, int]:
     Local elimination on ``point_expansions`` gives the orders nu_k of N's
     invariant factors at the point; the pole degree is the sum of
     max(0, m - nu_k), the zero degree that of max(0, nu_k - m), with m from
-    ``_den_order``.  The zero degree needs every order, so this works at
-    full precision: the orders sum to that of a nonzero minor of size
-    rank, a polynomial of degree at most rank * top, so no order reaches
-    min(rows, cols) * top + 1.  ``RatMat.pole_degree`` takes the cheaper
-    route of ``_pole_degree``.  The independent reference is
+    ``_den_order``.  The zero degree needs every order, so the precision P
+    adapts: it starts at max(m, 0) + 2 and doubles until the orders are
+    complete.  Elimination mod u**P finds exactly the orders below P, so
+    they are complete once they number min(rows, cols), a free test, or
+    else the normal rank (``_normal_rank``, memoized), asked only then: a
+    full-rank query runs no Bareiss step.  The loop ends: the orders sum
+    to that of a nonzero minor of size rank, a polynomial of degree at most
+    rank * top, so none reaches min(rows, cols) * top + 1 and every order
+    is found once P passes that bound.  ``RatMat.pole_degree`` takes the
+    cheaper route of ``_pole_degree``.  The independent reference is
     ``tests/oracles.brute_point_degrees``.
     """
     m, _ = _den_order(mat, point)
-    precision = min(mat.rows, mat.cols) * _top(mat) + 1
-    orders = _local_smith_orders(point_expansions(mat, point, precision), precision)
+    side = min(mat.rows, mat.cols)
+    precision = max(m, 0) + 2
+    while True:
+        orders = _local_smith_orders(point_expansions(mat, point, precision), precision)
+        if len(orders) == side or len(orders) == _normal_rank(mat):
+            break
+        precision *= 2
     return sum(max(0, nu - m) for nu in orders), sum(max(0, m - nu) for nu in orders)
 
 

@@ -371,8 +371,16 @@ def test_complex_roots_of_symmetric_binomials(n, c):
     assert all(abs(z - w) > 1e-3 for i, z in enumerate(roots) for w in roots[:i])
 
 
+_COFACTOR = [gr(3, -1), gr(Fraction(-1, 2)), gr(2, 5)]
+
+
 @settings(max_examples=120)
 @given(root_lists, nonzero_coeff_lists, wide_scalars, st.integers(0, 3))
+# top > deg P, so every coefficient is scaled by delta**(top - k): delta = 1
+# for an integer alpha, 3 and 2 for the others
+@example([(gr(1), 2)], _COFACTOR, gr(-2), 3)
+@example([(gr(1), 2)], _COFACTOR, gr(Fraction(-5, 3)), 3)
+@example([(gr(0, 1), 1)], _COFACTOR, gr(Fraction(1, 2), Fraction(1, 2)), 2)
 def test_taylor_kernel_order_matches_synthetic_division(planted, cofactor, alpha, pad):
     # alpha is planted once per drawn root and may be drawn itself: orders up to 7
     p = Poly(cofactor) * Poly.from_roots(
@@ -391,6 +399,10 @@ def test_taylor_kernel_order_matches_synthetic_division(planted, cofactor, alpha
 
 @settings(max_examples=120)
 @given(root_lists, nonzero_coeff_lists, wide_scalars, st.integers(0, 3), st.integers(0, 12))
+# the running-product scaling with top > deg P, at delta = 1, 3 and 2
+@example([(gr(1), 2)], _COFACTOR, gr(-2), 3, 2)
+@example([(gr(1), 2)], _COFACTOR, gr(Fraction(-5, 3)), 3, 2)
+@example([(gr(0, 1), 1)], _COFACTOR, gr(Fraction(1, 2), Fraction(1, 2)), 2, 3)
 def test_taylor_kernel_head_is_the_head_of_the_full_expansion(planted, cofactor, alpha, pad,
                                                                terms):
     # a head of a few terms from a polynomial with alpha as a root of

@@ -392,6 +392,38 @@ def test_pole_degree_matches_minor_oracle(mat):
         assert point_degrees_by_valuation(mat, probe) == (dz, dp)
 
 
+@st.composite
+def _zero_matrices(draw):
+    # rows of a local matrix scaled by (z - r)**k, k = -7..7: zero orders
+    # far above the order m of d at r, so the precision, starting at
+    # m + 2, doubles once or twice; the negative powers put zeros of the
+    # same orders at infinity, and the zero-row, proportional and thin
+    # sandwich local matrices are rank-deficient
+    mat = draw(_local_matrices())
+    scale = []
+    for _ in range(mat.rows):
+        k = draw(st.integers(-7, 7))
+        root = Poly.linear(draw(st.sampled_from(_LOCAL_ROOTS))) ** abs(k)
+        scale.append(RatFun(root) if k >= 0 else RatFun(Poly.one(), root))
+    return RatMat.diagonal(scale) * mat
+
+
+_z = RF([0, 1])
+
+
+@settings(max_examples=80, deadline=None)
+@given(_zero_matrices())
+# order 7 at 0 with m = 0: the precision doubles twice, 2 -> 4 -> 8
+@example(M([[_z ** 7]]))
+# rank 1 of 2, order 5 at 0: the normal rank, not the side, ends the loop
+@example(M([[_z ** 5, _z ** 5], [_z ** 6, _z ** 6]]))
+# orders 0 and 7 at infinity, m = 0 there
+@example(M([[RF([1], [-1, 1]) ** 7, 0], [0, 1]]))
+def test_zero_degree_matches_minor_oracle(mat):
+    for probe in _LOCAL_PROBES:
+        assert point_degrees_by_valuation(mat, probe) == brute_point_degrees(mat, probe)
+
+
 def _spy_expansions(monkeypatch):
     calls = []
     expand = ratmat.taylor_numerators
@@ -429,6 +461,61 @@ def test_pole_degree_at_a_pole_expands_n_to_m_terms(monkeypatch):
     assert calls[0] == (d_num, len(d_num))
     entries = calls[1:]
     assert len(entries) == 4 and all(terms <= 3 for _, terms in entries)
+
+
+def _spy_precisions(monkeypatch):
+    """The precision of each expansion of N in the pair route and each
+    normal-rank query, with the pair memo cleared."""
+    precisions, ranks = [], []
+    expand, rank = ratmat.point_expansions, ratmat._normal_rank
+
+    def spy_expand(mat, point, terms):
+        precisions.append(terms)
+        return expand(mat, point, terms)
+
+    def spy_rank(mat):
+        ranks.append(mat)
+        return rank(mat)
+
+    monkeypatch.setattr(ratmat, "point_expansions", spy_expand)
+    monkeypatch.setattr(ratmat, "_normal_rank", spy_rank)
+    point_degrees_by_valuation.cache_clear()
+    return precisions, ranks
+
+
+def test_point_degrees_at_a_regular_point_expand_n_to_two_terms(monkeypatch):
+    # full rank, and neither a pole nor a zero at 3: m = 0, both orders 0
+    mat = M([[RF([1, 0, 2], [1, -2, 1]), RF([3, 1], [-1, 1])], [RF([0, 1], [1, 1]), 2]])
+    assert brute_point_degrees(mat, pt(3)) == (0, 0)
+    precisions, ranks = _spy_precisions(monkeypatch)
+    calls = _spy_expansions(monkeypatch)
+    d_num = mat.den.parts[1]
+    assert point_degrees_by_valuation(mat, pt(3)) == (0, 0)
+    assert precisions == [2] and ranks == []
+    assert calls[0] == (d_num, len(d_num))
+    assert len(calls) == 5 and all(terms == 2 for _, terms in calls[1:])
+
+
+@pytest.mark.parametrize("mat, point, expected", [
+    # m = 0 and order 7: 2 -> 4 -> 8
+    (M([[_z ** 7]]), pt(0), [2, 4, 8]),
+    # a simple pole beside an order-8 entry, m = 1: 3 -> 6 -> 12
+    (M([[RF([1], [0, 1]), 0], [0, _z ** 7]]), pt(0), [3, 6, 12]),
+    # rank 1 of 2 with order 5: 2 -> 4 -> 8, the rank stops it
+    (M([[_z ** 5, _z ** 5], [_z ** 6, _z ** 6]]), pt(0), [2, 4, 8]),
+    # m = 2 at infinity and an order 9 there: 4 -> 8 -> 16
+    (M([[_z ** 2, 0], [0, RF([1], [0] * 7 + [1])]]), INFINITY, [4, 8, 16]),
+])
+def test_point_degrees_double_the_precision(monkeypatch, mat, point, expected):
+    precisions, ranks = _spy_precisions(monkeypatch)
+    got = point_degrees_by_valuation(mat, point)
+    monkeypatch.undo()
+    assert got == brute_point_degrees(mat, point)
+    m, _ = ratmat._den_order(mat, point)
+    assert precisions == expected and precisions[0] == max(m, 0) + 2
+    assert all(b == 2 * a for a, b in zip(precisions, precisions[1:]))
+    # the rank is asked only while fewer orders than the side are found
+    assert len(ranks) == len(expected) - (mat.normal_rank() == min(mat.rows, mat.cols))
 
 
 def test_laurent_leading_at_a_point_that_is_not_a_pole_raises():
