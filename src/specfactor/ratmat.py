@@ -32,13 +32,15 @@ The structural queries all reduce to exact polynomial arithmetic on N/d:
   (min(rows, cols) * top + 1 terms, top the largest entry degree, would
   find them all, so the doubling ends).  The same m-term expansion gives
   the Laurent leading coefficient up to a positive rational,
+* the McMillan degree is the sum of ``pole_degree`` over ``pole_points()``,
 * ``minimal_right_inverse``, for square and wide G alike, solves one exact
   Z[i] system for right inverses with poles on the zeros of G and keeps one
   with G's zero degrees as pole degrees; memoized per value (32 entries).
 
 Only ``sm_structure`` enumerates all k x k minors, which is exponential in
-the matrix size; pole locations and pointwise degrees do not use it.  The
-intended scale is dimensions <= 6 and entry degrees <= 12.
+the matrix size; pole locations, pointwise degrees and the McMillan degree
+do not use it.  The intended scale is dimensions <= 6 and entry degrees
+<= 12.
 
 All values are immutable and operations are pure functions, so instances
 can be shared freely across threads.
@@ -341,10 +343,10 @@ class RatMat:
         return point_degrees_by_valuation(self, point)[0]
 
     def mcmillan_degree(self) -> int:
-        """Total pole degree over the extended plane."""
-        sm = self.sm_structure()
-        self.finite_pole_points()  # raises for a pole outside Q(i)
-        return sum(int(psi.degree) for psi in sm.psi) + self.pole_degree(INFINITY)
+        """Total pole degree over the extended plane: the sum of
+        ``pole_degree`` over ``pole_points()``, which raises for the zero
+        matrix and for a pole outside Q(i)."""
+        return sum(self.pole_degree(p) for p in self.pole_points())
 
     def finite_pole_points(self, strict: bool = True) -> tuple[Point, ...]:
         """Finite pole locations in Q(i); with strict=True a location outside

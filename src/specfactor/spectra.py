@@ -164,10 +164,11 @@ class Spectrum:
     """Real para-Hermitian rational matrix.
 
     Construction checks what can fail: Phi is square, real, para-Hermitian
-    and nonzero.  Its McMillan degree is computed only when asked for, and
-    that call raises for a pole outside Q(i) or a denominator too large to
-    split.  The degree is always even, so a stochastically minimal factor
-    (2 deg W = deg Phi) is never excluded by parity:
+    and nonzero.  Its McMillan degree, a sum of pole degrees that forms no
+    Smith-McMillan form, is computed only when asked for and raises for a
+    pole outside Q(i) or a denominator too large to split.  The degree is
+    always even, so a stochastically minimal factor (2 deg W = deg Phi) is
+    never excluded by parity:
 
     For real Phi, para-Hermitian means Phi(z) = Phi(1/z)^T.  Transposition
     and z -> 1/z keep the local pole structure, so the local degree has
@@ -476,15 +477,14 @@ def _draw_full_rank_constant(rng: random.Random, rows: int, cols: int) -> RatMat
 
 
 _MAX_RETRIES = 60  # fresh draws before generation gives up
-# No draw reaches a higher degree.  Real draws take n/d with 0 < |n| <= 9,
-# 1 <= d <= 9, n/d != +-1: 108 values in 54 pairs {x, 1/x}.  Complex draws
-# take (a + b*i)/d with |a| <= 5, 1 <= b, d <= 5 off the circle: 244 values
-# in 211 classes {w, conj w, 1/w, 1/conj w}.  A region leaves one point of
-# each pair {x, 1/x} outside, so a pair yields one real point and a class
-# one conjugate pair.  Poles are distinct, zeros too, and no zero is a pole
-# or a pole's reciprocal, so poles and zeros take disjoint pairs and classes
-# in equal atom sizes: a real and c complex atoms need 2a <= 54 and
-# 2c <= 211, so the degree a + 2c is at most 27 + 2 * 105.
+# A cap on the requested degree, not a size every draw reaches.  Real draws
+# take n/d with 0 < |n| <= 9, 1 <= d <= 9, n/d != +-1: 54 pairs {x, 1/x}.
+# Complex draws take (a + b*i)/d with |a| <= 5, 1 <= b, d <= 5 off the
+# circle: 211 classes {w, conj w, 1/w, 1/conj w}.  Distinct points in equal
+# pole and zero atoms, no zero a pole or a pole's reciprocal, would stop at
+# 27 + 2 * 105.  Points may repeat, but pole/zero collisions grow with the
+# degree: at size 1x2, four default geometries x seeds 0-4, degree 24
+# succeeds 20 of 20 times, degree 32 4 of 20 and degrees 40 and 48 never.
 _MAX_DEGREE = 237
 
 
@@ -503,16 +503,17 @@ def generate_instance(
     full row rank.  Poles (roots of the d_k) and zeros (of the n_k) are real
     points or conjugate pairs drawn outside their regions and off the unit
     circle, with pole and zero atoms of equal size per slot; a draw is
-    retried when a point repeats, a zero is a pole or a pole's reciprocal,
-    or M is rank deficient.  So W is real and meets every hypothesis of
-    ``uniqueness_check``, none checked here.  Its poles lie outside the pole
-    region, none at infinity as deg n_k = deg d_k.  M is r rows of a
-    constant invertible matrix, so W has D's Smith-McMillan form, and for
-    M M+ = I, M+ D^-1 is a right inverse with W's zero degrees as pole
-    degrees: the minimal one has its poles on D's zeros, outside the zero
-    region.  Phi = M^T (D~ D) M has the degree of D~ D, 2 deg D = 2 deg W,
-    as no zero is a pole or a pole's reciprocal.  A degree above
-    _MAX_DEGREE can never be drawn and raises InputTooLargeError at once.
+    retried when a zero is a pole or a pole's reciprocal, or M is rank
+    deficient; a point drawn twice is a pole or zero of multiplicity two,
+    which the argument below allows.  So W is real and meets every
+    hypothesis of ``uniqueness_check``, none checked here.  Its poles lie
+    outside the pole region, none at infinity as deg n_k = deg d_k.  M is r
+    rows of a constant invertible matrix, so W has D's Smith-McMillan form,
+    and for M M+ = I, M+ D^-1 is a right inverse with W's zero degrees as
+    pole degrees: the minimal one has its poles on D's zeros, outside the
+    zero region.  Phi = M^T (D~ D) M has the degree of D~ D,
+    2 deg D = 2 deg W, as no zero is a pole or a pole's reciprocal.  A
+    degree above the cap _MAX_DEGREE raises InputTooLargeError at once.
     """
     r, n = size
     if not (1 <= r <= n):
@@ -536,12 +537,8 @@ def generate_instance(
                 else:
                     pole_atoms.append(_draw_conjugate_pair_outside(rng, region_p))
                     zero_atoms.append(_draw_conjugate_pair_outside(rng, region_z))
-            poles = [p for atom in pole_atoms for p in atom]
-            zeros = [z for atom in zero_atoms for z in atom]
-            pole_set = set(poles)
-            zero_set = set(zeros)
-            if len(pole_set) != len(poles) or len(zero_set) != len(zeros):
-                raise _RetryDraw("repeated drawn point")
+            pole_set = {p for atom in pole_atoms for p in atom}
+            zero_set = {z for atom in zero_atoms for z in atom}
             if pole_set & zero_set:
                 raise _RetryDraw(f"pole/zero collision at {pole_set & zero_set}")
             recip_poles = {p.symplectic_pair() for p in pole_set}

@@ -201,7 +201,8 @@ def test_generate_degree_above_the_bound_is_too_large(capsys):
     assert time.perf_counter() - start < 1.0
     assert code == 1 and not out
     assert json.loads(err)["error"]["code"] == "too_large"
-    # at the bound itself every draw repeats a point; 60 attempts take about 2 s
+    # at the cap itself every draw has a pole/zero collision; 60 attempts
+    # take about 0.6 s
     start = time.perf_counter()
     code, out, err = run_cli(capsys, *args, str(_MAX_DEGREE))
     assert time.perf_counter() - start < 30.0

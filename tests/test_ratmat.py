@@ -588,6 +588,12 @@ def _split_matrices(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(_split_matrices())
+# a pole at infinity of degree 2 next to a simple pole at 2
+@example(M([[RF([0, 0, 1]), 1], [0, RF([1], [-2, 1])]]))
+# a double pole at 2, shared by two entries
+@example(M([[RF([1], [4, -4, 1]), RF([1], [-2, 1])], [RF([1], [-2, 1]), 1]]))
+# normal rank 1 with a pole at 2 in every entry
+@example(M([[RF([1], [-2, 1]), RF([1], [-2, 1])], [RF([0, 1], [-2, 1]), RF([0, 1], [-2, 1])]]))
 def test_sm_locations_agree_with_valuation_degrees(mat):
     # locations come from the Smith-McMillan form, pointwise degrees from
     # minor valuations; the two routes must tell the same story
@@ -600,6 +606,38 @@ def test_sm_locations_agree_with_valuation_degrees(mat):
             assert degree(Point(r)) == m
     finite = sum(mat.pole_degree(p) for p in mat.finite_pole_points())
     assert mat.mcmillan_degree() == finite + mat.pole_degree(INFINITY)
+    # the degree from the global form, and from the minor oracle at the
+    # roots of d and at infinity
+    assert mat.mcmillan_degree() == (
+        sum(int(psi.degree) for psi in sm.psi) + mat.pole_degree(INFINITY))
+    points = [Point(r) for r, _ in require_split(mat.den)] + [INFINITY]
+    assert mat.mcmillan_degree() == sum(brute_point_degrees(mat, p)[1] for p in points)
+
+
+def test_mcmillan_degree_forms_no_smith_mcmillan_form(monkeypatch):
+    mat = (make_elementary(pt(2), [1, 0, 1])
+           * make_elementary(pt(Fraction(1, 3), 1), [0, 1, gr(0, 1)])
+           * make_elementary(pt(-4), [1, 2, -1]))
+
+    def forbidden(*args):
+        raise AssertionError("the McMillan degree read the global form")
+
+    monkeypatch.setattr(ratmat, "_sm_of", forbidden)
+    monkeypatch.setattr(ratmat, "_minor_gcd", forbidden)
+    assert mat.mcmillan_degree() == 3
+
+
+@pytest.mark.parametrize("mat, error, message", [
+    (M([[RF([1], [-2, 0, 1])]]), NonGaussianPoleError,
+     "locations outside Q(i) in pole locations: irreducible cofactor z^2 + (-2)"),
+    (M([[RF([0, 0, 1]), RF([1], [-2, 0, 1])]]), NonGaussianPoleError,
+     "locations outside Q(i) in pole locations: irreducible cofactor z^2 + (-2)"),
+    (RatMat.zeros(2, 3), ZeroMatrixError, "the zero matrix has no Smith-McMillan structure"),
+])
+def test_mcmillan_degree_errors(mat, error, message):
+    with pytest.raises(error) as info:
+        mat.mcmillan_degree()
+    assert str(info.value) == message
 
 
 def test_mcmillan_degree_examples():

@@ -517,6 +517,33 @@ def test_generate_instance_rejects_bad_arguments():
         generate_instance(1, (1, 1), -1, OUTER, OUTER)
 
 
+@pytest.mark.parametrize("geometry", ["classical_outer", "flipped_disjoint"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_generate_accepts_repeated_points_at_degree_24(seed, geometry):
+    # each of these six draws repeats a point: a pole or zero of
+    # multiplicity above one, which the generator accepts
+    spectrum, w = generate_instance(seed, (1, 2), 24, *_GEOMETRIES[geometry])
+    assert w.mcmillan_degree() == 24
+    assert spectrum.mcmillan_degree() == 48
+
+
+def test_generated_factor_with_a_double_pole_meets_every_hypothesis():
+    # sweep instance 1010009: the pole 3 is drawn twice, once per row
+    region_p, region_z = _GEOMETRIES["flipped_disjoint"]
+    spectrum, w = generate_instance(1010009, (2, 3), 3, region_p, region_z)
+    assert w.pole_points() == (pt(Fraction(-4, 9)), pt(3))
+    assert w.pole_degree(pt(3)) == 2
+    assert w.mcmillan_degree() == 3
+    assert spectrum.mcmillan_degree() == 6
+    q = RatMat([[-1, 0], [0, -1]])
+    result = uniqueness_check(w, q * w, region_p, region_z)
+    assert result.verdict is Verdict.UNIQUE
+    assert result.transfer == q
+    result = uniqueness_check(w, perturb_with_allpass(w, [pt(3)]), region_p, region_z)
+    assert (result.verdict, result.failed_hypotheses) == (
+        Verdict.HYPOTHESIS_FAILED, ("minimality_W1",))
+
+
 def test_degree_bound_follows_from_the_draw_pools():
     # the values the two draws start from, written out independently
     reals = {gr(Fraction(n, d)) for n in range(-9, 10) for d in range(1, 10)
@@ -526,7 +553,8 @@ def test_degree_bound_follows_from_the_draw_pools():
     real_pairs = {frozenset({x, x.inverse()}) for x in reals}
     classes = {frozenset({w, w.conj(), w.inverse(), w.conj().inverse()}) for w in complexes}
     assert (len(reals), len(real_pairs), len(complexes), len(classes)) == (108, 54, 244, 211)
-    # poles and zeros take disjoint pairs and classes, atom sizes mirrored
+    # the cap: distinct poles and zeros in disjoint pairs and classes, atom
+    # sizes mirrored, would stop there
     assert _MAX_DEGREE == len(real_pairs) // 2 + 2 * (len(classes) // 2)
     real_points = set().union(*real_pairs)
     complex_points = set().union(*classes)
