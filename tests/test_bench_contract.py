@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import specfactor.jsonio  # noqa: F401  (its functions are trace boundaries)
-from specfactor import GaussianRational, RatMat, cancellation, ratmat
+from specfactor import GaussianRational, RatMat, cancellation, ratmat, spectra
 
 from helpers import M, RF, random_full_rank_pair
 
@@ -126,3 +126,59 @@ def test_analyze_product_expands_each_matrix_once_per_point(monkeypatch):
     assert asked == [(mat, point) for point in points for mat in (g, h, g * h)]
     # each distinct (matrix, point) is expanded once
     assert len(expansions) == len(set(expansions)) and set(expansions) == set(asked)
+
+
+def test_orthogonal_multiple_solves_only_the_factors_system(monkeypatch):
+    # sweep instance 20251 (weak_flipped, 2x2, degree 1) draws the rotation
+    # q below: its case reads q W's hypotheses off W, so the traced sweep's
+    # linsolve.solve and ratmat.sm counts drop by what q W would add
+    geo = spectra.default_geometries()[3]
+    region_p, region_z = geo["region_p"], geo["region_z"]
+    _, w = spectra.generate_instance(20251, (2, 2), 1, region_p, region_z)
+    q = spectra._ORTHOGONAL_POOLS[2][4]
+    w1 = q * w
+    perturbed = spectra.perturb_with_allpass(w, [geo["allpass_pole"]])
+    ratmat._minimal_right_inverse.cache_clear()
+    solved = []
+    inverted = []
+    solve = ratmat.solve_linear
+    invert = ratmat._minimal_right_inverse
+
+    def spy_solve(a, b):
+        solved.append(len(a))
+        return solve(a, b)
+
+    def spy_invert(mat):
+        inverted.append(mat)
+        return invert(mat)
+
+    monkeypatch.setattr(ratmat, "solve_linear", spy_solve)
+    monkeypatch.setattr(ratmat, "_minimal_right_inverse", spy_invert)
+    res = spectra.uniqueness_check(w, w1, region_p, region_z)
+    assert (res.verdict, res.transfer) == (spectra.Verdict.UNIQUE, q)
+    assert len(solved) == 1 and w1 not in inverted
+    res = spectra.uniqueness_check(w, perturbed, region_p, region_z)
+    monkeypatch.undo()
+    assert res.verdict is spectra.Verdict.HYPOTHESIS_FAILED
+    assert len(solved) == 2 and perturbed in inverted
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_a_failed_minimal_inverse_is_solved_once_per_factor(sign, monkeypatch):
+    # [z, 1/z] has no minimal right inverse: the transfer's attempt stands
+    # for W's inverse check, so W and W1 cost one failed solve each
+    w = M([[RF([0, 1]), RF([1], [0, 1])]])
+    region = spectra.Region(spectra.Side.INNER)
+    ratmat._minimal_right_inverse.cache_clear()
+    solved = []
+    solve = ratmat.solve_linear
+
+    def spy_solve(a, b):
+        solved.append(len(a))
+        return solve(a, b)
+
+    monkeypatch.setattr(ratmat, "solve_linear", spy_solve)
+    res = spectra.uniqueness_check(w, w * sign, region, region)
+    monkeypatch.undo()
+    assert "analyticity_W_inverse" in res.failed_hypotheses
+    assert len(solved) == 2

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import os
 import subprocess
 import sys
 import time
@@ -207,6 +208,23 @@ def test_generate_degree_above_the_bound_is_too_large(capsys):
     code, out, err = run_cli(capsys, *args, str(_MAX_DEGREE))
     assert time.perf_counter() - start < 30.0
     assert code == 0 or json.loads(err)["error"]["code"] == "generation_failed"
+
+
+def test_generation_failure_message_is_short_and_reproducible():
+    # every draw at the cap collides at dozens of points; the message names
+    # a count and the least point, the same under any string-hash seed
+    args = [sys.executable, "-m", "specfactor.cli", "generate", "--seed", "1", "--size", "1,2",
+            "--region-p", "outer", "--region-z", "outer", "--degree", str(_MAX_DEGREE)]
+    messages = []
+    for hash_seed in ("1", "2"):
+        proc = subprocess.run(args, capture_output=True, text=True,
+                              env={**os.environ, "PYTHONHASHSEED": hash_seed})
+        assert proc.returncode == 1 and not proc.stdout
+        error = json.loads(proc.stderr)["error"]
+        assert error["code"] == "generation_failed"
+        messages.append(error["message"])
+    assert len(messages[0]) < 1000
+    assert messages[0] == messages[1]
 
 
 def test_sweep_deterministic_bytes(tmp_path, capsys):

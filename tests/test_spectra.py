@@ -459,6 +459,79 @@ def test_uniqueness_rejects_complex_candidate():
     assert "real_coefficients" in res.failed_hypotheses
 
 
+def _reference_hypotheses(w, w1, region_p, region_z) -> tuple[str, ...]:
+    """The failed hypotheses of (W, W1), each checked on its own factor
+    through the public API."""
+
+    def inverse_analytic(g):
+        try:
+            return analytic_in(g.minimal_right_inverse(), region_z)
+        except MinimalInverseError:
+            return False
+
+    def minimal(g):
+        return is_stochastically_minimal(g, Spectrum(g.paraconj_transpose() * g))
+
+    r = w.rows
+    full_rank = w.normal_rank() == r and w1.normal_rank() == r
+    checks = [
+        ("real_coefficients", w.has_real_coeffs() and w1.has_real_coeffs()),
+        ("full_row_rank", full_rank),
+        ("co_spectrality", w.paraconj_transpose() * w == w1.paraconj_transpose() * w1),
+        ("analyticity_W", analytic_in(w, region_p)),
+        ("analyticity_W1", analytic_in(w1, region_p)),
+    ]
+    if full_rank:
+        checks += [
+            ("analyticity_W_inverse", inverse_analytic(w)),
+            ("analyticity_W1_inverse", inverse_analytic(w1)),
+            ("minimality_W", minimal(w)),
+            ("minimality_W1", minimal(w1)),
+        ]
+    return tuple(name for name, holds in checks if not holds)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**16), st.integers(0, 3), st.sampled_from([(1, 1), (1, 2), (2, 2), (2, 3)]),
+       st.integers(0, 2), st.sampled_from(["generated", "perturbed", "swapped_regions"]),
+       st.data())
+def test_orthogonal_multiples_match_the_reference_hypotheses(seed, geo_index, size, degree,
+                                                             variant, data):
+    # uniqueness_check reads T W's structural hypotheses off W for constant
+    # T; checking each factor on its own must give the same tuple
+    geo = default_geometries()[geo_index]
+    region_p, region_z = geo["region_p"], geo["region_z"]
+    _, w = generate_instance(seed, size, degree, region_p, region_z)
+    if variant == "perturbed":
+        w = perturb_with_allpass(w, [geo["allpass_pole"]])
+    elif variant == "swapped_regions":
+        region_p, region_z = region_z, region_p
+    identity = RatMat.identity(size[0])
+    t = data.draw(st.sampled_from(_ORTHOGONAL_POOLS[size[0]] + [-identity, identity * gr(0, 1)]))
+    w1 = t * w
+    expected = _reference_hypotheses(w, w1, region_p, region_z)
+    res = uniqueness_check(w, w1, region_p, region_z)
+    assert res.failed_hypotheses == expected
+    if expected:
+        assert (res.verdict, res.transfer) == (Verdict.HYPOTHESIS_FAILED, None)
+    else:
+        assert (res.verdict, res.transfer) == (Verdict.UNIQUE, t)
+    if not t.has_real_coeffs():
+        assert "real_coefficients" in expected
+
+
+def test_non_constant_transfer_with_a_shared_denominator_checks_w1_itself():
+    # W1 flips W's zero 1/2 to 2: the pair is co-spectral with one
+    # denominator, but T = (1 - z/2)/(z - 1/2) is not constant, so W1's
+    # inverse is checked on W1 and has its pole at 2, in the outer region
+    w = M([[RF([Fraction(-1, 2), 1], [Fraction(-1, 3), 1])]])
+    w1 = M([[RF([1, Fraction(-1, 2)], [Fraction(-1, 3), 1])]])
+    assert w1.den == w.den and _gram(w1) == _gram(w)
+    res = uniqueness_check(w, w1, OUTER, OUTER)
+    assert (res.verdict, res.failed_hypotheses) == (Verdict.HYPOTHESIS_FAILED,
+                                                    ("analyticity_W1_inverse",))
+
+
 def test_generate_instance_postconditions():
     for geo in default_geometries():
         spectrum, w = generate_instance(11, (2, 2), 2, geo["region_p"], geo["region_z"])
