@@ -10,7 +10,9 @@ checks below verify those facts on concrete instances.
 
 Analysis is pointwise: cancellations can only occur on the combined
 pole/zero support, which ``support_points`` enumerates (Q(i) locations
-plus infinity).
+plus infinity).  For a full-rank pair that support is the factors' own
+poles and zeros, so G H is formed only by the first ``analyze_product``;
+only a rank-deficient pair needs the zeros of G H itself.
 """
 
 from __future__ import annotations
@@ -42,8 +44,10 @@ class CancellationReport:
 
 @lru_cache(maxsize=4096)
 def _product(g: RatMat, h: RatMat) -> RatMat:
-    """G H, formed once per pair: ``support_points`` and every per-point
-    ``analyze_product`` share the result (and its cached structure)."""
+    """G H, formed once per pair: every per-point ``analyze_product``
+    shares the result (and its cached structure), and so does
+    ``support_points`` for a pair without full inner rank; for a full-rank
+    pair it reads the factors only."""
     return g * h
 
 
@@ -75,11 +79,17 @@ def analyze_product(g: RatMat, h: RatMat, point: Point) -> CancellationReport:
     )
 
 
+def _full_inner_rank(g: RatMat, h: RatMat) -> bool:
+    """rank(G) = cols(G) = rows(H) = rank(H), from the memoized ranks; a
+    zero factor has rank 0 and fails it."""
+    return g.cols == h.rows and g.normal_rank() == g.cols and h.normal_rank() == h.rows
+
+
 def _require_full_rank_pair(g: RatMat, h: RatMat):
     r = g.cols
     if h.rows != r:
         raise RankDeficiencyError("inner dimensions differ")
-    if g.normal_rank() != r or h.normal_rank() != r:
+    if not _full_inner_rank(g, h):
         raise RankDeficiencyError(
             "needs rank(G) = cols(G) = rows(H) = rank(H); "
             f"got rank(G)={g.normal_rank()}, rank(H)={h.normal_rank()}, r={r}"
@@ -119,12 +129,23 @@ def pole_additivity_holds(g: RatMat, h: RatMat, point: Point) -> bool:
 def support_points(g: RatMat, h: RatMat) -> tuple[Point, ...]:
     """Q(i) poles and zeros of G, H and G H, plus infinity.
 
+    For a full-rank pair (``_full_inner_rank``) the poles and zeros of G H
+    lie among those of G and H, so only the factors are read and G H is
+    not formed.  Proof: let r be the inner dimension and p a finite point
+    where neither G nor H has a pole or a zero.  Every local order of both
+    factors at p is 0, so G(p) and H(p) both have rank r, and so has
+    G(p) H(p).  By Sylvester's inequality r is also the normal rank of
+    G H.  G H is analytic at p and keeps its normal rank there, so p is
+    neither a pole nor a zero of G H.  A rank-deficient pair needs G H
+    itself: G = [1, 1] and H = [1; z - 2] show nothing, while G H = z - 1
+    has a zero at 1.
+
     Locations outside Q(i) are not enumerable and are skipped; they cannot
     be probed by the pointwise checks anyway.
     """
+    mats = (g, h) if _full_inner_rank(g, h) else (g, h, _product(g, h))
     points: set[Point] = set()
-    product = _product(g, h)
-    for mat in (g, h, product):
+    for mat in mats:
         if mat.is_zero():
             continue
         points.update(mat.finite_pole_points(strict=False))

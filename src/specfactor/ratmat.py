@@ -22,7 +22,8 @@ The structural queries all reduce to exact polynomial arithmetic on N/d:
   d; zero locations are the roots of the Smith-McMillan zero polynomial,
 * pole/zero degrees at one point of the extended plane, infinity included,
   come from a local Smith form on the expansion of N about the point
-  (``point_expansions``, to a given number of terms), pivoting on an entry
+  (``point_expansions``, to a given number of terms, from N's integer form
+  ``_integer_form``, built once per matrix), pivoting on an entry
   of least order and working mod u**precision.  The pole degree is the
   sum of max(0, m - nu_k) over N's invariant orders nu_k, m the order of d
   there (``_den_order``), so ``pole_degree`` expands and eliminates only m
@@ -569,9 +570,28 @@ def _cleared_cached(mat: RatMat) -> tuple[Poly, tuple[tuple[Poly, ...], ...]]:
     return mat.den, mat.num
 
 
+@lru_cache(maxsize=4096)
+def _integer_form(mat: RatMat) -> tuple[tuple[tuple[tuple[tuple[int, int], ...], ...], ...], int]:
+    """N over one integer denominator, and its padding degree top: each
+    entry's Gaussian-integer numerators scaled to the lcm of the entries'
+    denominators (() for zero), and the largest entry degree.  Only the
+    matrix fixes them, so ``point_expansions`` and ``_top`` read them here
+    once per matrix rather than at every point and precision."""
+    parts = [[p.parts for p in row] for row in mat.num]
+    den = lcm(*(p_den for row in parts for p_den, num in row if num))
+
+    def scaled(p_den, num):
+        k = den // p_den
+        return num if k == 1 else tuple((x * k, y * k) for x, y in num)
+
+    grid = tuple(tuple(scaled(*p) for p in row) for row in parts)
+    return grid, max(len(num) for row in grid for num in row) - 1
+
+
 def _top(mat: RatMat) -> int:
-    """The largest entry degree of N, the padding of ``point_expansions``."""
-    return max(len(p.parts[1]) for row in mat.num for p in row) - 1
+    """The largest entry degree of N, the padding of ``point_expansions``
+    (from ``_integer_form``)."""
+    return _integer_form(mat)[1]
 
 
 def _den_order(mat: RatMat, point: Point) -> tuple[int, tuple[int, int]]:
@@ -595,28 +615,20 @@ def _den_order(mat: RatMat, point: Point) -> tuple[int, tuple[int, int]]:
 def point_expansions(mat: RatMat, point: Point, terms: int):
     """The entries of N about one point of the extended plane, mod u**terms.
 
-    Each entry is cleared to one integer denominator and expanded about the
-    point (at infinity: reversed), all padded to the largest entry degree
-    so that one scalar scales them all, and only its first ``terms``
-    coefficients are computed (Gaussian-integer pair lists, [] for zero).
-    With ``_den_order`` they give G = grid / (c u**m + ...) up to a
-    positive rational.
+    The entries, cleared to one integer denominator and padded to the
+    largest entry degree so that one scalar scales them all, come from the
+    memo ``_integer_form``; each is expanded about the point (at infinity:
+    reversed), and only its first ``terms`` coefficients are computed
+    (Gaussian-integer pair lists, [] for zero).  With ``_den_order`` they
+    give G = grid / (c u**m + ...) up to a positive rational.
     """
-    parts = [[p.parts for p in row] for row in mat.num]
-    den = lcm(*(p_den for row in parts for p_den, num in row if num))
-    top = max(len(num) for row in parts for _, num in row) - 1
-
-    def expand(p_den, num):
-        if not num:
-            return []
-        k = den // p_den
-        if k != 1:
-            num = [(x * k, y * k) for x, y in num]
-        if point.is_infinite:
-            return ([(0, 0)] * (top + 1 - len(num)) + [*reversed(num)])[:terms]
-        return taylor_numerators(num, point.value, top, terms)
-
-    return [[expand(*p) for p in row] for row in parts]
+    grid, top = _integer_form(mat)
+    if point.is_infinite:
+        return [[([(0, 0)] * (top + 1 - len(num)) + [*reversed(num)])[:terms] if num else []
+                 for num in row] for row in grid]
+    alpha = point.value
+    return [[taylor_numerators(num, alpha, top, terms) if num else [] for num in row]
+            for row in grid]
 
 
 @lru_cache(maxsize=4096)

@@ -99,8 +99,24 @@ def test_analyze_product_expands_each_matrix_once_per_point(monkeypatch):
     # support point: one (zero, pole) pair per matrix and point, with no
     # pole-only query expanding the same point a second time
     g, h = random_full_rank_pair(random.Random(5), max_side=3)
+    product = g * h
+    # a full-rank pair's support reads the factors only: no Smith-McMillan
+    # form of G H, and G H is first formed by the first analysis
+    cancellation._product.cache_clear()
+    forms = []
+    sm_of = ratmat._sm_of
+
+    def spy_sm(mat):
+        forms.append(mat)
+        return sm_of(mat)
+
+    monkeypatch.setattr(ratmat, "_sm_of", spy_sm)
     points = cancellation.support_points(g, h)
+    monkeypatch.undo()
+    assert forms and product not in forms
+    assert cancellation._product.cache_info().currsize == 0
     ratmat.point_degrees_by_valuation.cache_clear()
+    ratmat._integer_form.cache_clear()
     asked = []
     expansions = []
     pair = cancellation.point_degrees_by_valuation
@@ -120,12 +136,16 @@ def test_analyze_product_expands_each_matrix_once_per_point(monkeypatch):
     monkeypatch.setattr(cancellation, "point_degrees_by_valuation", spy_pair)
     monkeypatch.setattr(ratmat, "point_expansions", spy_expand)
     monkeypatch.setattr(ratmat, "_pole_degree", no_pole_only)
-    for point in points:
+    for k, point in enumerate(points):
         cancellation.analyze_product(g, h, point)
+        if k == 0:
+            assert cancellation._product.cache_info().currsize == 1
     monkeypatch.undo()
-    assert asked == [(mat, point) for point in points for mat in (g, h, g * h)]
-    # each distinct (matrix, point) is expanded once
+    assert asked == [(mat, point) for point in points for mat in (g, h, product)]
+    # each distinct (matrix, point) is expanded once, and each matrix's
+    # integer form is built once across all its points
     assert len(expansions) == len(set(expansions)) and set(expansions) == set(asked)
+    assert ratmat._integer_form.cache_info().misses == len({g, h, product})
 
 
 def test_orthogonal_multiple_solves_only_the_factors_system(monkeypatch):

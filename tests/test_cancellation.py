@@ -2,9 +2,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from specfactor import (
     INFINITY,
+    Point,
+    Poly,
     RatFun,
     RatMat,
     analyze_product,
@@ -15,9 +18,9 @@ from specfactor import (
     support_points,
 )
 from specfactor.cancellation import _product
-from specfactor.errors import RankDeficiencyError, ZeroMatrixError
+from specfactor.errors import DimensionMismatchError, RankDeficiencyError, ZeroMatrixError
 
-from helpers import M, RF, pt, random_full_rank_pair
+from helpers import M, P, RF, pt, random_full_rank_pair
 
 GOLDEN_G = M([[1, -1]])
 GOLDEN_H = M([[RF([3, 2], [2, 3, 1])], [RF([1], [2, 1])]])
@@ -166,3 +169,80 @@ def test_support_points_contents():
     pts = support_points(GOLDEN_G, GOLDEN_H)
     assert pt(-1) in pts and pt(-2) in pts
     assert pts[-1] == INFINITY
+
+
+def _support_through_product(g, h):
+    """The support as the factors and G H report it through the public
+    API: the route ``support_points`` takes for a pair without full inner
+    rank."""
+    points = set()
+    for mat in (g, h, g * h):
+        if not mat.is_zero():
+            points.update(mat.finite_pole_points(strict=False))
+            points.update(mat.finite_zero_points(strict=False))
+    return tuple(sorted(points, key=Point.sort_key)) + (INFINITY,)
+
+
+_DENSE_POLES = [pt(2), pt(-1), pt(Fraction(1, 2))]
+
+
+@st.composite
+def _dense_entries(draw):
+    kind = draw(st.integers(0, 2))
+    a, b = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+    if kind == 0:
+        return RatFun(P(a))
+    if kind == 1:
+        return RF([a, b])
+    return RatFun(P(a or 1), Poly.linear(draw(st.sampled_from(_DENSE_POLES)).value))
+
+
+@st.composite
+def _dense_full_rank_pairs(draw):
+    """G (n x r) and H (r x m) with every entry drawn on its own, kept when
+    both have full inner rank r."""
+    r = draw(st.integers(1, 3))
+    n, m = draw(st.integers(r, r + 1)), draw(st.integers(r, r + 1))
+    g = M([[draw(_dense_entries()) for _ in range(r)] for _ in range(n)])
+    h = M([[draw(_dense_entries()) for _ in range(m)] for _ in range(r)])
+    assume(g.normal_rank() == r == h.normal_rank())
+    return g, h
+
+
+_full_rank_pairs = st.one_of(
+    _dense_full_rank_pairs(),
+    st.integers(0, 2**32).map(lambda seed: random_full_rank_pair(random.Random(seed), max_side=4)),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_full_rank_pairs)
+# a pole of one factor on a zero of the other: G H = I has neither
+@example((M([[RF([-2, 1]), 0], [0, 1]]), M([[RF([1], [-2, 1]), 0], [0, 1]])))
+# the forced two-sided cancellation at 1/2, inner rank 2
+@example((make_elementary(pt(2), [1, 0]), M([[RF([1], [Fraction(-1, 2), 1]), 0], [0, 1]])))
+# dense, inner rank 3: H's pole at 2 meets G's zero there (det G = z - 2)
+@example((M([[1, 1, 0], [0, 1, 0], [0, 0, RF([-2, 1])]]),
+          M([[1, 0, 1], [0, RF([1], [-2, 1]), 0], [0, 0, RF([1], [-2, 1])]])))
+# at infinity: G's pole there meets H's zero there, G H = [1, 1; 0, 1]
+@example((M([[RF([0, 1]), 1], [0, 1]]), M([[RF([1], [0, 1]), 0], [0, 1]])))
+def test_full_rank_support_matches_the_product_route(pair):
+    g, h = pair
+    assert support_points(g, h) == _support_through_product(g, h)
+
+
+def test_rank_deficient_pair_reads_the_product():
+    # G H = z - 1 has a zero at 1 that neither G = [1, 1] nor H = [1; z - 2]
+    # shows: G has rank 1 < 2 = cols(G)
+    g = M([[1, 1]])
+    h = M([[1], [RF([-2, 1])]])
+    assert g.finite_zero_points() == h.finite_zero_points() == ()
+    assert support_points(g, h) == (pt(1), INFINITY)
+
+
+def test_zero_factor_and_mismatched_dimensions_keep_the_product_route():
+    h = M([[RF([1], [-2, 1]), 0], [0, RF([-3, 1])]])
+    assert support_points(RatMat.zeros(2, 2), h) == (pt(2), pt(3), INFINITY)
+    assert support_points(h, RatMat.zeros(2, 1)) == (pt(2), pt(3), INFINITY)
+    with pytest.raises(DimensionMismatchError):
+        support_points(M([[1, 1]]), M([[1, 2]]))
