@@ -19,7 +19,8 @@ The structural queries all reduce to exact polynomial arithmetic on N/d:
   against d,
 * pole locations (``pole_points``) are the roots of the common denominator
   d, the first Smith-McMillan pole invariant, plus infinity when N outgrows
-  d; zero locations are the roots of the Smith-McMillan zero polynomial,
+  d (its largest entry degree, ``_top``, exceeds deg d); zero locations are
+  the roots of the Smith-McMillan zero polynomial,
 * pole/zero degrees at one point of the extended plane, infinity included,
   come from a local Smith form on the expansion of N about the point
   (``point_expansions``, to a given number of terms, from N's integer form
@@ -35,8 +36,9 @@ The structural queries all reduce to exact polynomial arithmetic on N/d:
   the Laurent leading coefficient up to a positive rational,
 * the McMillan degree is the sum of ``pole_degree`` over ``pole_points()``,
 * ``minimal_right_inverse``, for square and wide G alike, solves one exact
-  Z[i] system for right inverses with poles on the zeros of G and keeps one
-  with G's zero degrees as pole degrees; memoized per value (32 entries).
+  Z[i] system, built from the same integer form of N, for right inverses
+  with poles on the zeros of G and keeps one with G's zero degrees as pole
+  degrees; memoized per value (32 entries).
 
 Only ``sm_structure`` enumerates all k x k minors, which is exponential in
 the matrix size; pole locations, pointwise degrees and the McMillan degree
@@ -368,8 +370,9 @@ class RatMat:
 
     def has_pole_at_infinity(self) -> bool:
         # an entry N_ij / d reduces by a common factor of both, so its
-        # numerator outgrows its denominator exactly when N_ij outgrows d
-        return any(p.degree > self._d.degree for row in self._n for p in row)
+        # numerator outgrows its denominator exactly when N_ij outgrows d:
+        # when the padding degree of ``_den_order`` at infinity exceeds deg d
+        return _top(self) > self._d.degree
 
     def pole_points(self) -> tuple[Point, ...]:
         """Every pole location, infinity last; a location outside Q(i) raises."""
@@ -424,8 +427,8 @@ class RatMat:
 @lru_cache(maxsize=32)
 def _minimal_right_inverse(mat: RatMat) -> RatMat:
     """``RatMat.minimal_right_inverse``, memoized: the sweep asks for the
-    inverse of one factor three times per instance.  Failures raise and are
-    not cached."""
+    inverse of one factor once per uniqueness check, twice per instance.
+    Failures raise and are not cached."""
     r, n = mat.rows, mat.cols
     if mat.normal_rank() != r:
         raise RankDeficiencyError(
@@ -434,35 +437,29 @@ def _minimal_right_inverse(mat: RatMat) -> RatMat:
     sm = mat.sm_structure()
     m = sm.zero_polynomial()
     dz_inf = mat.zero_degree(INFINITY)
-    d, nmat = mat.den, mat.num
-    target = d * m
+    grid, deg_n, n_den = _integer_form(mat)
+    t_den, t_num = (mat.den * m).parts
     deg_y = int(m.degree) + dz_inf
-    deg_n = max(
-        (int(p.degree) for row in nmat for p in row if not p.is_zero()), default=0
-    )
-    height = max(deg_n + deg_y, int(target.degree)) + 1
+    height = max(deg_n + deg_y, len(t_num) - 1) + 1
     width = n * (deg_y + 1)
-    # G * X = I is nmat * Y = target * I; equation (i, t) matches the
-    # coefficients of z**t in row i, in integers: times the lcm of the
-    # denominators of row i of nmat and of target
-    t_den, t_num = target.parts
+    # G * X = I is N * Y = d m I; equation (i, t) matches the coefficients
+    # of z**t in row i, both sides times the lcm of N's and d m's
+    # denominators to stay in integers
+    scale = lcm(n_den, t_den)
+    n_scale, t_scale = scale // n_den, scale // t_den
     a, b = [], []
     for i in range(r):
-        entries = [(k * (deg_y + 1), *p.parts) for k, p in enumerate(nmat[i])
-                   if not p.is_zero()]
-        row_den = lcm(t_den, *(p_den for _, p_den, _ in entries))
+        entries = [(k * (deg_y + 1), num) for k, num in enumerate(grid[i]) if num]
         for t in range(height):
             row = [(0, 0)] * width
-            for col, p_den, num in entries:
-                scale = row_den // p_den
+            for col, num in entries:
                 for s in range(max(0, t + 1 - len(num)), min(deg_y, t) + 1):
                     re, im = num[t - s]
-                    row[col + s] = (re * scale, im * scale)
+                    row[col + s] = (re * n_scale, im * n_scale)
             a.append(row)
             rhs = [(0, 0)] * r
             if t < len(t_num):
-                scale = row_den // t_den
-                rhs[i] = (t_num[t][0] * scale, t_num[t][1] * scale)
+                rhs[i] = (t_num[t][0] * t_scale, t_num[t][1] * t_scale)
             b.append(rhs)
     solved = solve_linear(a, b)
     if solved is None:
@@ -571,12 +568,14 @@ def _cleared_cached(mat: RatMat) -> tuple[Poly, tuple[tuple[Poly, ...], ...]]:
 
 
 @lru_cache(maxsize=4096)
-def _integer_form(mat: RatMat) -> tuple[tuple[tuple[tuple[tuple[int, int], ...], ...], ...], int]:
-    """N over one integer denominator, and its padding degree top: each
-    entry's Gaussian-integer numerators scaled to the lcm of the entries'
-    denominators (() for zero), and the largest entry degree.  Only the
-    matrix fixes them, so ``point_expansions`` and ``_top`` read them here
-    once per matrix rather than at every point and precision."""
+def _integer_form(mat: RatMat) -> tuple[tuple, int, int]:
+    """N over one integer denominator: (grid, top, den) with grid each
+    entry's Gaussian-integer numerators scaled to den, the lcm of the
+    entries' denominators (() for zero), and top the largest entry degree
+    (-1 for the zero matrix).  Only the matrix fixes them, so
+    ``point_expansions``, ``_top`` and the coefficient system of
+    ``_minimal_right_inverse`` read them here once per matrix rather than
+    at every point, precision and row."""
     parts = [[p.parts for p in row] for row in mat.num]
     den = lcm(*(p_den for row in parts for p_den, num in row if num))
 
@@ -585,12 +584,12 @@ def _integer_form(mat: RatMat) -> tuple[tuple[tuple[tuple[tuple[int, int], ...],
         return num if k == 1 else tuple((x * k, y * k) for x, y in num)
 
     grid = tuple(tuple(scaled(*p) for p in row) for row in parts)
-    return grid, max(len(num) for row in grid for num in row) - 1
+    return grid, max(len(num) for row in grid for num in row) - 1, den
 
 
 def _top(mat: RatMat) -> int:
     """The largest entry degree of N, the padding of ``point_expansions``
-    (from ``_integer_form``)."""
+    and the test for a pole at infinity (from ``_integer_form``)."""
     return _integer_form(mat)[1]
 
 
@@ -622,7 +621,7 @@ def point_expansions(mat: RatMat, point: Point, terms: int):
     (Gaussian-integer pair lists, [] for zero).  With ``_den_order`` they
     give G = grid / (c u**m + ...) up to a positive rational.
     """
-    grid, top = _integer_form(mat)
+    grid, top, _ = _integer_form(mat)
     if point.is_infinite:
         return [[([(0, 0)] * (top + 1 - len(num)) + [*reversed(num)])[:terms] if num else []
                  for num in row] for row in grid]

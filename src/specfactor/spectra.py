@@ -18,7 +18,8 @@ constant orthogonal transfer T (expected; T is para-unitary because the
 factors are co-spectral), or a non-constant T despite all hypotheses
 holding, which only a defect here can produce.  When W1 is a constant
 multiple T W, W1's structural hypotheses are W's and are read off W, so
-such a pair costs about one factor's checks.  ``generate_instance`` meets
+such a pair costs about one factor's checks; W's minimal right inverse X
+and the transfer W1 X are formed once each.  ``generate_instance`` meets
 every hypothesis by construction.
 
 Exactness note: apart from root guesses that are confirmed exactly, the
@@ -238,13 +239,6 @@ def _inverse_analytic(w: RatMat, region: Region) -> bool:
         return False
 
 
-def _constant_transfer(w1: RatMat, w: RatMat) -> RatMat | None:
-    """W1 X for W's minimal right inverse X when that product is constant,
-    else None; raises ``MinimalInverseError`` when W has none."""
-    t = w1 * w.minimal_right_inverse()
-    return t if t.is_constant() else None
-
-
 def _is_minimal(w: RatMat, phi: RatMat) -> bool:
     """Stochastic minimality of a factor W of Phi: 2 deg W = deg Phi."""
     return 2 * w.mcmillan_degree() == phi.mcmillan_degree()
@@ -383,26 +377,26 @@ def uniqueness_check(
     ``transfer_between``): a constant real T is orthogonal and yields
     UNIQUE, a non-constant one UNIQUENESS_VIOLATED, a defect of this package.
 
-    When the factors are co-spectral, of full row rank and share their
-    canonical denominator, T = W1 X for W's minimal right inverse X is
-    formed right after W's pole-region check.  If T is constant, W1's three
-    structural hypotheses (analyticity in the pole region, a minimal inverse
-    analytic in the zero region, stochastic minimality) take W's answers and
-    T is the transfer.  This is exact: co-spectrality gives W1 = T W and
-    T~ T = I; for constant T, T~ is the conjugate transpose T^H, so
-    T^H T = I and T is invertible.  W1 = T W with T constant and invertible
-    has W's poles and zeros with their degrees (left multiplication by a
-    constant unit keeps every local Smith-McMillan form), hence W's
-    McMillan degree, and Phi1 = Phi.  W1 Y = I exactly when W (Y T) = I, so
-    every minimal right inverse of W1 is X' T^-1 for a minimal right
-    inverse X' of W, with the poles of X', which are W's zeros.  The den
-    test is necessary for a constant T: a common factor of d and the
-    entries of T N would divide those of N = T^-1 (T N).  Otherwise every
-    W1 hypothesis is checked on W1 itself.  With equal denominators W1's
-    finite poles are W's, so W1's pole-region check raises only where W's
-    did, and forming X ahead of it raises nothing the order above would
-    not raise first.  When W has no minimal right inverse, that first
-    attempt is W's failed inverse check and is not repeated.
+    W's minimal right inverse X is formed once, right after W's pole-region
+    check, whenever both factors have full row rank; when W has none, that
+    attempt is W's failed inverse check.  When the factors are also
+    co-spectral and share their canonical denominator, T = W1 X is formed
+    then too, and kept.  If T is constant, W1's three structural hypotheses
+    (analyticity in the pole region, a minimal inverse analytic in the zero
+    region, stochastic minimality) take W's answers.  This is exact:
+    co-spectrality gives W1 = T W and T~ T = I; for constant T, T~ is the
+    conjugate transpose T^H, so T^H T = I and T is invertible.  W1 = T W
+    with T constant and invertible has W's poles and zeros with their
+    degrees (left multiplication by a constant unit keeps every local
+    Smith-McMillan form), hence W's McMillan degree, and Phi1 = Phi.
+    W1 Y = I exactly when W (Y T) = I, so every minimal right inverse of W1
+    is X' T^-1 for a minimal right inverse X' of W, with the poles of X',
+    which are W's zeros.  The den test is necessary for a constant T: a
+    common factor of d and the entries of T N would divide those of
+    N = T^-1 (T N).  Otherwise every W1 hypothesis is checked on W1 itself,
+    and W1 X is formed at the end if it was not formed before.  Forming X
+    finds no roots and raises only ``MinimalInverseError``, so forming it
+    ahead of W1's pole-region check moves no exception.
     """
     if w.rows != w1.rows or w.cols != w1.cols:
         raise DimensionMismatchError("candidate factors must share dimensions")
@@ -419,32 +413,34 @@ def uniqueness_check(
     if not cospectral:
         failed.append("co_spectrality")
     w_analytic = analytic_in(w, region_p)
-    t = None
-    w_has_inverse = True
-    if full_rank and cospectral and w1.den == w.den:
+    x = t = None
+    if full_rank:
         try:
-            t = _constant_transfer(w1, w)
+            x = w.minimal_right_inverse()
         except MinimalInverseError:
-            w_has_inverse = False
+            pass
+    if x is not None and cospectral and w1.den == w.den:
+        t = w1 * x
+    constant = t is not None and t.is_constant()
     if not w_analytic:
         failed.append("analyticity_W")
-    if not (w_analytic if t is not None else analytic_in(w1, region_p)):
+    if not (w_analytic if constant else analytic_in(w1, region_p)):
         failed.append("analyticity_W1")
     if full_rank:
-        inverse_analytic = w_has_inverse and _inverse_analytic(w, region_z)
+        inverse_analytic = x is not None and analytic_in(x, region_z)
         if not inverse_analytic:
             failed.append("analyticity_W_inverse")
-        if not (inverse_analytic if t is not None else _inverse_analytic(w1, region_z)):
+        if not (inverse_analytic if constant else _inverse_analytic(w1, region_z)):
             failed.append("analyticity_W1_inverse")
         minimal = _is_minimal(w, phi)
         if not minimal:
             failed.append("minimality_W")
-        if not (minimal if t is not None else _is_minimal(w1, phi1)):
+        if not (minimal if constant else _is_minimal(w1, phi1)):
             failed.append("minimality_W1")
     if failed:
         return UniquenessResult(Verdict.HYPOTHESIS_FAILED, tuple(failed), None)
     if t is None:
-        t = transfer_between(w1, w)
+        t = w1 * x
     if t.has_real_coeffs() and t.is_constant():
         return UniquenessResult(Verdict.UNIQUE, (), t)
     return UniquenessResult(Verdict.UNIQUENESS_VIOLATED, (), t)

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -127,6 +128,33 @@ def test_every_import_is_used():
     # pyflakes is not installed; this is its unused-import check alone
     unused = {name: _unused_imports(tree) for name, tree in _modules().items()}
     assert {name: found for name, found in unused.items() if found} == {}
+
+
+def _references(node: ast.AST) -> Counter:
+    """Every name read as a bare name or as an attribute under node."""
+    return Counter(n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+                   if isinstance(n, (ast.Name, ast.Attribute)))
+
+
+def _private_helpers(tree: ast.Module) -> list[ast.FunctionDef]:
+    """The module's private functions and its classes' private methods."""
+    defs = []
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            defs += [item for item in node.body if isinstance(item, ast.FunctionDef)]
+        elif isinstance(node, ast.FunctionDef):
+            defs.append(node)
+    return [d for d in defs if d.name.startswith("_") and not d.name.endswith("__")]
+
+
+def test_every_private_helper_is_referenced():
+    # the dead-code half of what pyflakes would add: a private function or
+    # method that nothing in the package names, itself aside, is left over
+    modules = _modules()
+    everywhere = sum((_references(tree) for tree in modules.values()), Counter())
+    dead = [f"{name}: {d.name} (line {d.lineno})" for name, tree in modules.items()
+            for d in _private_helpers(tree) if not (everywhere - _references(d))[d.name]]
+    assert dead == []
 
 
 def _private_imports(tree: ast.Module) -> list[str]:

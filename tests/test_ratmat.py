@@ -657,6 +657,27 @@ def test_mcmillan_degree_at_infinity():
     assert M([[RF([0, 1]), 1]]).mcmillan_degree() == 1
 
 
+@st.composite
+def _entry_matrices(draw):
+    rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    return RatMat([[draw(_entries) for _ in range(cols)] for _ in range(rows)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(_entry_matrices())
+@example(RatMat.zeros(2, 3))
+def test_pole_at_infinity_is_a_positive_pole_degree_there(mat):
+    # N outgrowing d (the padding degree against deg d) is the local Smith
+    # form's positive pole degree at infinity, and an entry whose numerator
+    # outgrows its denominator
+    if mat.is_zero():
+        assert not mat.has_pole_at_infinity()
+        return
+    assert mat.has_pole_at_infinity() == (mat.pole_degree(INFINITY) > 0)
+    assert mat.has_pole_at_infinity() == any(
+        e.num.degree > e.den.degree for row in mat.entries for e in row)
+
+
 def test_mcmillan_degree_requires_enumerable_poles():
     bad = M([[RF([1], [-2, 0, 1])]])  # pole pair at +-sqrt(2)
     with pytest.raises(NonGaussianPoleError):
@@ -801,6 +822,14 @@ def _right_invertible(draw):
 @settings(max_examples=40, deadline=None)
 @given(_right_invertible())
 @example(M([[RF([0, -1]), 0, 0], [0, RF([-2, 1]), -1]]))  # needs the mixing fallback
+# rows over 2 and 3 and zero entries: N's integer form is over 6, while d m
+# is integral, so one scale for the whole system differs from each row's lcm
+@example(RatMat.diagonal([RF([-2, 1], [3, 1]), RF([4, 1], [-5, 1])])
+         * M([[Fraction(1, 2), 0, Fraction(1, 2)], [0, Fraction(1, 3), -1]]))
+# non-real Gaussian coefficients in N, in d and in the zero polynomial
+@example(RatMat.diagonal([RatFun(Poly.from_roots([gr(1, 1)]),
+                                 Poly.from_roots([gr(0, Fraction(1, 2))])), RF([gr(0, 3)])])
+         * M([[1, gr(0, 1), 0], [0, 1, gr(1, -1)]]))
 def test_minimal_right_inverse_is_a_right_inverse_with_the_zero_degrees(g):
     # the construction never forms G * X, and reads X's degrees only through
     # the Smith-McMillan form; here both facts are checked, the degrees by

@@ -29,6 +29,7 @@ from specfactor import (
     ratmat,
     region_contains,
     run_sweep,
+    spectra,
     transfer_between,
     uniqueness_check,
 )
@@ -530,6 +531,52 @@ def test_non_constant_transfer_with_a_shared_denominator_checks_w1_itself():
     res = uniqueness_check(w, w1, OUTER, OUTER)
     assert (res.verdict, res.failed_hypotheses) == (Verdict.HYPOTHESIS_FAILED,
                                                     ("analyticity_W1_inverse",))
+
+
+def _hypotheses_forced_true(monkeypatch):
+    # every analyticity and minimality check passes, so a non-constant
+    # transfer reaches the UNIQUENESS_VIOLATED branch; the harness forms the
+    # transfer itself, never through transfer_between
+    def forbidden(*args):
+        raise AssertionError("uniqueness_check called transfer_between")
+
+    monkeypatch.setattr(spectra, "analytic_in", lambda g, region: True)
+    monkeypatch.setattr(spectra, "_is_minimal", lambda g, phi: True)
+    monkeypatch.setattr(spectra, "transfer_between", forbidden)
+
+
+def test_violated_uniqueness_with_different_denominators_returns_the_allpass_transfer(
+        monkeypatch):
+    geo = default_geometries()[0]
+    assert geo["name"] == "classical_outer"
+    _, w = generate_instance(5, (2, 3), 2, geo["region_p"], geo["region_z"])
+    w1 = perturb_with_allpass(w, [Fraction(1, 3)])
+    assert w1.den != w.den
+    _hypotheses_forced_true(monkeypatch)
+    res = uniqueness_check(w, w1, geo["region_p"], geo["region_z"])
+    assert (res.verdict, res.failed_hypotheses) == (Verdict.UNIQUENESS_VIOLATED, ())
+    assert res.transfer == make_elementary(Fraction(1, 3), [1, 0])
+
+
+def test_violated_uniqueness_with_a_shared_denominator_forms_the_transfer_once(monkeypatch):
+    # the pair of test_non_constant_transfer_with_a_shared_denominator_checks_w1_itself
+    w = M([[RF([Fraction(-1, 2), 1], [Fraction(-1, 3), 1])]])
+    w1 = M([[RF([1, Fraction(-1, 2)], [Fraction(-1, 3), 1])]])
+    _hypotheses_forced_true(monkeypatch)
+    products = []
+    original = RatMat.__mul__
+
+    def spy(self, other):
+        if self is w1:
+            products.append(other)
+        return original(self, other)
+
+    monkeypatch.setattr(RatMat, "__mul__", spy)
+    res = uniqueness_check(w, w1, OUTER, OUTER)
+    assert (res.verdict, res.failed_hypotheses) == (Verdict.UNIQUENESS_VIOLATED, ())
+    assert products == [w.minimal_right_inverse()]
+    assert not res.transfer.is_constant()
+    assert res.transfer * w == w1
 
 
 def test_generate_instance_postconditions():
