@@ -64,7 +64,12 @@ _ERROR_CODES = [
 
 def _load_matrix(path: str) -> RatMat:
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+        text = fh.read()
+    try:
+        data = json.loads(text)
+    except RecursionError:
+        # the decoder recurses once per nesting level
+        raise json.JSONDecodeError("arrays or objects nested too deeply", text, 0) from None
     return jsonio.ratmat_from_json(data)
 
 

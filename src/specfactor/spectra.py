@@ -227,8 +227,9 @@ class Spectrum:
 
 
 def analytic_in(g: RatMat, region: Region) -> bool:
-    """True when no pole of g (infinity included) lies in the region."""
-    return not any(region.contains(p) for p in g.pole_points())
+    """True when no pole of g (infinity included) lies in the region; the
+    zero matrix has none."""
+    return g.is_zero() or not any(region.contains(p) for p in g.pole_points())
 
 
 def _inverse_analytic(w: RatMat, region: Region) -> bool:

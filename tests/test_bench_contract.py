@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import specfactor.jsonio  # noqa: F401  (its functions are trace boundaries)
-from specfactor import GaussianRational, RatMat, cancellation, ratmat, spectra
+from specfactor import INFINITY, GaussianRational, RatMat, cancellation, ratmat, spectra
 
 from helpers import M, RF, random_full_rank_pair
 
@@ -81,7 +81,7 @@ def test_minimal_inverse_solves_through_the_traced_name(g, monkeypatch):
 def test_building_elementary_products_leaves_every_memo_cold(spans):
     # the workload inputs are products of make_elementary matrices, and a
     # worker checks that every library memo is still empty afterwards
-    from specfactor import INFINITY, Point, make_elementary
+    from specfactor import Point, make_elementary
 
     caches = spans.library_caches()
     for fn in caches.values():
@@ -94,12 +94,24 @@ def test_building_elementary_products_leaves_every_memo_cold(spans):
             if fn.cache_info().currsize} == {}
 
 
+def _product_needed(pair_g, pair_h):
+    """Whether no factor rule gives G H's pair at a point, for a pair of
+    full inner rank: neither factor is free of structure there, and a zero
+    of one factor may meet a pole of the other."""
+    (dz_g, dp_g), (dz_h, dp_h) = pair_g, pair_h
+    return not (pair_g == (0, 0) or pair_h == (0, 0)
+                or dz_g == dz_h == 0 or dp_g == dp_h == 0)
+
+
 def test_analyze_product_expands_each_matrix_once_per_point(monkeypatch):
-    # the cancel workload reads both degrees of G, H and G H at every
-    # support point: one (zero, pole) pair per matrix and point, with no
-    # pole-only query expanding the same point a second time
-    g, h = random_full_rank_pair(random.Random(5), max_side=3)
+    # the cancel workload reads both degrees of G and H at every support
+    # point, one (zero, pole) pair per matrix and point with no pole-only
+    # query expanding the same point a second time, and G H's pair only
+    # where the factors' pairs do not give it (here only at infinity, where
+    # G's pole meets H's zero)
+    g, h = random_full_rank_pair(random.Random(25), max_side=3)
     product = g * h
+    assert g.normal_rank() == g.cols == h.rows == h.normal_rank()
     # a full-rank pair's support reads the factors only: no Smith-McMillan
     # form of G H, and G H is first formed by the first analysis
     cancellation._product.cache_clear()
@@ -115,6 +127,10 @@ def test_analyze_product_expands_each_matrix_once_per_point(monkeypatch):
     monkeypatch.undo()
     assert forms and product not in forms
     assert cancellation._product.cache_info().currsize == 0
+    needed = [point for point in points
+              if _product_needed(ratmat.point_degrees_by_valuation(g, point),
+                                 ratmat.point_degrees_by_valuation(h, point))]
+    assert needed == [INFINITY]
     ratmat.point_degrees_by_valuation.cache_clear()
     ratmat._integer_form.cache_clear()
     asked = []
@@ -141,7 +157,8 @@ def test_analyze_product_expands_each_matrix_once_per_point(monkeypatch):
         if k == 0:
             assert cancellation._product.cache_info().currsize == 1
     monkeypatch.undo()
-    assert asked == [(mat, point) for point in points for mat in (g, h, product)]
+    assert asked == [(mat, point) for point in points
+                     for mat in ((g, h, product) if point in needed else (g, h))]
     # each distinct (matrix, point) is expanded once, and each matrix's
     # integer form is built once across all its points
     assert len(expansions) == len(set(expansions)) and set(expansions) == set(asked)

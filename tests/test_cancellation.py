@@ -17,10 +17,12 @@ from specfactor import (
     pole_additivity_holds,
     support_points,
 )
+from specfactor import cancellation
 from specfactor.cancellation import _product
 from specfactor.errors import DimensionMismatchError, RankDeficiencyError, ZeroMatrixError
 
 from helpers import M, P, RF, pt, random_full_rank_pair
+from oracles import brute_point_degrees, ref_matmul
 
 GOLDEN_G = M([[1, -1]])
 GOLDEN_H = M([[RF([3, 2], [2, 3, 1])], [RF([1], [2, 1])]])
@@ -246,3 +248,87 @@ def test_zero_factor_and_mismatched_dimensions_keep_the_product_route():
     assert support_points(h, RatMat.zeros(2, 1)) == (pt(2), pt(3), INFINITY)
     with pytest.raises(DimensionMismatchError):
         support_points(M([[1, 1]]), M([[1, 2]]))
+
+
+def test_law_checks_read_the_product_where_the_analysis_derives_it(monkeypatch):
+    # at 2 both factors have a pole and neither a zero: analyze_product
+    # takes G H's pair from the factors' (rule (c)), while each law check
+    # reads G H itself, since the rule assumes the laws they check
+    g = M([[RF([1], [-2, 1]), 0], [0, 1]])
+    h = M([[1, 0], [0, RF([1], [-2, 1])]])
+    product = _product(g, h)
+    asked = []
+    pair = cancellation.point_degrees_by_valuation
+
+    def spy_pair(mat, point):
+        asked.append((mat, point))
+        return pair(mat, point)
+
+    monkeypatch.setattr(cancellation, "point_degrees_by_valuation", spy_pair)
+    report = analyze_product(g, h, pt(2))
+    assert (report.dz_gh, report.dp_gh) == (0, 2)
+    assert (product, pt(2)) not in asked
+    for law in (paired_cancellation_holds, degree_deficit_identity_holds,
+                pole_additivity_holds):
+        asked.clear()
+        assert law(g, h, pt(2))
+        assert (product, pt(2)) in asked
+
+
+def _rank_one(draw, rows, cols):
+    u = [draw(_dense_entries()) for _ in range(rows)]
+    v = [draw(_dense_entries()) for _ in range(cols)]
+    return M([[a * b for b in v] for a in u])
+
+
+@st.composite
+def _rank_deficient_pairs(draw):
+    """G of rank at most 1 with inner dimension 2 or 3, H dense."""
+    k = draw(st.integers(2, 3))
+    n, m = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    g = _rank_one(draw, n, k)
+    h = M([[draw(_dense_entries()) for _ in range(m)] for _ in range(k)])
+    return g, h
+
+
+@st.composite
+def _column_rank_over_deficient_pairs(draw):
+    """G of full column rank k, H (k x m) of rank at most 1 < k."""
+    k = draw(st.integers(2, 3))
+    n, m = draw(st.integers(k, k + 1)), draw(st.integers(1, 3))
+    g = M([[draw(_dense_entries()) for _ in range(k)] for _ in range(n)])
+    assume(g.normal_rank() == k)
+    return g, _rank_one(draw, k, m)
+
+
+_OFF_SUPPORT = [pt(7), pt(-4), pt(0, 3), pt(Fraction(1, 5)), pt(-6, 1)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(_full_rank_pairs, _rank_deficient_pairs(), _column_rank_over_deficient_pairs()))
+# (a) at 3: G = [1, 0; 0, 1; z, 1] is free there with full column rank, and
+# H of rank 1 has a pole there
+@example((M([[1, 0], [0, 1], [RF([0, 1]), 1]]),
+          M([[RF([1], [-3, 1]), 1], [RF([1], [-3, 1]), 1]])))
+# (b) at 2: G = [1/(z - 2), 1/(z - 2)] has rank 1 < 2, H = [1, z; 0, 1] is
+# unimodular
+@example((M([[RF([1], [-2, 1]), RF([1], [-2, 1])]]), M([[1, RF([0, 1])], [0, 1]])))
+# (c) at 2: both factors have a pole there and neither a zero
+@example((M([[RF([1], [-2, 1]), 0], [0, 1]]), M([[1, 0], [0, RF([1], [-2, 1])]])))
+# (d) at 2: both factors have a zero there and neither a pole
+@example((M([[RF([-2, 1]), 0], [0, 1]]), M([[1, 0], [0, RF([-2, 1])]])))
+# the fallback at 2, where G's zero meets H's pole, and at 1 for the
+# rank-deficient G = [1, 1], H = [1; z - 2], where G H = z - 1 has a zero
+# neither factor shows
+@example((M([[RF([-2, 1]), 0], [0, 1]]), M([[RF([1], [-2, 1]), 0], [0, 1]])))
+@example((M([[1, 1]]), M([[1], [RF([-2, 1])]])))
+def test_analysis_matches_the_brute_force_product_degrees(pair):
+    g, h = pair
+    assume(not (g.is_zero() or h.is_zero()))
+    reference = ref_matmul(g, h)
+    assume(not reference.is_zero())
+    support = support_points(g, h)
+    off = [p for p in _OFF_SUPPORT if p not in support][:2]
+    for point in support + tuple(off):
+        report = analyze_product(g, h, point)
+        assert (report.dz_gh, report.dp_gh) == brute_point_degrees(reference, point)

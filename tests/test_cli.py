@@ -281,6 +281,21 @@ def test_malformed_json(tmp_path, capsys):
     assert json.loads(captured.err)["error"]["code"] == "parse_error"
 
 
+@pytest.mark.parametrize("command", ["smform", "degree", "check-uniqueness"])
+def test_deeply_nested_json_is_a_parse_error(tmp_path, capsys, command):
+    # the JSON decoder recurses once per level and gives up long before
+    # 5,000 levels: the error is a parse_error, not a traceback
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 5000 + "]" * 5000)
+    args = [str(deep)]
+    if command == "check-uniqueness":
+        args += [str(deep), "--region-p", "inner", "--region-z", "inner"]
+    code, out, err = run_cli(capsys, command, *args)
+    assert (code, out) == (1, "")
+    assert "Traceback" not in err
+    assert json.loads(err)["error"]["code"] == "parse_error"
+
+
 def test_bad_scalar_string(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"entries": [[{"num": ["oops"], "den": ["1"]}]]}))

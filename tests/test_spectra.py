@@ -460,6 +460,24 @@ def test_uniqueness_rejects_complex_candidate():
     assert "real_coefficients" in res.failed_hypotheses
 
 
+_ZERO = RatMat.zeros(1, 1)
+
+
+@pytest.mark.parametrize("w, w1, region, failed", [
+    (_ZERO, M([[2]]), OUTER, ("full_row_rank", "co_spectrality")),
+    (M([[2]]), _ZERO, OUTER, ("full_row_rank", "co_spectrality")),
+    (_ZERO, W_SCALAR, INNER, ("full_row_rank", "co_spectrality")),
+    (W_SCALAR, _ZERO, INNER, ("full_row_rank", "co_spectrality")),
+    (_ZERO, _ZERO, OUTER, ("full_row_rank",)),
+])
+def test_zero_candidate_fails_full_row_rank(w, w1, region, failed):
+    # the zero matrix has no poles, so the analyticity checks pass it and
+    # the verdict names the hypotheses it fails
+    res = uniqueness_check(w, w1, region, region)
+    assert (res.verdict, res.failed_hypotheses, res.transfer) == (
+        Verdict.HYPOTHESIS_FAILED, failed, None)
+
+
 def _reference_hypotheses(w, w1, region_p, region_z) -> tuple[str, ...]:
     """The failed hypotheses of (W, W1), each checked on its own factor
     through the public API."""
