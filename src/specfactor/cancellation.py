@@ -11,14 +11,12 @@ product's degrees off G H itself.
 
 Analysis is pointwise: cancellations can only occur on the combined
 pole/zero support, which ``support_points`` enumerates (Q(i) locations
-plus infinity).  For a full-rank pair that support is the factors' own
-poles and zeros, so G H is formed only by the first ``analyze_product``;
-only a rank-deficient pair needs the zeros of G H itself.  At a point,
-G H's degrees follow from the factors' wherever no zero of one factor
-meets a pole of the other (``_degrees_from_factors``: a factor with no
-structure at the point and full rank on the inner side, or a full-rank
-pair whose zeros or whose poles are absent there), so ``analyze_product``
-expands G H only at the remaining points.
+plus infinity).  One local rule carries both: for a pair of full inner
+rank, G H's degrees at a point are the sums of the factors' wherever no
+zero of one factor meets a pole of the other (the lemma of
+``_degrees_from_factors``).  So a full-rank pair's support is the factors'
+own poles and zeros, and ``analyze_product`` expands G H only at the
+remaining points; a pair without full inner rank reads G H itself.
 """
 
 from __future__ import annotations
@@ -99,38 +97,32 @@ def _degrees_from_factors(
     g: RatMat, h: RatMat, dz_g: int, dp_g: int, dz_h: int, dp_h: int
 ) -> tuple[int, int] | None:
     """G H's (zero, pole) pair at a point from the factors' pairs there,
-    or None where no rule below applies.  G is n x k and H is k x m.
+    or None where the lemma below does not apply.
 
-    Locally (in z - p, or 1/z at infinity) a matrix of normal rank r is
-    U [D 0; 0 0] V with U, V unimodular and D = diag(u**nu_i), i <= r; its
-    zero degree is the sum of the positive nu_i, its pole degree that of
-    the negative ones.
+    Lemma.  Let G (n x k) and H (k x m) both have normal rank k.  At a
+    point where no zero of one factor meets a pole of the other (dz_g = 0
+    or dp_h = 0, and dz_h = 0 or dp_g = 0), G H has the pair
+    (dz_g + dz_h, dp_g + dp_h).
 
-    (a) G of full column rank with pair (0, 0): every nu_i is 0, so
-        G = U [I; 0] V and G H = U [V H; 0] has the orders of V H, which
-        are H's: G H has H's pair.
-    (b) H of full row rank with pair (0, 0): likewise G H = G U [I 0] V
-        has G's pair.
-    (c) Full inner rank (``_full_inner_rank``) and dz_g = dz_h = 0: write
-        G = U_G [D_G; 0] V_G and H = U_H [D_H 0] V_H with k x k diagonal
-        D_G = diag(u**a_i), D_H = diag(u**b_j).  Then G H = U_G [F 0; 0 0]
-        V_H with F = D_G M D_H, M = V_G U_H unimodular.  No zeros means
-        every a_i, b_j <= 0, so F**-1 = D_H**-1 M**-1 D_G**-1 is analytic
-        and F has no zero: dz = 0.  F is square and nonsingular, so its
-        orders sum to ord det F = sum a + sum b, and dp = dp_g + dp_h.
-    (d) Full inner rank and dp_g = dp_h = 0: every a_i, b_j >= 0, F is
-        analytic and has no pole, and dz = ord det F = dz_g + dz_h.
+    Proof.  Locally (in z - p, or 1/z at infinity) G = U_G [D_G; 0] V_G and
+    H = U_H [D_H 0] V_H with U, V unimodular and k x k diagonal
+    D_G = diag(u**a_i), D_H = diag(u**b_j); a zero degree is the sum of the
+    positive orders, a pole degree that of the negative ones.  So
+    G H = U_G [F 0; 0 0] V_H with F = D_G M D_H and M = V_G U_H unimodular:
+    G H has F's orders, and they sum to ord det F = sum a + sum b.  The
+    condition expands to four cases.  No zeros in either factor: every
+    a_i, b_j <= 0, F**-1 = D_H**-1 M**-1 D_G**-1 is analytic, so F has no
+    zero and its pole degree is -ord det F.  No poles in either: F is
+    analytic, so it has no pole and its zero degree is ord det F.  G free
+    of structure: D_G = I and F = M D_H has H's orders.  H free of
+    structure: likewise F has G's.
 
-    (c) and (d) are the cancellation laws at a point where no zero meets a
+    The lemma is the cancellation laws at a point where no zero meets a
     pole, which is why the law checks below read G H itself.  The degree
-    tests come first: the normal ranks are memoized, but a point none of
-    the rules can take asks for none.
+    tests come first: the normal ranks are memoized, but a point the
+    lemma cannot take asks for none.
     """
-    if (dz_g, dp_g) == (0, 0) and g.normal_rank() == g.cols:
-        return dz_h, dp_h
-    if (dz_h, dp_h) == (0, 0) and h.normal_rank() == h.rows:
-        return dz_g, dp_g
-    if (dz_g == dz_h == 0 or dp_g == dp_h == 0) and _full_inner_rank(g, h):
+    if (dz_g == 0 or dp_h == 0) and (dz_h == 0 or dp_g == 0) and _full_inner_rank(g, h):
         return dz_g + dz_h, dp_g + dp_h
     return None
 
@@ -187,14 +179,10 @@ def support_points(g: RatMat, h: RatMat) -> tuple[Point, ...]:
 
     For a full-rank pair (``_full_inner_rank``) the poles and zeros of G H
     lie among those of G and H, so only the factors are read and G H is
-    not formed.  Proof: let r be the inner dimension and p a finite point
-    where neither G nor H has a pole or a zero.  Every local order of both
-    factors at p is 0, so G(p) and H(p) both have rank r, and so has
-    G(p) H(p).  By Sylvester's inequality r is also the normal rank of
-    G H.  G H is analytic at p and keeps its normal rank there, so p is
-    neither a pole nor a zero of G H.  A rank-deficient pair needs G H
-    itself: G = [1, 1] and H = [1; z - 2] show nothing, while G H = z - 1
-    has a zero at 1.
+    not formed: at a point where both factors have the pair (0, 0), the
+    lemma of ``_degrees_from_factors`` gives G H the pair (0, 0).  A
+    rank-deficient pair needs G H itself: G = [1, 1] and H = [1; z - 2]
+    show nothing, while G H = z - 1 has a zero at 1.
 
     Locations outside Q(i) are not enumerable and are skipped; they cannot
     be probed by the pointwise checks anyway.

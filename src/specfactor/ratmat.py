@@ -414,15 +414,6 @@ class RatMat:
         """
         return _minimal_right_inverse(self)
 
-    def _is_minimal_inverse(self, x: RatMat) -> bool:
-        """Whether the right inverse x has G's zero degrees as pole degrees.
-        G * x is not formed: every candidate Y/m solves N Y = d m I exactly."""
-        sm_g = self.sm_structure()
-        sm_x = x.sm_structure()
-        if sm_x.pole_polynomial() != sm_g.zero_polynomial():
-            return False
-        return x.pole_degree(INFINITY) == self.zero_degree(INFINITY)
-
 
 @lru_cache(maxsize=32)
 def _minimal_right_inverse(mat: RatMat) -> RatMat:
@@ -474,7 +465,7 @@ def _minimal_right_inverse(mat: RatMat) -> RatMat:
                                         for j in range(r)] for block in blocks))
 
     candidate = build(particular)
-    if mat._is_minimal_inverse(candidate):
+    if _is_minimal_inverse(candidate, m, dz_inf):
         return candidate
     # a special solution can miss the required pole degrees (a double
     # pole where G has a simple zero, say); a generic element of the
@@ -489,11 +480,18 @@ def _minimal_right_inverse(mat: RatMat) -> RatMat:
                     ar, ai = cr * vr - ci * vi, cr * vi + ci * vr
                     mixed[idx] = [(x + ar, y + ai) for x, y in mixed[idx]]
         candidate = build(mixed)
-        if mat._is_minimal_inverse(candidate):
+        if _is_minimal_inverse(candidate, m, dz_inf):
             return candidate
     raise MinimalInverseError(
         "right inverse found but exact pole/zero degree matching failed"
     )
+
+
+def _is_minimal_inverse(x: RatMat, m: Poly, dz_inf: int) -> bool:
+    """Whether the right inverse x of G has G's zero degrees as pole
+    degrees, given G's zero polynomial m and zero degree at infinity.
+    G * x is not formed: every candidate Y/m solves N Y = d m I exactly."""
+    return x.sm_structure().pole_polynomial() == m and x.pole_degree(INFINITY) == dz_inf
 
 
 def _root_points(poly: Poly, strict: bool, context: str) -> tuple[Point, ...]:

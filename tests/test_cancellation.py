@@ -303,24 +303,34 @@ def _column_rank_over_deficient_pairs(draw):
 
 _OFF_SUPPORT = [pt(7), pt(-4), pt(0, 3), pt(Fraction(1, 5)), pt(-6, 1)]
 
+# pairs without full inner rank, each with a factor free of structure at
+# the point named: G = [1, 0; 0, 1; z, 1] of full column rank against H of
+# rank 1 with a pole at 3, and G = [1/(z - 2), 1/(z - 2)] of rank 1 against
+# the unimodular H = [1, z; 0, 1] at 2
+_DEFICIENT_WITH_A_FREE_FACTOR = [
+    ((M([[1, 0], [0, 1], [RF([0, 1]), 1]]),
+      M([[RF([1], [-3, 1]), 1], [RF([1], [-3, 1]), 1]])), pt(3)),
+    ((M([[RF([1], [-2, 1]), RF([1], [-2, 1])]]), M([[1, RF([0, 1])], [0, 1]])), pt(2)),
+]
+
 
 @settings(max_examples=60, deadline=None)
 @given(st.one_of(_full_rank_pairs, _rank_deficient_pairs(), _column_rank_over_deficient_pairs()))
-# (a) at 3: G = [1, 0; 0, 1; z, 1] is free there with full column rank, and
-# H of rank 1 has a pole there
-@example((M([[1, 0], [0, 1], [RF([0, 1]), 1]]),
-          M([[RF([1], [-3, 1]), 1], [RF([1], [-3, 1]), 1]])))
-# (b) at 2: G = [1/(z - 2), 1/(z - 2)] has rank 1 < 2, H = [1, z; 0, 1] is
-# unimodular
-@example((M([[RF([1], [-2, 1]), RF([1], [-2, 1])]]), M([[1, RF([0, 1])], [0, 1]])))
-# (c) at 2: both factors have a pole there and neither a zero
+# the lemma's four cases, each alone at 2:
+# no zeros in either factor (both have a pole there)
 @example((M([[RF([1], [-2, 1]), 0], [0, 1]]), M([[1, 0], [0, RF([1], [-2, 1])]])))
-# (d) at 2: both factors have a zero there and neither a pole
+# no poles in either factor (both have a zero there)
 @example((M([[RF([-2, 1]), 0], [0, 1]]), M([[1, 0], [0, RF([-2, 1])]])))
-# the fallback at 2, where G's zero meets H's pole, and at 1 for the
-# rank-deficient G = [1, 1], H = [1; z - 2], where G H = z - 1 has a zero
-# neither factor shows
+# G free of structure, H with both a zero and a pole there
+@example((M([[1, 0], [0, RF([1], [-3, 1])]]), M([[RF([-2, 1]), 0], [0, RF([1], [-2, 1])]])))
+# H free of structure, G with both a zero and a pole there
+@example((M([[RF([-2, 1]), 0], [0, RF([1], [-2, 1])]]), M([[1, 0], [0, RF([-3, 1])]])))
+# outside the lemma: G's zero meets H's pole at 2
 @example((M([[RF([-2, 1]), 0], [0, 1]]), M([[RF([1], [-2, 1]), 0], [0, 1]])))
+# without full inner rank: a factor free of structure, and G = [1, 1],
+# H = [1; z - 2], where G H = z - 1 has a zero at 1 neither factor shows
+@example(_DEFICIENT_WITH_A_FREE_FACTOR[0][0])
+@example(_DEFICIENT_WITH_A_FREE_FACTOR[1][0])
 @example((M([[1, 1]]), M([[1], [RF([-2, 1])]])))
 def test_analysis_matches_the_brute_force_product_degrees(pair):
     g, h = pair
@@ -332,3 +342,24 @@ def test_analysis_matches_the_brute_force_product_degrees(pair):
     for point in support + tuple(off):
         report = analyze_product(g, h, point)
         assert (report.dz_gh, report.dp_gh) == brute_point_degrees(reference, point)
+
+
+@pytest.mark.parametrize("pair, point", _DEFICIENT_WITH_A_FREE_FACTOR)
+def test_a_pair_without_full_inner_rank_reads_the_product(pair, point, monkeypatch):
+    # a factor free of structure does not settle G H's pair when the other
+    # factor lacks full rank on the inner side: the analysis reads G H
+    g, h = pair
+    assert not cancellation._full_inner_rank(g, h)
+    assert (0, 0) in (cancellation.point_degrees_by_valuation(g, point),
+                      cancellation.point_degrees_by_valuation(h, point))
+    asked = []
+    degrees = cancellation.point_degrees_by_valuation
+
+    def spy_pair(mat, at):
+        asked.append((mat, at))
+        return degrees(mat, at)
+
+    monkeypatch.setattr(cancellation, "point_degrees_by_valuation", spy_pair)
+    report = analyze_product(g, h, point)
+    assert asked == [(g, point), (h, point), (_product(g, h), point)]
+    assert (report.dz_gh, report.dp_gh) == brute_point_degrees(ref_matmul(g, h), point)

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from specfactor import Region, Side, blaschke, jsonio, uniqueness_check
 from specfactor.errors import ScalarParseError
-from specfactor.cli import main, run
+from specfactor.cli import _ERROR_CODES, main, run
 from specfactor.spectra import _MAX_DEGREE
 
 from helpers import M, RF, pt
@@ -544,3 +544,78 @@ def test_fuzzed_matrix_pairs_exit_cleanly(tmp_path_factory, first, second, comma
         paths.append(str(folder / name))
     name, options = command
     _exits_cleanly([name, *paths, *options])
+
+
+# the ten malformed matrix files that must each get an error code: a number
+# for entries, a wrong cols, an empty grid, a top-level list, null, a zero
+# and an empty den, "1/0", "1e99999" and entries nested one level too deep
+_ONE = {"num": ["1"], "den": ["1"]}
+_MALFORMED_MATRICES = [
+    {"entries": 5},
+    {"rows": 1, "cols": 3, "entries": [[_ONE, _ONE]]},
+    {"entries": []},
+    [[_ONE]],
+    None,
+    {"entries": [[{"num": ["1"], "den": ["0"]}]]},
+    {"entries": [[{"num": ["1"], "den": []}]]},
+    {"entries": [[{"num": ["1/0"], "den": ["1"]}]]},
+    {"entries": [[{"num": ["1e99999"], "den": ["1"]}]]},
+    {"entries": [[[_ONE]]]},
+]
+# denominators with Gaussian roots, one repeated, and z^2 + 2 with none
+_CONTRACT_DENS = [[1], [-2, 1], [1, 1], [-1, 0, 1], [4, -4, 1], [1, 0, 1], [2, 0, 1]]
+_contract_entries = st.builds(
+    lambda num, den: RF(num, den),
+    st.lists(st.integers(-2, 2), min_size=1, max_size=3),
+    st.sampled_from(_CONTRACT_DENS),
+)
+_contract_matrices = st.integers(1, 2).flatmap(lambda rows: st.integers(1, 2).flatmap(
+    lambda cols: st.lists(st.lists(_contract_entries, min_size=cols, max_size=cols),
+                          min_size=rows, max_size=rows))).map(
+    lambda grid: jsonio.ratmat_to_json(M(grid)))
+_contract_json = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner,
+                                                                 max_size=3),
+    max_leaves=8,
+)
+# half the documents and points are valid, so that analyze computes too
+_contract_docs = st.one_of(_contract_matrices, _contract_matrices,
+                           st.sampled_from(_MALFORMED_MATRICES), _contract_json)
+_valid_points = st.sampled_from(["0", "2", "-1", "-5/3", "1/2+1/2*i", "-1/2-1/2*i", "i",
+                                 "inf", "INF"])
+_contract_points = st.one_of(_valid_points, _valid_points,
+                             st.sampled_from(["x", "1/0", "", "--point", "-", "1e9"]),
+                             st.text(max_size=8))
+_ERROR_CODE_NAMES = {code for _, code in _ERROR_CODES}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(["smform", "degree", "polezeros", "analyze"]), _contract_docs,
+       _contract_docs, _contract_points)
+def test_matrix_subcommands_keep_the_exit_contract(tmp_path_factory, command, first, second,
+                                                   point):
+    # exit 0 with one JSON document on stdout, 1 with one JSON error object
+    # on stderr and nothing on stdout, or 2 for usage; never a traceback
+    folder = tmp_path_factory.mktemp("contract")
+    paths = []
+    for name, doc in (("g.json", first), ("h.json", second)):
+        (folder / name).write_text(json.dumps(doc))
+        paths.append(str(folder / name))
+    argv = [command, paths[0]]
+    if command == "analyze":
+        argv += [paths[1], "--point", point]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 0:
+        assert not err.getvalue()
+        assert json.loads(out.getvalue())["schema_version"] == jsonio.SCHEMA_VERSION
+    if code == 1:
+        assert not out.getvalue()
+        payload = json.loads(err.getvalue())
+        assert list(payload) == ["error"] and set(payload["error"]) == {"code", "message"}
+        assert payload["error"]["code"] in _ERROR_CODE_NAMES

@@ -1,0 +1,198 @@
+"""A committed behaviour fingerprint: the library's outputs on fixed inputs,
+hashed.
+
+Each family runs a seeded batch of library calls and hashes the canonical
+``repr`` of every output, or ``(exception class, message)`` where a call
+raises, into one SHA-256 per (family, seed).  ``tests/golden/fingerprint.json``
+holds the committed digests, so a change meant to keep behaviour shows it
+here, and a change meant to alter it regenerates the file and names each
+family and seed that moved.  Inputs come from ``tests/helpers`` and the
+library's own generator, never from the benchmark's inputs.
+
+Regenerate with ``PYTHONPATH=src python tests/test_fingerprint.py --write``.
+"""
+
+import hashlib
+import json
+import random
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+from specfactor import (
+    INFINITY,
+    RatMat,
+    analyze_product,
+    degree_deficit_identity_holds,
+    generate_instance,
+    paired_cancellation_holds,
+    perturb_with_allpass,
+    pole_additivity_holds,
+    run_sweep,
+    support_points,
+    uniqueness_check,
+)
+from specfactor.errors import GenerationError
+from specfactor.spectra import _ORTHOGONAL_POOLS, default_geometries
+
+from helpers import RF, pt, random_constant_full_rank, random_diag_ratfun, random_full_rank_pair
+
+GOLDEN = Path(__file__).resolve().parent / "golden" / "fingerprint.json"
+
+_OFF_SUPPORT = [pt(7), pt(-4), pt(0, 3), pt(Fraction(1, 5)), pt(-6, 1)]
+_POLE_POOL = [pt(2), pt(-3), pt(Fraction(1, 2))]
+_ZERO_POOL = [pt(5), pt(-1), pt(Fraction(1, 3))]
+_SHAPES = [((1, 1), 0), ((1, 1), 1), ((1, 2), 2), ((2, 2), 2), ((2, 3), 3)]
+
+
+def _failure(exc: Exception) -> str:
+    return repr((type(exc).__name__, str(exc)))
+
+
+def _outcome(fn, *args) -> str:
+    """The canonical form of one call: the repr of its result, or of its
+    exception's class name and message."""
+    try:
+        return repr(fn(*args))
+    except Exception as exc:  # noqa: BLE001 (the exception is the output)
+        return _failure(exc)
+
+
+def _cancellation_pairs(rng):
+    """Two full-rank pairs, the second with H's poles on G's zeros and H's
+    zeros on G's poles; a rank-one G or H against a full-rank 2 x 2
+    factor; a zero G; and a mismatched pair."""
+    full = random_full_rank_pair(rng, max_side=4)
+    one = random_diag_ratfun(rng, 1, _POLE_POOL, _ZERO_POOL)
+    two = random_diag_ratfun(rng, 2, _POLE_POOL, _ZERO_POOL)
+    crossed = random_diag_ratfun(rng, 2, _ZERO_POOL, _POLE_POOL)
+    mid = random_constant_full_rank(rng, 2, 2)
+    c = rng.randint(1, 3)
+    return [
+        ("full", full),
+        ("full", (two * mid, crossed)),
+        ("deficient", (one * RatMat([[1, c]]), two)),
+        ("deficient", (two, RatMat([[1], [c]]) * one)),
+        ("zero", (RatMat.zeros(2, 2), two)),
+        ("mismatched", (full[0], RatMat.identity(full[0].cols + 1))),
+    ]
+
+
+def _cancellation(seed):
+    rng = random.Random(seed)
+    for kind, (g, h) in _cancellation_pairs(rng):
+        try:
+            support = support_points(g, h)
+        except Exception as exc:  # noqa: BLE001 (the exception is the output)
+            yield _failure(exc)
+            support = (INFINITY,)
+        else:
+            yield repr(support)
+        points = support + tuple(p for p in _OFF_SUPPORT if p not in support)[:2]
+        for point in points:
+            yield _outcome(analyze_product, g, h, point)
+            if kind == "full":
+                for law in (paired_cancellation_holds, degree_deficit_identity_holds,
+                            pole_additivity_holds):
+                    yield _outcome(law, g, h, point)
+
+
+def _generated(seed):
+    """(geometry, W) for every default geometry and shape, with the
+    generator's error in place of W where it fails."""
+    for geo in default_geometries():
+        for size, degree in _SHAPES:
+            try:
+                _, w = generate_instance(seed, size, degree, geo["region_p"], geo["region_z"])
+            except GenerationError as exc:
+                w = exc
+            yield geo, w
+
+
+def _structure(seed):
+    # the 2 x 3 polynomial matrices of degree one include some whose
+    # minimal inverse needs the solver's seeded mixing, and some without one
+    rng = random.Random(seed)
+    wide = [RatMat([[RF([rng.randint(-2, 2), rng.choice([0, 0, 1])]) for _ in range(3)]
+                    for _ in range(2)]) for _ in range(4)]
+    for w in [w for _, w in _generated(seed)] + wide:
+        if isinstance(w, Exception):
+            yield _failure(w)
+            continue
+        yield repr(w)
+        yield _outcome(w.sm_structure)
+        yield _outcome(w.mcmillan_degree)
+        points = w.finite_pole_points(strict=False) + w.finite_zero_points(strict=False)
+        for point in points + (INFINITY,):
+            yield _outcome(lambda p: (w.pole_degree(p), w.zero_degree(p)), point)
+        yield _outcome(w.minimal_right_inverse)
+
+
+def _uniqueness(seed):
+    rng = random.Random(seed)
+    for geo, w in _generated(seed):
+        if isinstance(w, Exception):
+            yield _failure(w)
+            continue
+        region_p, region_z = geo["region_p"], geo["region_z"]
+        pool = _ORTHOGONAL_POOLS[w.rows]
+        candidates = [w, -w, w * 2, perturb_with_allpass(w, [geo["allpass_pole"]])]
+        candidates += [q * w for q in rng.sample(pool, 2)]
+        for w1 in candidates:
+            yield _outcome(uniqueness_check, w, w1, region_p, region_z)
+
+
+def _sweep(seed):
+    # hashed with its newline, this is the SHA-256 of the report as
+    # ``specfactor sweep --report`` writes it
+    yield json.dumps(run_sweep(120, base_seed=seed), indent=2, sort_keys=True)
+
+
+FAMILIES = {
+    "cancellation": (_cancellation, range(40)),
+    "structure": (_structure, range(16)),
+    "uniqueness": (_uniqueness, range(16)),
+    "sweep": (_sweep, [1010000]),
+}
+
+
+def _digest(family, seed) -> str:
+    produce, _ = FAMILIES[family]
+    sha = hashlib.sha256()
+    for text in produce(seed):
+        sha.update(text.encode("utf-8") + b"\n")
+    return sha.hexdigest()
+
+
+def _digests(family) -> dict:
+    _, seeds = FAMILIES[family]
+    return {f"{family}/{seed}": _digest(family, seed) for seed in seeds}
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_fingerprint_matches_the_committed_digests(family):
+    committed = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    expected = {key: value for key, value in committed.items()
+                if key.split("/")[0] == family}
+    found = _digests(family)
+    moved = sorted(key for key in expected.keys() | found.keys()
+                   if expected.get(key) != found.get(key))
+    assert not moved, f"fingerprint moved for {moved}"
+
+
+def main(argv) -> int:
+    if argv != ["--write"]:
+        print(f"usage: {Path(__file__).name} --write", file=sys.stderr)
+        return 2
+    digests = {}
+    for family in sorted(FAMILIES):
+        digests.update(_digests(family))
+    GOLDEN.write_text(json.dumps(digests, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    print(f"wrote {len(digests)} digests to {GOLDEN}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -777,13 +777,13 @@ def test_minimal_right_inverse_needs_the_mixing_fallback(monkeypatch):
     g = M([[RF([0, -1]), 0, 0], [0, RF([-2, 1]), -1]])
     ratmat._minimal_right_inverse.cache_clear()  # a memo hit would skip the spy
     verdicts = []
-    original = RatMat._is_minimal_inverse
+    original = ratmat._is_minimal_inverse
 
-    def spy(self, x):
-        verdicts.append(original(self, x))
+    def spy(x, m, dz_inf):
+        verdicts.append(original(x, m, dz_inf))
         return verdicts[-1]
 
-    monkeypatch.setattr(RatMat, "_is_minimal_inverse", spy)
+    monkeypatch.setattr(ratmat, "_is_minimal_inverse", spy)
     x = g.minimal_right_inverse()
     assert verdicts[0] is False and verdicts[-1] is True
     assert g * x == RatMat.identity(2)
