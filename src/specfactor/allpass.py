@@ -15,18 +15,14 @@ reduces it once; no entry is reduced on its own.
 ``potapov_factorize`` peels a para-unitary matrix into a constant unitary
 times elementary factors, one per unit of McMillan degree.  The peel order
 is fixed (poles ascending by squared modulus, then lexicographically by
-real and imaginary part, infinity last; direction from the first usable
+real and imaginary part, infinity last; direction from the first nonzero
 column of the Laurent leading coefficient, cleared to a primitive Gaussian
-integer vector), so factorizations are reproducible byte for byte.  The
-peel asks ``RatMat`` for pole locations and degrees and for the Laurent
-leading coefficient up to a positive rational, which that clearing removes.
-
-The peel enumerates no minors: pole locations are the roots of the common
-denominator, pole degrees come from the local Smith form at a point, and
-each candidate U~ W is that update of W (``left_divide``).
-Para-unitarity is not checked up front: a completed peel certifies it,
-because V = U_0 ... U_{K-1} C holds exactly with every U_k para-unitary by
-construction and C exactly unitary.
+integer vector), so factorizations are reproducible byte for byte.  That
+column always lowers the degree by one (the lemma in ``potapov_factorize``),
+so the peel enumerates no minors and tries no candidates: it asks
+``RatMat`` for the input's McMillan degree once, then per step for the pole
+locations and the Laurent leading coefficient up to a positive rational,
+which that clearing removes, and takes the update U~ W (``left_divide``).
 """
 
 from __future__ import annotations
@@ -34,7 +30,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd as int_gcd
 
-from .errors import DimensionMismatchError, FactorizationError
+from .errors import DimensionMismatchError
 from .linsolve import cleared
 from .poly import Poly
 from .ratfun import RatFun, blaschke, blaschke_parts
@@ -224,24 +220,44 @@ def degree_of_factorization(f: AllPassFactorization) -> int:
 def potapov_factorize(v: RatMat) -> AllPassFactorization:
     """Minimal decomposition of a para-unitary matrix into elementary factors.
 
-    Iteratively peels the smallest pole: the direction is taken from the
-    first column of the Laurent leading coefficient whose peel lowers the
-    McMillan degree by exactly one.  The constant unitary tail is commuted
-    to the front (conjugating each stored direction), so that
+    Takes deg V steps, each W -> U~ W with U the elementary factor at the
+    smallest pole alpha of W in the direction of the first nonzero column
+    of W's Laurent leading coefficient there.  The constant unitary tail is
+    commuted to the front (conjugating each stored direction), so that
     constant * product(factors) reproduces the input exactly.
 
-    No product V~ V is formed up front: a completed peel writes V exactly as
-    U_0 ... U_{K-1} C, every U_k para-unitary by construction and C a
-    constant that passes the exact unitarity check, which proves V~ V = I.
-    Each accepted step lowers the total pole degree by one, so the peel ends
-    after at most deg V steps on any input.  When it fails, ``is_paraunitary``
-    decides between "input is not para-unitary" and the peel's own error.
+    Lemma.  Let W be square and para-unitary, alpha a pole of W (infinity
+    included), A its Laurent leading coefficient there (order -k) and v any
+    nonzero vector in ran A.  With U = ElementaryFactor(alpha, v), U~ W has
+    McMillan degree deg W - 1: its pole degree drops by one at alpha and is
+    unchanged at beta = alpha.conj_pair() and everywhere else.
+
+    Proof.  U~ = (I - P) + b~ P is analytic and invertible off {alpha, beta};
+    at alpha it is analytic and its determinant b~ has a simple zero.  So
+    the ascending local orders of U~ W at alpha satisfy kappa'_i >= kappa_i
+    and sum kappa' = sum kappa + 1: exactly one order rises, by one.  As
+    (z - alpha)^k U~ W tends to (I - P) A at alpha (1/z for infinity), the
+    count of orders equal to -k falls from rank A to rank (I - P) A =
+    rank A - 1, since P projects onto v in ran A.  So the order that rises
+    goes from -k to -k + 1: the pole degree at alpha drops by one and the
+    zero degree there holds.  U~ W is para-unitary, and for a para-unitary
+    X (X^-1 = X~) the orders at beta are the negatives of those at alpha,
+    so U~ W's pole degree at beta is its zero degree at alpha, which is
+    W's, which is W's pole degree at beta.  Elsewhere U~ changes no order.
+
+    On any square V, deg(U~ V) >= deg V - 1 because V = U (U~ V), so each
+    of the deg V steps finds a pole.  Nothing checks V~ V = I up front: a
+    completed peel proves it, writing V exactly as U_0 ... U_{K-1} C with
+    every U_k para-unitary by construction and C a constant that passes the
+    exact unitarity check.  When a step or that check fails,
+    ``is_paraunitary`` decides between "input is not para-unitary" and the
+    error raised (a pole outside Q(i)).
     """
     if not v.is_square():
         raise DimensionMismatchError("para-unitarity is defined for square matrices")
     try:
         return _peel(v)
-    except (ValueError, RuntimeError, ArithmeticError):
+    except (ValueError, ArithmeticError):
         if not is_paraunitary(v):
             raise ValueError("input is not para-unitary") from None
         raise
@@ -251,33 +267,15 @@ def _peel(v: RatMat) -> AllPassFactorization:
     size = v.rows
     work = v
     peeled: list[tuple[Point, tuple[GaussianRational, ...]]] = []
-    while poles := work.pole_points():
-        pole = poles[0]
-        partner = pole.conj_pair()
-        # an elementary peel changes pole degrees only at the pole and its
-        # conjugate-reciprocal partner, so the total degree drops by one
-        # exactly when the degree at the pole drops and the partner holds
-        dp_pole = work.pole_degree(pole)
-        dp_partner = work.pole_degree(partner)
+    # by the lemma each step lowers the degree by one on para-unitary input
+    for _ in range(v.mcmillan_degree()):
+        pole = work.pole_points()[0]
         leading = work.laurent_leading(pole)
-        for col in range(size):
-            column = [leading[i][col] for i in range(size)]
-            if all(x.is_zero() for x in column):
-                continue
-            factor = ElementaryFactor(pole, column)
-            candidate = factor.left_divide(work)
-            if (
-                candidate.pole_degree(pole) == dp_pole - 1
-                and candidate.pole_degree(partner) == dp_partner
-            ):
-                peeled.append((pole, factor.v))
-                work = candidate
-                break
-        else:
-            raise FactorizationError(
-                f"no leading-coefficient column at {pole} lowers the degree"
-            )
-    # no pole left anywhere: work is constant, and the factorization's
+        column = next(col for col in zip(*leading) if any(not x.is_zero() for x in col))
+        factor = ElementaryFactor(pole, column)
+        peeled.append((pole, factor.v))
+        work = factor.left_divide(work)
+    # on para-unitary input work is now constant, and the factorization's
     # constructor checks that it is unitary
     cvals = work.constant_values()
     factors = []

@@ -19,7 +19,6 @@ from .errors import (
     CirclePoleError,
     CoSpectralityError,
     DimensionMismatchError,
-    FactorizationError,
     GenerationError,
     InputTooLargeError,
     MinimalInverseError,
@@ -49,7 +48,6 @@ _ERROR_CODES = [
     (DimensionMismatchError, "dimension_mismatch"),
     (RankDeficiencyError, "rank_deficient"),
     (ZeroMatrixError, "zero_matrix"),
-    (FactorizationError, "factorization_failed"),
     (MinimalInverseError, "no_minimal_inverse"),
     (CoSpectralityError, "not_co_spectral"),
     (SpectrumError, "malformed_spectrum"),

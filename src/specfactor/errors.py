@@ -35,10 +35,6 @@ class InputTooLargeError(ValueError):
     integer factoring."""
 
 
-class FactorizationError(RuntimeError):
-    """All-pass peel-off failed; violates the guaranteed decomposition."""
-
-
 class MinimalInverseError(RuntimeError):
     """No right inverse with poles confined to the zero structure exists."""
 

@@ -32,7 +32,7 @@ from helpers import (
     random_direction,
     random_elementary_product,
 )
-from oracles import laurent_leading
+from oracles import brute_point_degrees, laurent_leading
 
 
 def test_make_elementary_axis_projection():
@@ -369,7 +369,7 @@ def test_potapov_on_perturbed_products(seed, r, k, scale, bump, where):
 
 
 def test_peel_enumerates_no_minors(monkeypatch):
-    # pole locations come from the common denominator and candidates from
+    # pole locations come from the common denominator and each step from
     # a rank-one update: the peel forms no Smith-McMillan form
     v = (make_elementary(pt(2), [1, 0, gr(0, 1)])
          * make_elementary(INFINITY, [1, 1, 1])
@@ -383,4 +383,81 @@ def test_peel_enumerates_no_minors(monkeypatch):
     fact = potapov_factorize(v)
     monkeypatch.undo()
     assert len(fact) == 3
+    assert fact.product() == v
+
+
+# 0 and infinity, finite poles and the conjugate-reciprocal partner of each
+_LEMMA_POOL = [pt(0), INFINITY, pt(2), pt(1, 1), pt(-3, 1)]
+_LEMMA_POOL += [p.conj_pair() for p in _LEMMA_POOL[2:]]
+
+
+@st.composite
+def _paraunitary_products(draw):
+    """A product of 1-4 elementary factors of side 1-3 whose poles repeat,
+    meet their partners, and include 0 and infinity."""
+    r = draw(st.integers(1, 3))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    v = RatMat.identity(r)
+    for alpha in draw(st.lists(st.sampled_from(_LEMMA_POOL), min_size=1, max_size=4)):
+        v = v * make_elementary(alpha, random_direction(rng, r))
+    return v, rng
+
+
+@settings(max_examples=60, deadline=None)
+@given(_paraunitary_products())
+@example((make_elementary(pt(2), [1, 0]) * make_elementary(pt(2), [1, 1]), random.Random(0)))
+@example((make_elementary(pt(0), [1, 1]) * make_elementary(INFINITY, [1, -1]), random.Random(0)))
+@example((V_JSON, random.Random(0)))
+def test_any_leading_coefficient_direction_lowers_the_degree_by_one(case):
+    # the lemma of potapov_factorize: at every pole, every nonzero column of
+    # the Laurent leading coefficient, and a combination of them, peels
+    # exactly one unit of degree, at the pole and not at its partner
+    v, rng = case
+    degree = v.mcmillan_degree()
+    small = v.rows <= 2 and degree <= 3
+    for pole in v.pole_points():
+        partner = pole.conj_pair()
+        leading = v.laurent_leading(pole)
+        directions = [col for col in zip(*leading) if any(not x.is_zero() for x in col)]
+        weights = [rng.randint(-2, 2) for _ in directions]
+        mixed = [sum((w * x for w, x in zip(weights, row)), gr(0)) for row in zip(*directions)]
+        if any(not x.is_zero() for x in mixed):
+            directions.append(mixed)
+        for direction in directions:
+            w = ElementaryFactor(pole, direction).left_divide(v)
+            assert w.pole_degree(pole) == v.pole_degree(pole) - 1
+            assert w.pole_degree(partner) == v.pole_degree(partner)
+            assert w.mcmillan_degree() == degree - 1
+            if small:
+                assert brute_point_degrees(w, pole)[1] == v.pole_degree(pole) - 1
+                assert brute_point_degrees(w, partner)[1] == v.pole_degree(partner)
+
+
+def test_peel_asks_pole_degrees_of_the_input_only(monkeypatch):
+    # deg V steps, one left division each, and the only pole degrees read
+    # are those that sum to V's McMillan degree
+    v = (make_elementary(pt(2), [1, 0, gr(0, 1)])
+         * make_elementary(pt(2), [1, 1, 0])
+         * make_elementary(pt(Fraction(1, 2)), [0, 2, -1])
+         * make_elementary(INFINITY, [1, 1, 1])
+         * make_elementary(pt(0), [1, -1, 0]))
+    degree = v.mcmillan_degree()
+    asked, divided = [], []
+    pole_degree = ratmat._pole_degree
+    left_divide = ElementaryFactor.left_divide
+
+    def spy_pole_degree(mat, point):
+        asked.append(mat)
+        return pole_degree(mat, point)
+
+    def spy_left_divide(self, w):
+        divided.append(self)
+        return left_divide(self, w)
+
+    monkeypatch.setattr(ratmat, "_pole_degree", spy_pole_degree)
+    monkeypatch.setattr(ElementaryFactor, "left_divide", spy_left_divide)
+    fact = potapov_factorize(v)
+    monkeypatch.undo()
+    assert asked and all(mat is v for mat in asked)
+    assert len(divided) == degree == len(fact)
     assert fact.product() == v

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -9,12 +10,12 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from specfactor import Region, Side, blaschke, jsonio, uniqueness_check
+from specfactor import Region, Side, blaschke, generate_instance, jsonio, uniqueness_check
 from specfactor.errors import ScalarParseError
 from specfactor.cli import _ERROR_CODES, main, run
 from specfactor.spectra import _MAX_DEGREE
 
-from helpers import M, RF, pt
+from helpers import M, RF, pt, random_elementary_product
 
 GOLDEN_G = M([[1, -1]])
 GOLDEN_H = M([[RF([3, 2], [2, 3, 1])], [RF([1], [2, 1])]])
@@ -591,21 +592,9 @@ _contract_points = st.one_of(_valid_points, _valid_points,
 _ERROR_CODE_NAMES = {code for _, code in _ERROR_CODES}
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.sampled_from(["smform", "degree", "polezeros", "analyze"]), _contract_docs,
-       _contract_docs, _contract_points)
-def test_matrix_subcommands_keep_the_exit_contract(tmp_path_factory, command, first, second,
-                                                   point):
+def _keeps_the_exit_contract(argv):
     # exit 0 with one JSON document on stdout, 1 with one JSON error object
     # on stderr and nothing on stdout, or 2 for usage; never a traceback
-    folder = tmp_path_factory.mktemp("contract")
-    paths = []
-    for name, doc in (("g.json", first), ("h.json", second)):
-        (folder / name).write_text(json.dumps(doc))
-        paths.append(str(folder / name))
-    argv = [command, paths[0]]
-    if command == "analyze":
-        argv += [paths[1], "--point", point]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
@@ -619,3 +608,91 @@ def test_matrix_subcommands_keep_the_exit_contract(tmp_path_factory, command, fi
         payload = json.loads(err.getvalue())
         assert list(payload) == ["error"] and set(payload["error"]) == {"code", "message"}
         assert payload["error"]["code"] in _ERROR_CODE_NAMES
+
+
+def _write_docs(tmp_path_factory, docs):
+    folder = tmp_path_factory.mktemp("contract")
+    paths = []
+    for index, doc in enumerate(docs):
+        (folder / f"m{index}.json").write_text(json.dumps(doc))
+        paths.append(str(folder / f"m{index}.json"))
+    return paths
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(["smform", "degree", "polezeros", "analyze"]), _contract_docs,
+       _contract_docs, _contract_points)
+def test_matrix_subcommands_keep_the_exit_contract(tmp_path_factory, command, first, second,
+                                                   point):
+    paths = _write_docs(tmp_path_factory, [first, second])
+    argv = [command, paths[0]]
+    if command == "analyze":
+        argv += [paths[1], "--point", point]
+    _keeps_the_exit_contract(argv)
+
+
+def _allpass_doc(seed, r, k, perturb):
+    """A para-unitary product, or the same with a pole added to one entry."""
+    grid = [list(row) for row in random_elementary_product(random.Random(seed), r, k)[0].entries]
+    if perturb:
+        grid[0][0] = grid[0][0] + RF([1], [-2, 1])
+    return jsonio.ratmat_to_json(M(grid))
+
+
+_allpass_docs = st.builds(_allpass_doc, st.integers(0, 2**16), st.integers(1, 2),
+                          st.integers(0, 3), st.booleans())
+_instances = st.builds(
+    lambda seed, size, degree: generate_instance(seed, size, degree, Region(Side.OUTER),
+                                                 Region(Side.OUTER)),
+    st.integers(0, 2**16), st.sampled_from([(1, 1), (1, 2), (2, 2)]), st.integers(0, 2))
+# regions from the grammar outer|inner[,flip=p1;p2,...][,weak], and broken ones
+_grammar_regions = st.builds(
+    lambda side, flips, weak: ",".join(
+        [side] + ([f"flip={';'.join(flips)}"] if flips else []) + (["weak"] if weak else [])),
+    st.sampled_from(["outer", "inner", "OUTER"]),
+    st.lists(st.sampled_from(["3", "1/2+1/2*i", "inf", "-2", "0"]), max_size=2),
+    st.booleans())
+_contract_regions = st.one_of(_grammar_regions, st.sampled_from(
+    ["outer,flip=3;1/2+1/2*i", "inner,weak", "flip=", "sideways", "outer,flip=1", ""]))
+# each valid size twice, each malformed one once
+_contract_sizes = st.sampled_from(["1,2", "2,3", "1,1"] * 2 + ["1", "a,b", "1,2,3", "0,1", ""])
+_contract_degrees = st.sampled_from([0, 1, 2, 4, -1, _MAX_DEGREE + 1])
+
+
+def _mostly(valid):
+    # three in four documents valid (one_of does not weigh repeated branches)
+    return st.sampled_from([True, True, True, False]).flatmap(
+        lambda keep: valid if keep else _contract_docs)
+
+
+@st.composite
+def _remaining_commands(draw):
+    """(subcommand, matrix documents, options) for the other five."""
+    command = draw(st.sampled_from(
+        ["allpass-factorize", "verify-factor", "check-uniqueness", "generate", "sweep"]))
+    if command == "allpass-factorize":
+        return command, [draw(_mostly(_allpass_docs))], []
+    if command in ("verify-factor", "check-uniqueness"):
+        spectrum, w = draw(_instances)
+        factors = [jsonio.ratmat_to_json(x) for x in (w, -w, w * 2)]
+        first = draw(_mostly(st.just(factors[0])))
+        if command == "verify-factor":
+            phi = jsonio.ratmat_to_json(spectrum.phi)
+            second = draw(_mostly(st.sampled_from([phi, phi, *factors])))
+            return command, [first, second], []
+        second = draw(_mostly(st.sampled_from(factors)))
+        regions = ["--region-p", draw(_contract_regions), "--region-z", draw(_contract_regions)]
+        return command, [first, second], regions
+    if command == "generate":
+        return command, [], [
+            "--seed", str(draw(st.integers(0, 2**16))), "--size", draw(_contract_sizes),
+            "--degree", str(draw(_contract_degrees)),
+            "--region-p", draw(_contract_regions), "--region-z", draw(_contract_regions)]
+    return command, [], ["--instances", str(draw(st.integers(0, 2)))]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_remaining_commands())
+def test_other_subcommands_keep_the_exit_contract(tmp_path_factory, case):
+    command, docs, options = case
+    _keeps_the_exit_contract([command, *_write_docs(tmp_path_factory, docs), *options])

@@ -23,13 +23,17 @@ import pytest
 
 from specfactor import (
     INFINITY,
+    RatFun,
     RatMat,
     analyze_product,
     degree_deficit_identity_holds,
     generate_instance,
+    jsonio,
+    make_elementary,
     paired_cancellation_holds,
     perturb_with_allpass,
     pole_additivity_holds,
+    potapov_factorize,
     run_sweep,
     support_points,
     uniqueness_check,
@@ -37,7 +41,16 @@ from specfactor import (
 from specfactor.errors import GenerationError
 from specfactor.spectra import _ORTHOGONAL_POOLS, default_geometries
 
-from helpers import RF, pt, random_constant_full_rank, random_diag_ratfun, random_full_rank_pair
+from helpers import (
+    RF,
+    gr,
+    pt,
+    random_constant_full_rank,
+    random_diag_ratfun,
+    random_direction,
+    random_elementary_product,
+    random_full_rank_pair,
+)
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "fingerprint.json"
 
@@ -45,6 +58,13 @@ _OFF_SUPPORT = [pt(7), pt(-4), pt(0, 3), pt(Fraction(1, 5)), pt(-6, 1)]
 _POLE_POOL = [pt(2), pt(-3), pt(Fraction(1, 2))]
 _ZERO_POOL = [pt(5), pt(-1), pt(Fraction(1, 3))]
 _SHAPES = [((1, 1), 0), ((1, 1), 1), ((1, 2), 2), ((2, 2), 2), ((2, 3), 3)]
+# 0 and infinity, two finite poles, and the conjugate-reciprocal partner of
+# each: products drawn from it repeat poles and can lose degree
+_PEEL_POOL = [pt(0), INFINITY, pt(2), pt(1, 1)]
+_PEEL_POOL += [p.conj_pair() for p in _PEEL_POOL[2:]]
+# scalar and one-entry perturbations; some leave V para-unitary
+_SCALES = [gr(1), gr(-1), gr(0, 1), gr(2), gr(Fraction(1, 2))]
+_BUMPS = [None, None, RatFun.one(), RF([0, 1]), RF([1], [-2, 1]), RF([1], [-1, 1])]
 
 
 def _failure(exc: Exception) -> str:
@@ -130,6 +150,41 @@ def _structure(seed):
         yield _outcome(w.minimal_right_inverse)
 
 
+def _peel_products(rng):
+    for _ in range(3):
+        yield random_elementary_product(rng, rng.randint(1, 3), rng.randint(0, 4))[0]
+    for _ in range(3):
+        r = rng.randint(1, 3)
+        v = RatMat.identity(r)
+        for _ in range(rng.randint(1, 5)):
+            v = v * make_elementary(rng.choice(_PEEL_POOL), random_direction(rng, r))
+        yield v
+
+
+def _perturbed(rng, v):
+    v = v * rng.choice(_SCALES)
+    bump = rng.choice(_BUMPS)
+    if bump is None:
+        return v
+    i, j = rng.randrange(v.rows), rng.randrange(v.cols)
+    grid = [list(row) for row in v.entries]
+    grid[i][j] = grid[i][j] + bump
+    return RatMat(grid)
+
+
+def _peel(seed):
+    # every product, then each again perturbed, then a para-unitary matrix
+    # with poles at +-1/sqrt(2), outside Q(i)
+    rng = random.Random(seed)
+    products = list(_peel_products(rng))
+    b = RF([-2, 0, 1], [1, 0, -2])
+    for v in products + [_perturbed(rng, v) for v in products] + [RatMat.diagonal([b, b])]:
+        try:
+            yield json.dumps(jsonio.factorization_to_json(potapov_factorize(v)), sort_keys=True)
+        except Exception as exc:  # noqa: BLE001 (the exception is the output)
+            yield _failure(exc)
+
+
 def _uniqueness(seed):
     rng = random.Random(seed)
     for geo, w in _generated(seed):
@@ -152,6 +207,7 @@ def _sweep(seed):
 
 FAMILIES = {
     "cancellation": (_cancellation, range(40)),
+    "peel": (_peel, range(16)),
     "structure": (_structure, range(16)),
     "uniqueness": (_uniqueness, range(16)),
     "sweep": (_sweep, [1010000]),

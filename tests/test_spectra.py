@@ -14,6 +14,7 @@ from specfactor import (
     Region,
     Side,
     Spectrum,
+    UniquenessResult,
     Verdict,
     analytic_in,
     analyze_product,
@@ -43,6 +44,7 @@ from specfactor.errors import (
     ScalarParseError,
     SpectrumError,
 )
+from specfactor.cli import _ERROR_CODES
 from specfactor.spectra import (
     _MAX_DEGREE,
     _ORTHOGONAL_POOLS,
@@ -773,3 +775,47 @@ def test_sweep_report_does_not_depend_on_memo_state():
     # the golden report is `sweep --instances 12` at the default base seed
     golden = Path(__file__).parent / "golden" / "sweep_12.json"
     assert (json.dumps(cold, indent=2, sort_keys=True) + "\n").encode() == golden.read_bytes()
+
+
+# Gaussian, repeated and complex roots, and z^2 + 2 with no root in Q(i)
+_ARBITRARY_DENS = [[1], [-2, 1], [Fraction(-1, 3), 1], [4, -4, 1], [gr(0, -2), 1], [1, 0, 1],
+                   [2, 0, 1]]
+_arbitrary_entries = st.builds(
+    lambda num, den: RF(num, den),
+    st.lists(st.builds(gr, st.integers(-2, 2), st.integers(-1, 1)), min_size=1, max_size=3),
+    st.sampled_from(_ARBITRARY_DENS))
+
+
+@st.composite
+def _arbitrary_ratmats(draw):
+    """A 1 x 1 to 2 x 3 matrix, possibly with a zero row, or a zero matrix."""
+    rows, cols = draw(st.integers(1, 2)), draw(st.integers(1, 3))
+    if draw(st.integers(0, 7)) == 0:
+        return RatMat.zeros(rows, cols)
+    grid = draw(st.lists(st.lists(_arbitrary_entries, min_size=cols, max_size=cols),
+                         min_size=rows, max_size=rows))
+    if rows > 1 and draw(st.booleans()):
+        grid[draw(st.integers(0, rows - 1))] = [0] * cols
+    return M(grid)
+
+
+@st.composite
+def _arbitrary_pairs(draw):
+    w = draw(_arbitrary_ratmats())
+    w1 = draw(st.sampled_from([w, -w, w * 2])) if draw(st.booleans()) else draw(
+        _arbitrary_ratmats())
+    return w, w1
+
+
+@settings(max_examples=120, deadline=None)
+@given(_arbitrary_pairs(), st.sampled_from(default_geometries()))
+@example((M([[RF([Fraction(-1, 3), 0, 1], [Fraction(1, 9), 0, 1])]]),
+          M([[RF([Fraction(1, 3), 0, -1], [Fraction(1, 9), 0, 1])]])), default_geometries()[0])
+def test_uniqueness_check_gives_a_verdict_or_a_mapped_error(pair, geo):
+    # any pair, generated or not: a result, or an error the CLI has a code for
+    w, w1 = pair
+    try:
+        result = uniqueness_check(w, w1, geo["region_p"], geo["region_z"])
+    except tuple(cls for cls, _ in _ERROR_CODES):
+        return
+    assert isinstance(result, UniquenessResult)
