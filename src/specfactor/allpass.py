@@ -20,9 +20,10 @@ column of the Laurent leading coefficient, cleared to a primitive Gaussian
 integer vector), so factorizations are reproducible byte for byte.  That
 column always lowers the degree by one (the lemma in ``potapov_factorize``),
 so the peel enumerates no minors and tries no candidates: it asks
-``RatMat`` for the input's McMillan degree once, then per step for the pole
-locations and the Laurent leading coefficient up to a positive rational,
-which that clearing removes, and takes the update U~ W (``left_divide``).
+``RatMat`` for the input's pole locations and pole degrees once (they sum
+to its McMillan degree) and counts them down, then per step for the
+Laurent leading coefficient up to a positive rational, which that clearing
+removes, and takes the update U~ W (``left_divide``).
 """
 
 from __future__ import annotations
@@ -245,8 +246,10 @@ def potapov_factorize(v: RatMat) -> AllPassFactorization:
     so U~ W's pole degree at beta is its zero degree at alpha, which is
     W's, which is W's pole degree at beta.  Elsewhere U~ changes no order.
 
-    On any square V, deg(U~ V) >= deg V - 1 because V = U (U~ V), so each
-    of the deg V steps finds a pole.  Nothing checks V~ V = I up front: a
+    So the poles of what is left are V's, with V's pole degrees counted
+    down by one per step, and no step searches for poles again.  On other
+    input a step may meet a point that is no longer a pole, where
+    ``laurent_leading`` raises.  Nothing checks V~ V = I up front: a
     completed peel proves it, writing V exactly as U_0 ... U_{K-1} C with
     every U_k para-unitary by construction and C a constant that passes the
     exact unitarity check.  When a step or that check fails,
@@ -267,14 +270,15 @@ def _peel(v: RatMat) -> AllPassFactorization:
     size = v.rows
     work = v
     peeled: list[tuple[Point, tuple[GaussianRational, ...]]] = []
-    # by the lemma each step lowers the degree by one on para-unitary input
-    for _ in range(v.mcmillan_degree()):
-        pole = work.pole_points()[0]
-        leading = work.laurent_leading(pole)
-        column = next(col for col in zip(*leading) if any(not x.is_zero() for x in col))
-        factor = ElementaryFactor(pole, column)
-        peeled.append((pole, factor.v))
-        work = factor.left_divide(work)
+    # V's poles, smallest first, each peeled as often as its pole degree:
+    # by the lemma a step lowers the degree at its pole only
+    for pole in v.pole_points():
+        for _ in range(v.pole_degree(pole)):
+            leading = work.laurent_leading(pole)
+            column = next(col for col in zip(*leading) if any(not x.is_zero() for x in col))
+            factor = ElementaryFactor(pole, column)
+            peeled.append((pole, factor.v))
+            work = factor.left_divide(work)
     # on para-unitary input work is now constant, and the factorization's
     # constructor checks that it is unitary
     cvals = work.constant_values()

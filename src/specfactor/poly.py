@@ -17,10 +17,13 @@ passes integers through ``scalar_parts`` and ``GaussianRational.from_parts``;
 
 Division, gcd and expansion about a point (``taylor_numerators``, to as
 many terms as asked for; it gives multiplicities) are exact; root finding
-is restricted to roots in Q(i) and reports the unsplit cofactor.  Floating
-point only proposes root candidates there, from an in-house Aberth-Ehrlich
-iteration: each one is confirmed exactly, and a bounded divisor search over
-Z[i] proves that no root is missed.
+is restricted to roots in Q(i) and reports the unsplit cofactor.  A linear
+square-free part gives its root exactly; beyond that, floating point only
+proposes root candidates, by the closed form for a quadratic and an
+in-house Aberth-Ehrlich iteration from degree 3, rounded to nearby
+fractions in integers.  Each candidate is confirmed by synthetic division
+over Z[i], and a bounded divisor search over Z[i] proves that no root is
+missed.
 
 Polynomials are immutable and hashable.
 """
@@ -29,7 +32,6 @@ from __future__ import annotations
 
 import cmath
 from collections.abc import Iterator
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd as int_gcd, inf, isfinite, lcm, prod, ulp
 
@@ -622,13 +624,15 @@ def poly_lcm(p: Poly, q: Poly) -> Poly:
 def gaussian_roots(p: Poly) -> tuple[tuple[tuple[GaussianRational, int], ...], Poly]:
     """All roots of p in Q(i) with multiplicities, plus the unsplit cofactor.
 
-    Roots are first located in floating point on the square-free part and
-    each guess is confirmed exactly; whatever stays unsplit is then searched
-    with candidates p/q built from Z[i] divisors of its trailing and leading
-    numerators, which proves that no root in Q(i) is left.  The returned
-    data satisfies lead * prod (z - r)^m * cofactor == p exactly; the
-    cofactor is monic (constant 1 when p splits over Q(i)), and the roots
-    are sorted by ``Point.sort_key``.
+    Roots are first guessed on the square-free part (``_guessed_roots``)
+    and each guess is confirmed exactly; whatever stays unsplit is then
+    searched with candidates p/q built from Z[i] divisors of its trailing
+    and leading numerators, which proves that no root in Q(i) is left.  A
+    candidate is confirmed by dividing it out (``_deflate``), as often as
+    it divides unless p is square-free.  The returned data satisfies
+    lead * prod (z - r)^m * cofactor == p exactly; the cofactor is monic
+    (constant 1 when p splits over Q(i)), and the roots are sorted by
+    ``Point.sort_key``.
     """
     if p.is_zero():
         raise ValueError("root extraction from the zero polynomial")
@@ -639,50 +643,149 @@ def gaussian_roots(p: Poly) -> tuple[tuple[tuple[GaussianRational, int], ...], P
     if zero_mult:
         work = _make(work._den, work._num[zero_mult:])
         roots.append((ZERO, zero_mult))
-    for candidates in (_guessed_roots, _divisor_roots):
-        if work.is_constant():
-            break
-        for num, den in candidates(work):
-            if work.is_constant():
-                break
-            if _homogeneous_eval(work._num, num, den) != (0, 0):
-                continue
-            cand = GaussianRational(num[0], num[1]) / GaussianRational(den[0], den[1])
-            mult = work.multiplicity(Point(cand))
-            work = work.exact_div(Poly.linear(cand) ** mult)
-            roots.append((cand, mult))
+    if not work.is_constant():
+        common = poly_gcd(work, _derivative(work))
+        simple = common.is_constant()
+        work = _divide_out(work, _guessed_roots(work if simple else work.exact_div(common)),
+                           simple, roots)
+        if not work.is_constant():
+            work = _divide_out(work, _divisor_roots(work), simple, roots)
     roots.sort(key=lambda rm: Point(rm[0]).sort_key())
     return tuple(roots), work
 
 
-def _guessed_roots(work: Poly) -> list[tuple[tuple[int, int], tuple[int, int]]]:
-    """Candidates (num, den) over Z[i] read off the floating-point roots of
-    the square-free part of work.
+def _divide_out(work: Poly, candidates, simple: bool,
+                roots: list[tuple[GaussianRational, int]]) -> Poly:
+    """work with every candidate (num, den) that is a root divided out, at
+    its multiplicity (1 when work is square-free); each root found is
+    appended to roots."""
+    for num, den in candidates:
+        if work.is_constant():
+            break
+        quotient = _deflate(work._num, num, den)
+        if quotient is None:
+            continue
+        mult = 1
+        while not simple and len(quotient) > 1:
+            again = _deflate(quotient, num, den)
+            if again is None:
+                break
+            quotient, mult = again, mult + 1
+        work = _reduce(1, *_split(quotient)).monic()
+        (nr, ni), (dr, di) = num, den
+        roots.append((GaussianRational.from_parts(nr * dr + ni * di, ni * dr - nr * di,
+                                                  dr * dr + di * di), mult))
+    return work
 
-    A root (x + y*i) / d in lowest terms has d dividing the norm N of the
-    square-free part's leading numerator, so each coordinate of a guess is
-    replaced by the nearest fraction with a denominator up to N (capped
-    where doubles stop telling fractions apart).  Simple roots keep the
-    guesses accurate enough for that.
+
+def _deflate(ints, num: tuple[int, int], den: tuple[int, int]):
+    """Synthetic division over Z[i]: the Gaussian-integer quotient Q with
+    P == (den * z - num) * Q for P given by ints (ascending pairs), or None
+    when num/den is not a root of P.  With gcd(num, den) a unit, the divisor
+    is primitive, so by Gauss's lemma Q has Gaussian-integer coefficients
+    exactly when num/den is a root, and a division that is not exact ends
+    the search."""
+    pr, pi = num
+    qr, qi = den
+    norm = qr * qr + qi * qi
+    n = len(ints) - 1
+    out = [(0, 0)] * n
+    # Q_{k-1} = (a_k + num * Q_k) / den from the top; the last sum is the
+    # remainder a_0 + num * Q_0
+    ar, ai = ints[n]
+    for k in range(n - 1, -1, -1):
+        if qi:
+            ar, ai = ar * qr + ai * qi, ai * qr - ar * qi
+            if ar % norm or ai % norm:
+                return None
+            br, bi = ar // norm, ai // norm
+        else:
+            if ar % qr or ai % qr:
+                return None
+            br, bi = ar // qr, ai // qr
+        out[k] = (br, bi)
+        cr, ci = ints[k]
+        ar, ai = cr + pr * br - pi * bi, ci + pr * bi + pi * br
+    return out if not ar and not ai else None
+
+
+def _lowest(num: tuple[int, int], den: tuple[int, int]) -> tuple[tuple[int, int], tuple[int, int]]:
+    """num/den with their Gaussian gcd divided out.  A common prime factor
+    would divide both norms, so coprime norms skip the Gaussian gcd."""
+    if int_gcd(num[0] * num[0] + num[1] * num[1], den[0] * den[0] + den[1] * den[1]) == 1:
+        return num, den
+    g = gi_gcd(num, den)
+    return gi_exact_div(num, g), gi_exact_div(den, g)
+
+
+def _guessed_roots(squarefree: Poly) -> list[tuple[tuple[int, int], tuple[int, int]]]:
+    """Candidates (num, den) over Z[i], in lowest terms, for the roots of
+    the square-free polynomial ``squarefree``.
+
+    A linear one gives its root exactly.  Otherwise the roots are located
+    in floating point, by the closed form for a quadratic and by
+    ``_complex_roots`` from degree 3.  A root (x + y*i) / d in lowest terms
+    has d dividing the norm N of the leading numerator, so each coordinate
+    of a guess is replaced by the nearest fraction with a denominator up to
+    N (capped where doubles stop telling fractions apart;
+    ``_nearest_fraction``).  Simple roots keep the guesses accurate enough
+    for that.
     """
-    common = poly_gcd(work, _derivative(work))
-    squarefree = work if common.is_constant() else work.exact_div(common)
-    lr, li = squarefree._num[-1]
+    ints = squarefree._num
+    lr, li = ints[-1]
+    if len(ints) == 2:
+        return [_lowest((-ints[0][0], -ints[0][1]), (lr, li))]
     n = lr * lr + li * li
     try:
-        monic = [complex((x * lr + y * li) / n, (y * lr - x * li) / n)
-                 for x, y in reversed(squarefree._num)]
+        monic = [complex((x * lr + y * li) / n, (y * lr - x * li) / n) for x, y in reversed(ints)]
     except OverflowError:
         return []
     cap = min(n, _GUESS_DENOMINATOR_CAP)
     out = []
-    for z in _complex_roots(monic):
+    for z in _quadratic_roots(*monic[1:]) if len(monic) == 3 else _complex_roots(monic):
         if not (isfinite(z.real) and isfinite(z.imag)):
             continue
-        x, y, d = scalar_parts(GaussianRational(Fraction(z.real).limit_denominator(cap),
-                                                Fraction(z.imag).limit_denominator(cap)))
-        out.append(((x, y), (d, 0)))
+        xn, xd = _nearest_fraction(*z.real.as_integer_ratio(), cap)
+        yn, yd = _nearest_fraction(*z.imag.as_integer_ratio(), cap)
+        d = lcm(xd, yd)
+        num, den = (xn * (d // xd), yn * (d // yd)), (d, 0)
+        out.append((num, den) if d == 1 else _lowest(num, den))
     return out
+
+
+def _quadratic_roots(b: complex, c: complex) -> list[complex]:
+    """The roots of z**2 + b*z + c by the closed form, the larger one
+    without cancellation and the other from their product c.  Overflow
+    leaves non-finite guesses, which are passed over; the larger root is 0
+    only when b and c (nonzero, as roots at the origin are stripped first)
+    both underflow."""
+    s = cmath.sqrt(b * b - 4 * c)
+    big = (-b - s) / 2 if b.real * s.real + b.imag * s.imag >= 0 else (-b + s) / 2
+    return [big, c / big] if big else [big]
+
+
+def _nearest_fraction(n: int, d: int, cap: int) -> tuple[int, int]:
+    """The fraction nearest n/d with a denominator at most cap, in lowest
+    terms, for d > 0 and gcd(n, d) == 1: the continued-fraction rule of
+    ``Fraction.limit_denominator`` (the last convergent, or the
+    semiconvergent beyond it when that is strictly nearer), in integers."""
+    if d <= cap:
+        return n, d
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    x, y = n, d
+    while True:
+        a = x // y
+        q2 = q0 + a * q1
+        if q2 > cap:
+            break
+        p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
+        x, y = y, x - a * y
+    k = (cap - q0) // q1
+    p2, q2 = p0 + k * p1, q0 + k * q1
+    # |p1/q1 - n/d| <= |p2/q2 - n/d|, cross-multiplied by d q1 q2
+    if abs(p1 * d - n * q1) * q2 <= abs(p2 * d - n * q2) * q1:
+        return p1, q1
+    return p2, q2
 
 
 # beyond about 2**24 a double no longer separates neighbouring fractions
@@ -732,7 +835,7 @@ def _divisor_roots(work: Poly) -> Iterator[tuple[tuple[int, int], tuple[int, int
     trailing and q the leading numerator of work, one at a time.
 
     A candidate can come up more than once; after its root has been
-    divided out, a repeat evaluates to nonzero and is passed over.  More
+    divided out, a repeat no longer divides and is passed over.  More
     than _DIVISOR_PAIRS_CAP divisor pairs raise InputTooLargeError.
     """
     ints = work._num

@@ -35,9 +35,10 @@ The structural queries all reduce to exact polynomial arithmetic on N/d:
   find them all, so the doubling ends).  The same m-term expansion gives
   the Laurent leading coefficient up to a positive rational,
 * the McMillan degree is the sum of ``pole_degree`` over ``pole_points()``,
-* ``minimal_right_inverse``, for square and wide G alike, solves one exact
-  Z[i] system, built from the same integer form of N, for right inverses
-  with poles on the zeros of G and keeps one with G's zero degrees as pole
+* ``minimal_right_inverse`` of a square G of full rank is its inverse
+  d adj(N) / det(N), minimal by theorem; a wide G solves one exact Z[i]
+  system, built from the same integer form of N, for right inverses with
+  poles on the zeros of G and keeps one with G's zero degrees as pole
   degrees; memoized per value (32 entries).
 
 Only ``sm_structure`` enumerates all k x k minors, which is exponential in
@@ -403,14 +404,16 @@ class RatMat:
     def minimal_right_inverse(self) -> RatMat:
         """A right inverse whose pole degrees equal the zero degrees of G.
 
-        The inverse X is sought in the form Y/m where m is the zero
+        A square G of full rank has one right inverse, its inverse, which
+        is minimal (see ``_minimal_right_inverse``).  For a wide G the
+        inverse X is sought in the form Y/m where m is the zero
         polynomial of G (the product of the numerator invariants), with the
         degree of Y capped so poles at infinity cannot exceed the zero
         degree of G at infinity.  Matching G * X = I then becomes an exact
         linear system in the coefficients of Y.  Each solution is a right
         inverse with poles on the zeros of G, and one with exactly G's zero
         degrees is kept.  An inconsistent system means no such right
-        inverse exists; for a square G it is unique.
+        inverse exists.
         """
         return _minimal_right_inverse(self)
 
@@ -419,8 +422,22 @@ class RatMat:
 def _minimal_right_inverse(mat: RatMat) -> RatMat:
     """``RatMat.minimal_right_inverse``, memoized: the sweep asks for the
     inverse of one factor once per uniqueness check, twice per instance.
-    Failures raise and are not cached."""
+    Failures raise and are not cached.
+
+    A square G = N/d of full rank has one right inverse, G^-1 = d adj(N) /
+    det(N), and it is minimal: if U G V = diag(u^k_1, ..., u^k_r) locally
+    about a point (u the local parameter, 1/z at infinity, U and V
+    invertible there), then V^-1 G^-1 U^-1 = diag(u^-k_1, ..., u^-k_r), so
+    G^-1's pole degree at every point of the extended plane is G's zero
+    degree there.  So a square input is read off its adjugate through one
+    ``RatMat.from_cleared``, with no zero polynomial, system or check; a
+    wide one solves the coefficient system below.  The shape alone picks
+    the route."""
     r, n = mat.rows, mat.cols
+    if r == n:
+        inverse = _adjugate_inverse(mat)
+        if inverse is not None:
+            return inverse
     if mat.normal_rank() != r:
         raise RankDeficiencyError(
             f"minimal right inverse needs full row rank {r}, got {mat.normal_rank()}"
@@ -485,6 +502,26 @@ def _minimal_right_inverse(mat: RatMat) -> RatMat:
     raise MinimalInverseError(
         "right inverse found but exact pole/zero degree matching failed"
     )
+
+
+def _adjugate_inverse(mat: RatMat) -> RatMat | None:
+    """d adj(N) / det(N) for a square G = N/d, None when det(N) = 0.  The
+    cofactors are the (r - 1) x (r - 1) minors by ``_poly_det``, and det(N)
+    is their expansion along the first row."""
+    n, size = mat.num, mat.rows
+
+    def cofactor(i: int, j: int) -> Poly:
+        minor = _poly_det([row[:j] + row[j + 1:] for k, row in enumerate(n) if k != i])
+        return -minor if (i + j) % 2 else minor
+
+    cof = ([[Poly.one()]] if size == 1 else
+           [[cofactor(i, j) for j in range(size)] for i in range(size)])
+    det = sum((a * c for a, c in zip(n[0], cof[0]) if a and c), Poly.zero())
+    if det.is_zero():
+        return None
+    d = mat.den
+    return RatMat.from_cleared(det, ([d * cof[i][j] for i in range(size)]
+                                     for j in range(size)))
 
 
 def _is_minimal_inverse(x: RatMat, m: Poly, dz_inf: int) -> bool:

@@ -461,3 +461,25 @@ def test_peel_asks_pole_degrees_of_the_input_only(monkeypatch):
     assert asked and all(mat is v for mat in asked)
     assert len(divided) == degree == len(fact)
     assert fact.product() == v
+
+
+def test_peel_root_searches_only_the_input_denominator(monkeypatch):
+    # V's pole degrees are counted down step by step, so the only pole
+    # locations found are V's own, from its denominator
+    v = (make_elementary(pt(2), [1, 0, gr(0, 1)])
+         * make_elementary(pt(Fraction(1, 2)), [0, 2, -1])
+         * make_elementary(pt(2), [1, 1, 0])
+         * make_elementary(INFINITY, [1, 1, 1])
+         * make_elementary(pt(1, 1), [1, -1, 0]))
+    searched = []
+    require_split = ratmat.require_split
+
+    def spy(poly, context=""):
+        searched.append(poly)
+        return require_split(poly, context)
+
+    monkeypatch.setattr(ratmat, "require_split", spy)
+    fact = potapov_factorize(v)
+    monkeypatch.undo()
+    assert searched and set(searched) == {v.den}
+    assert len(fact) == 5 and fact.product() == v

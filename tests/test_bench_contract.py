@@ -53,12 +53,14 @@ def test_every_reported_cache_is_memoised(spans):
     M([[RF([1, 1]), RF([2], [3, 1]), 1]]),
     # the particular solution fails here, so the seeded mixing runs too
     M([[RF([0, -1]), 0, 0], [0, RF([-2, 1]), -1]]),
-    # square, one finite zero at z = 1: the same system, with a unique solution
+    # square, one finite zero at z = 1: its only inverse is the adjugate
+    # over the determinant, so nothing is solved
     M([[RF([-1, 1]), RF([1], [2, 1])], [0, 1]]),
 ])
 def test_minimal_inverse_solves_through_the_traced_name(g, monkeypatch):
     # the linsolve.solve span wraps ratmat's binding of solve_linear, and
-    # the system is built and solved in Gaussian integers
+    # the system is built and solved in Gaussian integers; a square input
+    # builds none
     ratmat._minimal_right_inverse.cache_clear()  # a memo hit would skip the solve
     calls = []
     solve = ratmat.solve_linear
@@ -74,7 +76,7 @@ def test_minimal_inverse_solves_through_the_traced_name(g, monkeypatch):
     monkeypatch.setattr(GaussianRational, "__mul__", no_scalar_mul)
     x = g.minimal_right_inverse()
     monkeypatch.undo()
-    assert len(calls) == 1
+    assert len(calls) == (0 if g.is_square() else 1)
     assert g * x == RatMat.identity(g.rows)
 
 
@@ -165,14 +167,14 @@ def test_analyze_product_expands_each_matrix_once_per_point(monkeypatch):
     assert ratmat._integer_form.cache_info().misses == len({g, h, product})
 
 
-def test_orthogonal_multiple_solves_only_the_factors_system(monkeypatch):
-    # sweep instance 20251 (weak_flipped, 2x2, degree 1) draws the rotation
-    # q below: its case reads q W's hypotheses off W, so the traced sweep's
-    # linsolve.solve and ratmat.sm counts drop by what q W would add
+def _sweep_case_calls(seed, size, degree, q_index, monkeypatch):
+    """The two uniqueness checks of one sweep instance on weak_flipped,
+    against W1 = q W and then W's perturbation, with the solves after each
+    check and the matrices inverted by both."""
     geo = spectra.default_geometries()[3]
     region_p, region_z = geo["region_p"], geo["region_z"]
-    _, w = spectra.generate_instance(20251, (2, 2), 1, region_p, region_z)
-    q = spectra._ORTHOGONAL_POOLS[2][4]
+    _, w = spectra.generate_instance(seed, size, degree, region_p, region_z)
+    q = spectra._ORTHOGONAL_POOLS[size[0]][q_index]
     w1 = q * w
     perturbed = spectra.perturb_with_allpass(w, [geo["allpass_pole"]])
     ratmat._minimal_right_inverse.cache_clear()
@@ -193,11 +195,25 @@ def test_orthogonal_multiple_solves_only_the_factors_system(monkeypatch):
     monkeypatch.setattr(ratmat, "_minimal_right_inverse", spy_invert)
     res = spectra.uniqueness_check(w, w1, region_p, region_z)
     assert (res.verdict, res.transfer) == (spectra.Verdict.UNIQUE, q)
-    assert len(solved) == 1 and w1 not in inverted
+    solves = [len(solved)]
     res = spectra.uniqueness_check(w, perturbed, region_p, region_z)
     monkeypatch.undo()
     assert res.verdict is spectra.Verdict.HYPOTHESIS_FAILED
-    assert len(solved) == 2 and perturbed in inverted
+    solves.append(len(solved))
+    return solves, (w1 in inverted, perturbed in inverted)
+
+
+def test_orthogonal_multiple_solves_only_the_factors_system(monkeypatch):
+    # sweep instance 20251 (weak_flipped, 2x2, degree 1) draws the rotation
+    # pool[4]: its case reads q W's hypotheses off W, so q W is never
+    # inverted, while the perturbation is; being square, neither solves
+    solves, inverted = _sweep_case_calls(20251, (2, 2), 1, 4, monkeypatch)
+    assert solves == [0, 0] and inverted == (False, True)
+    # sweep instance 20243 (weak_flipped, 2x3, degree 3) solves W's system
+    # only, then the perturbation's, so the traced sweep's linsolve.solve
+    # and ratmat.sm counts drop by what q W would add
+    solves, inverted = _sweep_case_calls(20243, (2, 3), 3, 3, monkeypatch)
+    assert solves == [1, 2] and inverted == (False, True)
 
 
 @pytest.mark.parametrize("sign", [1, -1])

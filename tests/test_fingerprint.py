@@ -23,6 +23,7 @@ import pytest
 
 from specfactor import (
     INFINITY,
+    Poly,
     RatFun,
     RatMat,
     analyze_product,
@@ -39,9 +40,11 @@ from specfactor import (
     uniqueness_check,
 )
 from specfactor.errors import GenerationError
+from specfactor.poly import gaussian_roots, require_split
 from specfactor.spectra import _ORTHOGONAL_POOLS, default_geometries
 
 from helpers import (
+    P,
     RF,
     gr,
     pt,
@@ -185,6 +188,70 @@ def _peel(seed):
             yield _failure(exc)
 
 
+# N, the product of two 21-digit primes: the cubic z**3 + N z + 7N has no
+# root in Q(i), and proving it needs N factored
+_N21 = 100000000000000000039 * 300000000000000000053
+# W = (z**2 - 1/3) / (z**2 + 1/9): zeros at +-1/sqrt(3), outside Q(i);
+# the planted cubic; z**2 + 10**300, whose divisor search is refused
+_EDGE_FIXED = [
+    RatMat([[RF([Fraction(-1, 3), 0, 1], [Fraction(1, 9), 0, 1])]]),
+    RatMat([[RatFun(Poly.one(), Poly.linear(gr(Fraction(1, 3), Fraction(2, 3)))
+                    * P(7 * _N21, _N21, 0, 1))]]),
+    RatMat([[RF([1], [10**300, 0, 1])]]),
+]
+_NON_SQUARES = [2, 3, Fraction(1, 3), -2, gr(0, 2)]
+
+
+def _edge_matrices(rng):
+    """Non-Gaussian poles and zeros, polynomial, rank-deficient, zero and
+    complex matrices, planted quadratics (a double root over a conjugate
+    pair) and a quadratic with coefficients near 1e300."""
+    def small():
+        return gr(rng.randint(-3, 3), rng.randint(-1, 1))
+
+    def point():
+        return gr(Fraction(rng.randint(-6, 6), rng.randint(1, 3)), rng.randint(-2, 2))
+
+    def poly(degree):
+        return P(*[rng.randint(-3, 3) for _ in range(degree)], rng.choice([1, -2, 3]))
+
+    root = P(-rng.choice(_NON_SQUARES), 0, 1)
+    r, s = point(), point()
+    big = 3 ** rng.randint(620, 629)
+    c = small()
+    rows, cols = rng.choice([1, 2]), rng.choice([1, 2, 3])
+    a, b = RatFun(poly(rng.randint(0, 2))), RatFun(poly(1), Poly.linear(r))
+    cplx = [[RatFun(Poly([small(), small(), gr(1)]), Poly.linear(s)) for _ in range(2)]
+            for _ in range(2)]
+    return [
+        RatMat([[RatFun(Poly.one(), root * Poly.linear(r)), RatFun(poly(1))]]),
+        RatMat.diagonal([RatFun(root, Poly.linear(r)), 1]) * random_constant_full_rank(rng, 2, 2),
+        RatMat([[RatFun(poly(2)) for _ in range(cols)] for _ in range(rows)]),
+        RatMat([[a, b], [a * c, b * c]]),
+        RatMat.zeros(rng.choice([1, 2]), 2),
+        RatMat(cplx),
+        RatMat([[RatFun(Poly.linear(r) ** 2, Poly.linear(s) * Poly.linear(s.conj()))]]),
+        RatMat([[RatFun(Poly.one(), P(-big, 1) * P(rng.randint(-3, 3), 1))]]),
+    ]
+
+
+def _edge(seed):
+    # the root finder on each matrix's denominator and first numerator
+    # entry, its minimal inverse, and its uniqueness check against itself
+    # and its negative; seed k also carries the k-th fixed input
+    rng = random.Random(seed)
+    geo = default_geometries()[seed % len(default_geometries())]
+    for w in _edge_matrices(rng) + _EDGE_FIXED[seed:seed + 1]:
+        yield repr(w)
+        top = next((p for row in w.num for p in row if p), Poly.one())
+        for p in (w.den, top):
+            yield _outcome(gaussian_roots, p)
+            yield _outcome(require_split, p, "edge")
+        yield _outcome(w.minimal_right_inverse)
+        for w1 in (w, -w):
+            yield _outcome(uniqueness_check, w, w1, geo["region_p"], geo["region_z"])
+
+
 def _uniqueness(seed):
     rng = random.Random(seed)
     for geo, w in _generated(seed):
@@ -207,6 +274,7 @@ def _sweep(seed):
 
 FAMILIES = {
     "cancellation": (_cancellation, range(40)),
+    "edge": (_edge, range(8)),
     "peel": (_peel, range(16)),
     "structure": (_structure, range(16)),
     "uniqueness": (_uniqueness, range(16)),

@@ -7,8 +7,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from specfactor import GaussianRational, INFINITY, Point, Poly, gaussian_roots
 from specfactor.errors import InputTooLargeError, NonGaussianPoleError
-from specfactor.poly import (_complex_roots, order_of, poly_gcd, poly_lcm, require_split,
-                             taylor_numerators)
+from specfactor.poly import (_GUESS_DENOMINATOR_CAP, _complex_roots, _nearest_fraction, order_of,
+                             poly_gcd, poly_lcm, require_split, taylor_numerators)
 
 from helpers import P, gr, pt
 from oracles import ref_divmod, ref_eval, ref_mul, ref_trim, synthetic_multiplicity
@@ -349,6 +349,110 @@ def test_guesses_alone_recover_planted_simple_roots(planted, lead):
         gaussian_roots.cache_clear()
     assert list(roots) == _expected_roots([(r, 1) for r in planted])
     assert rest.is_one()
+
+
+_caps = st.one_of(st.integers(1, 50), st.integers(1, 2 * _GUESS_DENOMINATOR_CAP),
+                  st.just(_GUESS_DENOMINATOR_CAP))
+
+
+@settings(max_examples=300)
+@given(st.floats(allow_nan=False, allow_infinity=False), _caps)
+@example(0.0, 7)
+@example(-0.0, 1)
+@example(5e-324, _GUESS_DENOMINATOR_CAP)
+@example(-2.5e-300, 3)
+@example(1e300, _GUESS_DENOMINATOR_CAP)
+@example(-1.7976931348623157e308, 1)
+@example(2.0 ** 60 + 2.0 ** 8, 5)
+@example(1 / 3, _GUESS_DENOMINATOR_CAP)
+@example(-0.5, 1)  # a tie: both neighbours are 1 away at denominator 1
+@example(0.1, 10)
+def test_nearest_fraction_is_limit_denominator(x, cap):
+    # the guesses' rounding, in integers, against the standard library's
+    expected = Fraction(x).limit_denominator(cap)
+    assert _nearest_fraction(*x.as_integer_ratio(), cap) == (expected.numerator,
+                                                             expected.denominator)
+
+
+@settings(max_examples=200)
+@given(st.fractions(), _caps)
+@example(Fraction(7), 1)
+@example(Fraction(-10**40 - 1, 10**40), 10**6)
+def test_nearest_fraction_of_any_fraction(q, cap):
+    expected = q.limit_denominator(cap)
+    assert _nearest_fraction(q.numerator, q.denominator, cap) == (expected.numerator,
+                                                                  expected.denominator)
+
+
+_quadratic_roots = st.builds(gr, st.fractions(-50, 50, max_denominator=40),
+                             st.fractions(-50, 50, max_denominator=40))
+
+
+@settings(max_examples=120, deadline=None)
+@given(_quadratic_roots, _quadratic_roots, st.sampled_from([gr(1), gr(-3, 2), gr(Fraction(2, 7))]))
+def test_planted_quadratics(r, s, lead):
+    # a double root (the square-free part is linear), a conjugate pair and
+    # two arbitrary roots, each found by the closed form or exactly
+    for planted in ([(r, 2)], [(r, 1), (r.conj(), 1)], [(r, 1), (s, 1)]):
+        merged = {}
+        for root, mult in planted:
+            merged[root] = merged.get(root, 0) + mult
+        p = lead
+        for root, mult in planted:
+            p = p * Poly.linear(root) ** mult
+        gaussian_roots.cache_clear()
+        with patch("specfactor.poly._divisor_roots", lambda work: iter(())):
+            roots, rest = gaussian_roots(p)
+        assert list(roots) == _expected_roots(list(merged.items()))
+        assert rest.is_one()
+    gaussian_roots.cache_clear()
+
+
+@pytest.mark.parametrize("big, other", [(gr(3**629), gr(-2)), (gr(-(7**355)), gr(5)),
+                                        (gr(3**629), gr(0, 1))], ids=["3^629", "-7^355", "3^629,i"])
+def test_quadratic_near_1e300_falls_back_to_the_divisor_search(big, other):
+    # b**2 overflows a double, so the closed form guesses nothing usable
+    # and the divisor search over Z[i] finds both roots
+    import specfactor.poly as poly_mod
+
+    p = Poly.linear(big) * Poly.linear(other)
+    assert abs(float(p.coefficient(1).re)) > 1e300
+    searched = []
+    divisor_roots = poly_mod._divisor_roots
+
+    def spy(work):
+        searched.append(work)
+        return divisor_roots(work)
+
+    gaussian_roots.cache_clear()
+    try:
+        with patch.object(poly_mod, "_divisor_roots", spy):
+            roots, rest = gaussian_roots(p)
+    finally:
+        gaussian_roots.cache_clear()
+    assert searched and rest.is_one()
+    assert list(roots) == _expected_roots([(big, 1), (other, 1)])
+
+
+def test_root_search_calls_no_limit_denominator(monkeypatch):
+    # the guesses round in integers (a cubic by Aberth, a quadratic by the
+    # closed form, a linear square-free part exactly), not through Fraction
+    def forbidden(self, cap=None):
+        raise AssertionError("Fraction.limit_denominator in the root search")
+
+    planted = [gr(Fraction(1, 3)), gr(Fraction(2, 5), Fraction(1, 5)), gr(Fraction(-7, 2), 3)]
+    cases = [Poly.from_roots(planted) * gr(2, 1),
+             Poly.from_roots(planted[:2]) * gr(Fraction(3, 4)),
+             Poly.from_roots(planted[1:2] * 3)]
+    gaussian_roots.cache_clear()
+    monkeypatch.setattr(Fraction, "limit_denominator", forbidden)
+    try:
+        found = [gaussian_roots(p) for p in cases]
+    finally:
+        monkeypatch.undo()
+        gaussian_roots.cache_clear()
+    assert [len(roots) for roots, _ in found] == [3, 2, 1]
+    assert all(rest.is_one() for _, rest in found)
 
 
 @pytest.mark.parametrize("monic", [

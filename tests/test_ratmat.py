@@ -843,6 +843,60 @@ def test_minimal_right_inverse_is_a_right_inverse_with_the_zero_degrees(g):
         assert brute_point_degrees(x, point)[1] == brute_point_degrees(g, point)[0]
 
 
+@st.composite
+def _square_full_rank(draw):
+    """Square G of side 1 to 3 and full rank, from the entries of the
+    product tests (repeated and shared denominator roots, complex
+    coefficients, zero entries), some times an elementary all-pass factor
+    for a pole or a zero at infinity."""
+    n = draw(st.integers(1, 3))
+    g = RatMat([[draw(_entries) for _ in range(n)] for _ in range(n)])
+    assume(g.normal_rank() == n)
+    if draw(st.booleans()):
+        alpha = draw(st.sampled_from([pt(3), pt(Fraction(1, 2), 1), INFINITY]))
+        direction = draw(st.lists(st.sampled_from([gr(0), gr(1), gr(-2), gr(1, 1)]),
+                                  min_size=n, max_size=n).filter(any))
+        g = make_elementary(alpha, direction) * g
+    return g
+
+
+@settings(max_examples=60, deadline=None)
+@given(_square_full_rank())
+@example(M([[RF([-1, 1]), RF([1], [2, 1])], [0, 1]]))
+@example(M([[RF([0, 1]), RF([1], [0, 0, 1])], [1, RF([gr(0, 1)], [1, 1])]]))
+def test_square_inverse_is_minimal(g):
+    # the square route runs no minimality check, since the inverse is
+    # minimal by theorem; this keeps the check it no longer runs: X's pole
+    # polynomial is G's zero polynomial, and X's pole degree at infinity is
+    # G's zero degree there
+    ratmat._minimal_right_inverse.cache_clear()
+    x = g.minimal_right_inverse()
+    identity = RatMat.identity(g.rows)
+    assert g * x == identity and x * g == identity
+    assert x.sm_structure().pole_polynomial() == g.sm_structure().zero_polynomial()
+    assert x.pole_degree(INFINITY) == g.zero_degree(INFINITY)
+
+
+def test_square_inverse_solves_nothing_and_forms_no_smith_mcmillan_form(monkeypatch):
+    # G = diag(z - 1, 1/z) times a rotation and an all-pass factor: zeros
+    # at 1 and infinity, poles at 0 and 2
+    g = (make_elementary(pt(2), [1, gr(0, 1)])
+         * RatMat.diagonal([RF([-1, 1]), RF([1], [0, 1])]) * M([[1, 2], [-1, 1]]))
+    ratmat._minimal_right_inverse.cache_clear()
+
+    def forbidden(*args):
+        raise AssertionError("coefficient system or Smith-McMillan form for a square input")
+
+    monkeypatch.setattr(ratmat, "solve_linear", forbidden)
+    monkeypatch.setattr(ratmat, "_sm_of", forbidden)
+    x = g.minimal_right_inverse()
+    monkeypatch.undo()
+    assert g * x == RatMat.identity(2)
+    for singular in (M([[1, 2], [2, 4]]), RatMat.zeros(2, 2)):
+        with pytest.raises(RankDeficiencyError, match="got 1|got 0"):
+            singular.minimal_right_inverse()
+
+
 def test_determinant():
     u = make_elementary(pt(2), [1, 1])
     from specfactor import blaschke
