@@ -16,7 +16,10 @@ passes integers through ``scalar_parts`` and ``GaussianRational.from_parts``;
 ``parts`` and ``from_parts`` hand over the polynomial's integer form itself.
 
 Division, gcd and expansion about a point (``taylor_numerators``, to as
-many terms as asked for; it gives multiplicities) are exact; root finding
+many terms as asked for; it gives multiplicities, and its first term is
+``eval``'s Horner rule) are exact.  A fraction, ``RatFun``'s or
+``RatMat``'s, is reduced by one route, ``cleared_fraction``: the running
+gcd ``gcd_of`` divided out, then ``monic_fraction``.  Root finding
 is restricted to roots in Q(i) and reports the unsplit cofactor.  A linear
 square-free part gives its root exactly; beyond that, floating point only
 proposes root candidates, by the closed form for a quadratic and an
@@ -360,12 +363,13 @@ class Poly:
         return _reduce(lead, re, im)
 
     def eval(self, alpha) -> GaussianRational:
-        """Exact Horner evaluation, homogenized over alpha's denominator."""
+        """Exact Horner evaluation: the first coefficient of the expansion
+        about alpha (``taylor_numerators``), over den * delta**deg."""
         if not self._num:
             return ZERO
-        xr, xi, d = _parts(alpha)
-        ar, ai = _homogeneous_eval(self._num, (xr, xi), (d, 0))
-        return GaussianRational.from_parts(ar, ai, self._den * d ** (len(self._num) - 1))
+        top = len(self._num) - 1
+        ar, ai = taylor_numerators(self._num, alpha, top, 1)[0]
+        return GaussianRational.from_parts(ar, ai, self._den * _parts(alpha)[2] ** top)
 
     def eval_complex(self, z: complex) -> complex:
         acc = 0j
@@ -434,16 +438,6 @@ class Poly:
 
     def __repr__(self) -> str:
         return f"Poly[{self}]"
-
-
-def monic_ratio(num: Poly, den: Poly) -> tuple[Poly, Poly]:
-    """The pair (num / c, den / c) for c the leading coefficient of den."""
-    if not den._num:
-        raise ZeroDivisionError("monic ratio with a zero denominator")
-    ur, ui, lead = _to_positive(*den._num[-1])
-    re, im = _split(num._num)
-    re, im = _scale(re, im, ur * den._den, ui * den._den)
-    return _reduce(num._den * lead, re, im), den.monic()
 
 
 def as_poly(x) -> Poly | None:
@@ -618,6 +612,45 @@ def poly_lcm(p: Poly, q: Poly) -> Poly:
     if p.is_zero() or q.is_zero():
         raise ValueError("lcm with the zero polynomial")
     return (p * q).exact_div(poly_gcd(p, q)).monic()
+
+
+def gcd_of(polys) -> Poly | None:
+    """Monic gcd of the nonzero polynomials in polys, by a running gcd that
+    stops at 1 (a nonzero constant); None when all of them vanish."""
+    acc = None
+    for p in polys:
+        if p._num:
+            acc = p if acc is None else poly_gcd(acc, p)
+            if len(acc._num) == 1:
+                return _ONE
+    return None if acc is None else acc.monic()
+
+
+def monic_fraction(den: Poly, nums) -> tuple[Poly, tuple[Poly, ...]]:
+    """The fraction nums / den with den made monic: every numerator is
+    divided by den's leading coefficient c by one integer scale, 1/c being
+    den's denominator times u over lead(den) * u, a positive integer."""
+    nums = tuple(nums)
+    if den.is_monic():
+        return den, nums
+    if not den._num:
+        raise ZeroDivisionError("fraction with a zero denominator")
+    ur, ui, lead = _to_positive(*den._num[-1])
+    ur, ui = ur * den._den, ui * den._den
+    return den.monic(), tuple(_reduce(p._den * lead, *_scale(*_split(p._num), ur, ui))
+                              for p in nums)
+
+
+def cleared_fraction(den: Poly, nums) -> tuple[Poly, tuple[Poly, ...]]:
+    """The canonical form of nums / den, den nonzero: the common factor of
+    den and every numerator (``gcd_of``) divided out, then den made monic
+    (``monic_fraction``).  ``RatFun`` and ``RatMat`` both reduce here."""
+    nums = tuple(nums)
+    g = gcd_of((den, *nums))
+    if not g.is_one():
+        den = den.exact_div(g)
+        nums = tuple(p.exact_div(g) if p._num else p for p in nums)
+    return monic_fraction(den, nums)
 
 
 @lru_cache(maxsize=4096)
@@ -858,18 +891,6 @@ def _derivative(p: Poly) -> Poly:
     re, im = _split(p._num)
     return _reduce(p._den, [k * x for k, x in enumerate(re)][1:],
                    [k * y for k, y in enumerate(im)][1:])
-
-
-def _homogeneous_eval(ints, p: tuple[int, int], q: tuple[int, int]) -> tuple[int, int]:
-    """q**deg * poly(p/q) over Z[i]; zero exactly when p/q is a root."""
-    acc = ints[-1]
-    qpow = (1, 0)
-    for k in range(len(ints) - 2, -1, -1):
-        qpow = gi_mul(qpow, q)
-        acc = gi_mul(acc, p)
-        term = gi_mul(ints[k], qpow)
-        acc = (acc[0] + term[0], acc[1] + term[1])
-    return acc
 
 
 def require_split(p: Poly, context: str = "") -> tuple[tuple[GaussianRational, int], ...]:

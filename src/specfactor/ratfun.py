@@ -10,7 +10,7 @@ inside the representation.
 from __future__ import annotations
 
 from .errors import CirclePoleError
-from .poly import Poly, as_poly, monic_ratio, poly_gcd
+from .poly import Poly, as_poly, cleared_fraction
 from .scalars import Comparison, GaussianRational, Point, ONE
 
 
@@ -32,12 +32,7 @@ class RatFun:
             self._num = Poly.zero()
             self._den = Poly.one()
             return
-        if not n.is_constant() and not d.is_constant():
-            g = poly_gcd(n, d)
-            if not g.is_one():
-                n = n.exact_div(g)
-                d = d.exact_div(g)
-        self._num, self._den = monic_ratio(n, d)
+        self._den, (self._num,) = cleared_fraction(d, (n,))
 
     @classmethod
     def zero(cls) -> RatFun:

@@ -5,8 +5,8 @@ matrix and gcd(d, every entry of N) = 1.  The form is canonical (d is the
 lcm of the reduced entry denominators), so equality and hashing are
 structural.  Whatever builds a matrix from another one (products, sums,
 paraconjugation, ``allpass``'s rank-one update, the minimal inverse) hands
-over N/d and reduces it once, by a running gcd that stops at 1; a matrix
-built from entries works out its form once from them.  The per-entry
+over N/d and reduces it once, by ``poly.cleared_fraction`` as ``RatFun``
+does; a matrix built from entries works out its form once from them.  The per-entry
 ``RatFun``s are derived only when something reads them (``entries``,
 ``str``, JSON output).
 
@@ -64,8 +64,8 @@ from .errors import (
     ZeroMatrixError,
 )
 from .linsolve import solve_linear
-from .poly import (Poly, gaussian_roots, order_of, poly_gcd, poly_lcm, require_split,
-                   taylor_numerators)
+from .poly import (Poly, cleared_fraction, gaussian_roots, gcd_of, monic_fraction, order_of,
+                   poly_gcd, poly_lcm, require_split, taylor_numerators)
 from .ratfun import RatFun, as_ratfun
 from .scalars import GaussianRational, INFINITY, Point
 
@@ -94,13 +94,9 @@ def _wrap(d: Poly, n: tuple[tuple[Poly, ...], ...]) -> RatMat:
     return m
 
 
-def _monic(d: Poly, n) -> RatMat:
-    """N/d with d made monic, for d coprime to N."""
-    if not d.is_monic():
-        c = d.lead.inverse()
-        d = d * c
-        n = tuple(tuple(p * c for p in row) for row in n)
-    return _wrap(d, n)
+def _wrap_flat(d: Poly, flat: tuple[Poly, ...], cols: int) -> RatMat:
+    """``_wrap`` of N given row by row in one flat tuple."""
+    return _wrap(d, tuple(flat[k:k + cols] for k in range(0, len(flat), cols)))
 
 
 def _over(e: RatFun, d: Poly) -> Poly:
@@ -108,18 +104,6 @@ def _over(e: RatFun, d: Poly) -> Poly:
     if e.den == d:
         return e.num
     return e.num * (d if e.den.is_one() else d.exact_div(e.den))
-
-
-def _common_factor(d: Poly, n) -> Poly:
-    """gcd(d, every entry of n), by a running gcd that stops at 1."""
-    g = d
-    for row in n:
-        for p in row:
-            if p:
-                g = poly_gcd(g, p)
-                if g.is_one():
-                    return g
-    return g
 
 
 class RatMat:
@@ -153,12 +137,7 @@ class RatMat:
         _require_grid(n)
         if d.is_zero():
             raise ZeroDivisionError("matrix with zero denominator")
-        if not d.is_constant():
-            g = _common_factor(d, n)
-            if not g.is_one():
-                d = d.exact_div(g)
-                n = tuple(tuple(p.exact_div(g) if p else p for p in row) for row in n)
-        return _monic(d, n)
+        return _wrap_flat(*cleared_fraction(d, (p for row in n for p in row)), len(n[0]))
 
     @classmethod
     def identity(cls, n: int) -> RatMat:
@@ -289,13 +268,13 @@ class RatMat:
         a common root of d and N, which the canonical form excludes, or z,
         which does not divide whichever of d and N has degree t.  So only
         the lead of the new d is divided out."""
-        d, n = self._d, self._n
+        d, n, cols = self._d, self._n, self.cols
         if paraconj:
             d = d.conj_coeffs()
-            n = zip(*((p.conj_coeffs() for p in row) for row in n))
-        n = tuple(tuple(row) for row in n)
-        top = max(int(p.degree) for p in itertools.chain((d,), *n) if p)
-        return _monic(d.reversed(top), tuple(tuple(p.reversed(top) for p in row) for row in n))
+            n, cols = [[p.conj_coeffs() for p in col] for col in zip(*n)], self.rows
+        flat = [p for row in n for p in row]
+        top = max(int(p.degree) for p in (d, *flat) if p)
+        return _wrap_flat(*monic_fraction(d.reversed(top), (p.reversed(top) for p in flat)), cols)
 
     def eval_complex(self, z: complex) -> list[list[complex]]:
         return [[e.eval_complex(z) for e in row] for row in self.entries]
@@ -851,18 +830,8 @@ def _sm_of(mat: RatMat) -> SMStructure:
 
 
 def _minor_gcd(n: list[list[Poly]], k: int) -> Poly | None:
-    """Monic gcd of all nonzero k x k minors, None if all vanish."""
-    acc: Poly | None = None
-    for rows_sel in itertools.combinations(range(len(n)), k):
-        for cols_sel in itertools.combinations(range(len(n[0])), k):
-            sub = [[n[i][j] for j in cols_sel] for i in rows_sel]
-            det = _poly_det(sub)
-            if det.is_zero():
-                continue
-            if acc is None:
-                acc = det.monic()
-            else:
-                acc = poly_gcd(acc, det)
-            if acc.is_one():
-                return acc
-    return acc
+    """Monic gcd of all nonzero k x k minors, None if all vanish (``gcd_of``,
+    which stops computing minors once the gcd is 1)."""
+    return gcd_of(_poly_det([[n[i][j] for j in cols_sel] for i in rows_sel])
+                  for rows_sel in itertools.combinations(range(len(n)), k)
+                  for cols_sel in itertools.combinations(range(len(n[0])), k))

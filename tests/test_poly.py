@@ -5,10 +5,11 @@ from unittest.mock import patch
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from specfactor import GaussianRational, INFINITY, Point, Poly, gaussian_roots
+from specfactor import GaussianRational, INFINITY, Point, Poly, RatFun, RatMat, gaussian_roots
 from specfactor.errors import InputTooLargeError, NonGaussianPoleError
-from specfactor.poly import (_GUESS_DENOMINATOR_CAP, _complex_roots, _nearest_fraction, order_of,
-                             poly_gcd, poly_lcm, require_split, taylor_numerators)
+from specfactor.poly import (_GUESS_DENOMINATOR_CAP, _complex_roots, _nearest_fraction,
+                             cleared_fraction, gcd_of, monic_fraction, order_of, poly_gcd,
+                             poly_lcm, require_split, taylor_numerators)
 
 from helpers import P, gr, pt
 from oracles import ref_divmod, ref_eval, ref_mul, ref_trim, synthetic_multiplicity
@@ -535,3 +536,81 @@ def test_floordiv_is_the_quotient(a, b):
     p, q = Poly(a), Poly(b)
     assert p // q == divmod(p, q)[0]
     assert p - (p // q) * q == p % q
+
+
+def test_gcd_of_examples():
+    assert gcd_of([]) is None
+    assert gcd_of([Poly.zero(), Poly.zero()]) is None
+    assert gcd_of([Poly.zero(), P(3, 6)]) == P(Fraction(1, 2), 1)
+    assert gcd_of([P(2, 2) * P(0, 3), P(2, 3, 1) * 3, Poly.zero()]) == P(1, 1)
+    assert gcd_of([P(gr(0, 2))]).is_one()
+
+
+def test_gcd_of_stops_at_one():
+    # once the running gcd is 1 no further polynomial is read, so a lazy
+    # caller (the minors of ``_minor_gcd``) computes no more of them
+    def polys():
+        yield P(1, 1) * P(2, 1)
+        yield P(0, 1) * P(2, 1)
+        yield P(3, 1)
+        raise AssertionError("read past a gcd of 1")
+
+    assert gcd_of(polys()).is_one()
+
+
+@settings(max_examples=60)
+@given(st.lists(polys, max_size=4), nonzero_polys)
+def test_gcd_of_is_the_monic_running_gcd(ps, common):
+    ps = [p * common for p in ps]
+    g = gcd_of(ps)
+    nonzero = [p for p in ps if p]
+    if not nonzero:
+        assert g is None
+        return
+    assert g.is_monic()
+    assert all((p % g).is_zero() for p in nonzero)
+    ref = nonzero[0].monic()
+    for p in nonzero[1:]:
+        ref = poly_gcd(ref, p)
+    assert g == ref
+
+
+_complex_leads = st.sampled_from([gr(1), gr(-3), gr(Fraction(2, 5)), gr(0, 2), gr(3, -4),
+                                  gr(Fraction(1, 2), Fraction(-7, 3))])
+
+
+@settings(max_examples=80)
+@given(polys, nonzero_polys, st.lists(scalars, max_size=3).map(Poly).filter(bool), _complex_leads)
+def test_fraction_routines_agree_with_ratfun_and_ratmat(num, den, common, lead):
+    # common factors, non-monic and complex denominators: the reduced pair
+    # is the one RatFun and a 1 x 1 RatMat store, and still the same value
+    num, den = num * common, den * common * lead
+    d, (n,) = cleared_fraction(den, [num])
+    f = RatFun(num, den)
+    assert (d, n) == (f.den, f.num)
+    assert (d, n) == (RatMat([[f]]).den, RatMat([[f]]).num[0][0])
+    assert (d, ((n,),)) == (RatMat.from_cleared(den, [[num]]).den,
+                           RatMat.from_cleared(den, [[num]]).num)
+    assert d.is_monic() and n * den == num * d
+    assert n.is_zero() and d.is_one() or poly_gcd(n, d).is_one()
+    # made monic only, a coprime pair keeps its factors
+    g = poly_gcd(num, den) if num else den.monic()
+    d2, (n2, zero) = monic_fraction(den.exact_div(g), [num.exact_div(g), Poly.zero()])
+    assert (d2, n2, zero) == (d, n, Poly.zero())
+    assert n2 == num.exact_div(g) * den.exact_div(g).lead.inverse()
+
+
+def test_monic_fraction_of_a_zero_denominator_raises():
+    with pytest.raises(ZeroDivisionError):
+        monic_fraction(Poly.zero(), [P(1)])
+
+
+@settings(max_examples=80)
+@given(coeff_lists, st.one_of(wide_scalars, wide_fractions, st.integers(-40, 40)))
+def test_eval_is_horner_over_gaussian_rationals(a, x):
+    # eval reads the first term of the expansion about x (taylor_numerators)
+    gx = x if isinstance(x, GaussianRational) else GaussianRational(x)
+    acc = GaussianRational(0)
+    for c in reversed(a):
+        acc = acc * gx + c
+    assert Poly(a).eval(x) == acc
