@@ -5,10 +5,10 @@ matrix and gcd(d, every entry of N) = 1.  The form is canonical (d is the
 lcm of the reduced entry denominators), so equality and hashing are
 structural.  Whatever builds a matrix from another one (products, sums,
 paraconjugation, ``allpass``'s rank-one update, the minimal inverse) hands
-over N/d and reduces it once, by ``poly.cleared_fraction`` as ``RatFun``
-does; a matrix built from entries works out its form once from them.  The per-entry
-``RatFun``s are derived only when something reads them (``entries``,
-``str``, JSON output).
+over N/d and reduces it once through ``poly.cleared_fraction``, as
+``RatFun`` does; a matrix built from entries works out its form once from
+them.  The per-entry ``RatFun``s are derived only when something reads
+them (``entries``, ``str``, JSON output).
 
 The structural queries all reduce to exact polynomial arithmetic on N/d:
 
@@ -38,8 +38,9 @@ The structural queries all reduce to exact polynomial arithmetic on N/d:
 * ``minimal_right_inverse`` of a square G of full rank is its inverse
   d adj(N) / det(N), minimal by theorem; a wide G solves one exact Z[i]
   system, built from the same integer form of N, for right inverses with
-  poles on the zeros of G and keeps one with G's zero degrees as pole
-  degrees; memoized per value (32 entries).
+  poles on the zeros of G; when its particular solution misses G's zero
+  degrees, a second exact system picks a minimal one (the lemma at
+  ``_minimal_right_inverse``); memoized per value (32 entries).
 
 Only ``sm_structure`` enumerates all k x k minors, which is exponential in
 the matrix size; pole locations, pointwise degrees and the McMillan degree
@@ -53,7 +54,6 @@ can be shared freely across threads.
 from __future__ import annotations
 
 import itertools
-import random
 from functools import lru_cache
 from math import lcm
 
@@ -63,7 +63,7 @@ from .errors import (
     RankDeficiencyError,
     ZeroMatrixError,
 )
-from .linsolve import solve_linear
+from .linsolve import cleared, solve_linear
 from .poly import (Poly, cleared_fraction, gaussian_roots, gcd_of, monic_fraction, order_of,
                    poly_gcd, poly_lcm, require_split, taylor_numerators)
 from .ratfun import RatFun, as_ratfun
@@ -391,8 +391,8 @@ class RatMat:
         degree of G at infinity.  Matching G * X = I then becomes an exact
         linear system in the coefficients of Y.  Each solution is a right
         inverse with poles on the zeros of G, and one with exactly G's zero
-        degrees is kept.  An inconsistent system means no such right
-        inverse exists.
+        degrees is picked by a second exact system.  An inconsistent system
+        means no such right inverse exists.
         """
         return _minimal_right_inverse(self)
 
@@ -411,7 +411,26 @@ def _minimal_right_inverse(mat: RatMat) -> RatMat:
     degree there.  So a square input is read off its adjugate through one
     ``RatMat.from_cleared``, with no zero polynomial, system or check; a
     wide one solves the coefficient system below.  The shape alone picks
-    the route."""
+    the route.
+
+    Lemma, for a wide G: let X = Y/m with N Y = d m I and top the largest
+    entry degree of N.  At a finite point p, X is minimal only if
+    (z - p)^ord_p(m) divides every entry of Y N; at infinity, only if no
+    entry of Y N has degree above deg m + max(deg d, top).  Both conditions
+    also suffice wherever G has no pole, and everywhere when r <= 2.
+    Proof: locally U G V = [D 0] with D = diag(u^k_i), so V^-1 X U^-1 =
+    [D^-1; Z], and by minors X is minimal exactly when Z diag(u^max(k_i, 0))
+    is analytic.  X G = V [I 0; Z D 0] V^-1, so X G (whose entries are
+    those of Y N / (m d)) has pole order at most G's, ord_p(d), exactly
+    when Z D does, which a minimal X meets.  Y/m bounds Z's pole order by
+    ord_p(m), which closes the gap wherever G has no pole or its exponents
+    are one positive and one negative, so in every case with r <= 2.
+    Over all finite points the first condition says that m divides Y N.
+    When the particular solution is not minimal, both conditions are
+    imposed as linear equations in the coefficients of the nullspace basis
+    and solved once; an inconsistent system proves that no minimal inverse
+    exists.  What the lemma leaves open, r >= 3 at a point that is both a
+    zero and a pole of G, is left to the final check ``_is_minimal_inverse``."""
     r, n = mat.rows, mat.cols
     if r == n:
         inverse = _adjugate_inverse(mat)
@@ -455,27 +474,46 @@ def _minimal_right_inverse(mat: RatMat) -> RatMat:
         )
     den, particular, basis = solved
 
-    def build(grid) -> RatMat:
-        blocks = [grid[k * (deg_y + 1):(k + 1) * (deg_y + 1)] for k in range(n)]
-        return RatMat.from_cleared(m, ([Poly.from_parts(den, [cs[j] for cs in block])
-                                        for j in range(r)] for block in blocks))
+    def column(vec) -> list[Poly]:
+        """The n entries of one column of Y from its coefficient vector."""
+        return [Poly.from_parts(den, vec[k:k + deg_y + 1]) for k in range(0, width, deg_y + 1)]
 
-    candidate = build(particular)
+    ys = [column([cs[j] for cs in particular]) for j in range(r)]
+    candidate = RatMat.from_cleared(m, zip(*ys))
     if _is_minimal_inverse(candidate, m, dz_inf):
         return candidate
-    # a special solution can miss the required pole degrees (a double
-    # pole where G has a simple zero, say); a generic element of the
-    # solution space attains them
-    rng = random.Random(0x5EEDED)
-    for _ in range(25):
-        mixed = [row[:] for row in particular]
-        for vec in basis:
-            cr, ci = rng.randint(-5, 5), rng.randint(-2, 2)
-            for idx, (vr, vi) in enumerate(vec):
-                if vr or vi:
-                    ar, ai = cr * vr - ci * vi, cr * vi + ci * vr
-                    mixed[idx] = [(x + ar, y + ai) for x, y in mixed[idx]]
-        candidate = build(mixed)
+    # the particular solution can miss the pole degrees (a double pole where
+    # G has a simple zero, say): solve for the c in Y = particular + sum of
+    # c_ij basis_i e_j^T that meet the lemma's conditions on Y N
+    num, bs = mat.num, [column(vec) for vec in basis]
+    cap = int(m.degree) + max(int(mat.den.degree), deg_n)
+
+    def conditions(f: Poly) -> list[GaussianRational]:
+        """The values that must vanish for an entry f of Y N: the
+        coefficients of f mod m, and those of f above the cap."""
+        rem = f % m
+        return ([rem.coefficient(t) for t in range(int(m.degree))]
+                + [f.coefficient(t) for t in range(cap + 1, deg_y + deg_n + 1)])
+
+    # one equation per condition on entry (k, col) of Y N, with unknown
+    # c_ij at index i * r + j
+    a, b = [], []
+    for k, col in itertools.product(range(n), repeat=2):
+        rhs = -sum((ys[j][k] * num[j][col] for j in range(r)), Poly.zero())
+        for row in zip(*(conditions(y[k] * num[j][col]) for y in bs for j in range(r)),
+                       conditions(rhs)):
+            re, im = cleared(list(row))
+            a.append(list(zip(re[:-1], im[:-1])))
+            b.append([(re[-1], im[-1])])
+    # with no equation every Y meets the conditions, and the particular
+    # solution has already failed
+    solved = solve_linear(a, b) if a else None
+    if solved is not None:
+        den_c, c, _ = solved
+        c = [GaussianRational.from_parts(*cs[0], den_c) for cs in c]
+        candidate = RatMat.from_cleared(m, (
+            [ys[j][k] + sum((y[k] * c[i * r + j] for i, y in enumerate(bs)), Poly.zero())
+             for j in range(r)] for k in range(n)))
         if _is_minimal_inverse(candidate, m, dz_inf):
             return candidate
     raise MinimalInverseError(

@@ -9,7 +9,8 @@ here, and a change meant to alter it regenerates the file and names each
 family and seed that moved.  Inputs come from ``tests/helpers`` and the
 library's own generator, never from the benchmark's inputs.
 
-Regenerate with ``PYTHONPATH=src python tests/test_fingerprint.py --write``.
+Regenerate with ``PYTHONPATH=src python tests/test_fingerprint.py --write``,
+which names every key whose digest changed, or says that none did.
 """
 
 import hashlib
@@ -136,7 +137,7 @@ def _generated(seed):
 
 def _structure(seed):
     # the 2 x 3 polynomial matrices of degree one include some whose
-    # minimal inverse needs the solver's seeded mixing, and some without one
+    # minimal inverse needs the correction solve, and some without one
     rng = random.Random(seed)
     wide = [RatMat([[RF([rng.randint(-2, 2), rng.choice([0, 0, 1])]) for _ in range(3)]
                     for _ in range(2)]) for _ in range(4)]
@@ -310,11 +311,15 @@ def main(argv) -> int:
     if argv != ["--write"]:
         print(f"usage: {Path(__file__).name} --write", file=sys.stderr)
         return 2
+    committed = json.loads(GOLDEN.read_text(encoding="utf-8")) if GOLDEN.exists() else {}
     digests = {}
     for family in sorted(FAMILIES):
         digests.update(_digests(family))
     GOLDEN.write_text(json.dumps(digests, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     print(f"wrote {len(digests)} digests to {GOLDEN}")
+    moved = sorted(key for key in committed.keys() | digests.keys()
+                   if committed.get(key) != digests.get(key))
+    print(f"changed: {' '.join(moved)}" if moved else "no digest changed")
     return 0
 
 

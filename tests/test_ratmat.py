@@ -770,10 +770,11 @@ def test_minimal_right_inverse_random_wide():
         assert x.pole_degree(INFINITY) == g.zero_degree(INFINITY)
 
 
-def test_minimal_right_inverse_needs_the_mixing_fallback(monkeypatch):
+def test_minimal_right_inverse_needs_the_correction_solve(monkeypatch):
     # G is polynomial with one simple zero, at 0; the particular solution of
-    # the coefficient system gives X a double pole there, and only a generic
-    # element of the solution space has the simple pole minimality asks for
+    # the coefficient system gives X a double pole there, and the correction
+    # solve picks the element of the solution space with the simple pole
+    # minimality asks for
     g = M([[RF([0, -1]), 0, 0], [0, RF([-2, 1]), -1]])
     ratmat._minimal_right_inverse.cache_clear()  # a memo hit would skip the spy
     verdicts = []
@@ -821,7 +822,7 @@ def _right_invertible(draw):
 
 @settings(max_examples=40, deadline=None)
 @given(_right_invertible())
-@example(M([[RF([0, -1]), 0, 0], [0, RF([-2, 1]), -1]]))  # needs the mixing fallback
+@example(M([[RF([0, -1]), 0, 0], [0, RF([-2, 1]), -1]]))  # needs the correction solve
 # rows over 2 and 3 and zero entries: N's integer form is over 6, while d m
 # is integral, so one scale for the whole system differs from each row's lcm
 @example(RatMat.diagonal([RF([-2, 1], [3, 1]), RF([4, 1], [-5, 1])])
@@ -841,6 +842,82 @@ def test_minimal_right_inverse_is_a_right_inverse_with_the_zero_degrees(g):
     assert set(x.finite_pole_points()) <= set(zeros)
     for point in (*zeros, INFINITY):
         assert brute_point_degrees(x, point)[1] == brute_point_degrees(g, point)[0]
+
+
+def _brute_checked_minimal_inverse(g):
+    """G's minimal right inverse, checked to be a right inverse whose pole
+    degrees, by the brute-force minor oracle, are G's zero degrees at X's
+    poles, at G's zeros and at infinity."""
+    ratmat._minimal_right_inverse.cache_clear()
+    x = g.minimal_right_inverse()
+    assert g * x == RatMat.identity(g.rows)
+    for point in {*x.finite_pole_points(), *g.finite_zero_points(), INFINITY}:
+        assert brute_point_degrees(x, point)[1] == brute_point_degrees(g, point)[0]
+    return x
+
+
+@pytest.mark.parametrize("a", [1, -1, 2, 3, -5, 7])
+@pytest.mark.parametrize("k", [1, 3, 11, Fraction(1, 3)])
+def test_minimal_right_inverse_of_a_scaled_zero_beside_a_shifted_one(a, k):
+    # G = [[a z, 0, 0], [0, z - c, -k]] has the minimal inverse
+    # [[1/(a z), 0], [0, 0], [0, -1/k]], which needs coefficients no small
+    # Gaussian integer reaches; the exact correction finds one for every c
+    for c in (-2, 3, Fraction(1, 2), 5):
+        g = M([[RF([0, a]), 0, 0], [0, RF([-c, 1]), -k]])
+        _brute_checked_minimal_inverse(g)
+
+
+@pytest.mark.parametrize("g", [
+    M([[0, RF([-1], [-1, 1]), 0, 1], [RF([-1], [gr(0, -1), 1]), 0, 0, 2]]),
+    M([[RF([2], [-1, 1]), RF([6, 3]), 2, 3], [0, 1, RF([-1], [2, 1]), 0]]),
+])
+def test_minimal_right_inverse_needs_the_condition_at_infinity(g):
+    # with the divisibility by m alone, the correction solve here returns
+    # an inverse with too many poles at infinity
+    _brute_checked_minimal_inverse(g)
+
+
+_SHARED_ROOTS = [gr(0), gr(1), gr(-2), gr(0, 1)]
+
+
+@st.composite
+def _scaled_identity_blocks(draw):
+    """(G, X) with G = D [I_r | C] P for r <= 2 and X = P^-1 [D^-1; 0], a
+    right inverse of G.  D is diagonal over one shared root pool, so that a
+    point can be a zero of one entry and a pole of the other (and numerator
+    and denominator degrees differ, so infinity can be both); P permutes
+    the columns.  For a constant C, X is minimal; an entry of C may also be
+    linear, as in the matrices [[a z, 0, 0], [0, z - c, -k]], and then X
+    is minimal only for some draws."""
+    r = draw(st.integers(1, 2))
+    roots = st.lists(st.sampled_from(_SHARED_ROOTS), max_size=3)
+    diag = [RatFun(Poly.from_roots(draw(roots)) * draw(st.sampled_from([1, -2, gr(0, 3)])),
+                   Poly.from_roots(draw(roots))) for _ in range(r)]
+    n = r + draw(st.integers(1, 2))
+    entry = st.one_of(st.sampled_from([0, 1, -2, Fraction(1, 3), gr(1, 1)]),
+                      st.sampled_from(_SHARED_ROOTS).map(lambda x: Poly.linear(x) * 3))
+    c = draw(st.lists(st.lists(entry, min_size=n - r, max_size=n - r), min_size=r, max_size=r))
+    order = draw(st.permutations(range(n)))
+    block = [[int(i == j) for j in range(r)] + row for i, row in enumerate(c)]
+    g = RatMat.diagonal(diag) * M([[row[k] for k in order] for row in block])
+    x = M([[diag[k].inverse() if k == j else 0 for j in range(r)] if k < r else [0] * r
+           for k in order])
+    return g, x
+
+
+@settings(max_examples=60, deadline=None)
+@given(_scaled_identity_blocks())
+@example((M([[RF([0, 3]), 0, 0], [0, RF([-1, 1]), -2]]),
+          M([[RF([1], [0, 3]), 0], [0, 0], [0, RF([Fraction(-1, 2)])]])))
+def test_minimal_right_inverse_where_a_zero_meets_a_pole(pair):
+    # for r <= 2 the lemma's conditions are exact, so whenever a minimal
+    # right inverse exists (here X, when the oracle confirms it) the call
+    # finds one
+    g, x = pair
+    assert g * x == RatMat.identity(g.rows)
+    assume(all(brute_point_degrees(x, p)[1] == brute_point_degrees(g, p)[0]
+               for p in {*x.finite_pole_points(), *g.finite_zero_points(), INFINITY}))
+    _brute_checked_minimal_inverse(g)
 
 
 @st.composite

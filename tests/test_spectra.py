@@ -439,6 +439,17 @@ def test_uniqueness_catches_minimality_violation():
     assert "minimality_W1" in res.failed_hypotheses
 
 
+def test_uniqueness_fails_only_minimality_for_a_wide_polynomial_factor():
+    # W is polynomial, so both inverses exist and are analytic off the
+    # zeros 0 and -2, inside the inner region; the inverse's pole degrees
+    # need the correction solve, without which both analyticity hypotheses
+    # failed as well
+    w = M([[RF([0, 1]), 0, 0], [0, RF([2, 1]), -2]])
+    res = uniqueness_check(w, -w, INNER, OUTER)
+    assert res.verdict is Verdict.HYPOTHESIS_FAILED
+    assert res.failed_hypotheses == ("minimality_W", "minimality_W1")
+
+
 def test_uniqueness_catches_analyticity_violation():
     spectrum, w = generate_instance(6, (1, 2), 1, OUTER, OUTER)
     bad = perturb_with_allpass(w, [pt(Fraction(1, 3))])
