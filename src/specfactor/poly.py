@@ -628,8 +628,8 @@ def gcd_of(polys) -> Poly | None:
 
 def monic_fraction(den: Poly, nums) -> tuple[Poly, tuple[Poly, ...]]:
     """The fraction nums / den with den made monic: every numerator is
-    divided by den's leading coefficient c by one integer scale, 1/c being
-    den's denominator times u over lead(den) * u, a positive integer."""
+    divided by den's leading coefficient c in integers, as 1/c = den's
+    denominator times u / n for the u with (lead numerator) * u = n > 0."""
     nums = tuple(nums)
     if den.is_monic():
         return den, nums
