@@ -253,6 +253,45 @@ def _edge(seed):
             yield _outcome(uniqueness_check, w, w1, geo["region_p"], geo["region_z"])
 
 
+_WIDE_ROOTS = [gr(0), gr(1), gr(-2), gr(0, 1)]
+# G with a zero at 0 that is also a pole, refused although the lemma's
+# conditions hold; and a G whose zeros at +-sqrt(2) are also poles, with a
+# minimal inverse
+_WIDE_FIXED = [
+    RatMat([[RF([1], [-1, 1]), 0, 0, 0, 0],
+            [RF([2], [0, 1]), RF([-1], [-1, 1]), RF([-2, -1], [0, 1]), 0, 0],
+            [1, RF([0, -1]), RF([2], [0, 1]), -1, RF([2, 1])]]),
+    RatMat.diagonal([RF([1], [-2, 0, 1]), 1, RF([-2, 0, 1])])
+    * RatMat([[1, 0, 0, 1], [0, 1, 0, 2], [0, 0, 1, -1]]),
+]
+
+
+def _wide_entry(rng) -> RatFun:
+    """Zero, or a small multiple of (z - a)^j / (z - b)^k with j, k <= 1
+    and a, b from the root pool."""
+    if rng.random() < 0.4:
+        return RatFun.zero()
+    num = Poly.from_roots(rng.choices(_WIDE_ROOTS, k=rng.randint(0, 1)))
+    den = Poly.from_roots(rng.choices(_WIDE_ROOTS, k=rng.randint(0, 1)))
+    return RatFun(num * rng.choice([1, -1, 2]), den)
+
+
+def _wide(seed):
+    # r x n with r in {2, 3} and n in {r + 1, r + 2}: particular solutions
+    # that are minimal, corrections that succeed or are inconsistent, the
+    # open case of r = 3 at a point that is a zero and a pole, and rank
+    # deficiency; seed k also carries the k-th fixed input
+    rng = random.Random(seed)
+    mats = []
+    for _ in range(40):
+        r = rng.choice([2, 3])
+        n = r + rng.randint(1, 2)
+        mats.append(RatMat([[_wide_entry(rng) for _ in range(n)] for _ in range(r)]))
+    for w in mats + _WIDE_FIXED[seed:seed + 1]:
+        yield repr(w)
+        yield _outcome(w.minimal_right_inverse)
+
+
 def _uniqueness(seed):
     rng = random.Random(seed)
     for geo, w in _generated(seed):
@@ -279,6 +318,7 @@ FAMILIES = {
     "peel": (_peel, range(16)),
     "structure": (_structure, range(16)),
     "uniqueness": (_uniqueness, range(16)),
+    "wide": (_wide, range(8)),
     "sweep": (_sweep, [1010000]),
 }
 
