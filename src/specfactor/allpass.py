@@ -19,11 +19,11 @@ real and imaginary part, infinity last; direction from the first nonzero
 column of the Laurent leading coefficient, cleared to a primitive Gaussian
 integer vector), so factorizations are reproducible byte for byte.  That
 column always lowers the degree by one (the lemma in ``potapov_factorize``),
-so the peel enumerates no minors and tries no candidates: it asks
-``RatMat`` for the input's pole locations and pole degrees once (they sum
-to its McMillan degree) and counts them down, then per step for the
-Laurent leading coefficient up to a positive rational, which that clearing
-removes, and takes the update U~ W (``left_divide``).
+so the peel enumerates no minors, tries no candidates and reads no pole
+degree: it asks ``RatMat`` for the input's pole locations once and peels
+each while what is left has a pole there, asking per step for the Laurent
+leading coefficient up to a positive rational, which that clearing
+removes, and taking the update U~ W (``left_divide``).
 """
 
 from __future__ import annotations
@@ -246,13 +246,17 @@ def potapov_factorize(v: RatMat) -> AllPassFactorization:
     so U~ W's pole degree at beta is its zero degree at alpha, which is
     W's, which is W's pole degree at beta.  Elsewhere U~ changes no order.
 
-    So the poles of what is left are V's, with V's pole degrees counted
-    down by one per step, and no step searches for poles again.  On other
-    input a step may meet a point that is no longer a pole, where
-    ``laurent_leading`` raises.  Nothing checks V~ V = I up front: a
-    completed peel proves it, writing V exactly as U_0 ... U_{K-1} C with
-    every U_k para-unitary by construction and C a constant that passes the
-    exact unitarity check.  When a step or that check fails,
+    The first half never uses para-unitarity: for any square W, kappa' >=
+    kappa and the count of orders equal to -k falls, so U~ W's pole degree
+    at alpha is at most W's minus one, and elsewhere a pole degree can rise
+    only at beta, by at most one (U~'s one pole, simple).  So the peel reads
+    V's poles once, smallest first, and peels each while what is left has
+    a pole there: V's degree there on para-unitary input, and within
+    2 deg V steps on any square input, as the ascending order peels a
+    raised beta later (|alpha| < 1) or never.  Nothing checks V~ V = I up
+    front: a completed peel proves it, writing V exactly as U_0 ... U_{K-1} C
+    with every U_k para-unitary by construction and C a constant that
+    passes the exact unitarity check.  When a step or that check fails,
     ``is_paraunitary`` decides between "input is not para-unitary" and the
     error raised (a pole outside Q(i)).
     """
@@ -270,10 +274,10 @@ def _peel(v: RatMat) -> AllPassFactorization:
     size = v.rows
     work = v
     peeled: list[tuple[Point, tuple[GaussianRational, ...]]] = []
-    # V's poles, smallest first, each peeled as often as its pole degree:
-    # by the lemma a step lowers the degree at its pole only
+    # V's poles, smallest first, each peeled while what is left has one there
     for pole in v.pole_points():
-        for _ in range(v.pole_degree(pole)):
+        while (work.has_pole_at_infinity() if pole.is_infinite
+               else work.den.eval(pole.value).is_zero()):
             leading = work.laurent_leading(pole)
             column = next(col for col in zip(*leading) if any(not x.is_zero() for x in col))
             factor = ElementaryFactor(pole, column)

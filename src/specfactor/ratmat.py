@@ -38,14 +38,15 @@ The structural queries all reduce to exact polynomial arithmetic on N/d:
 * ``minimal_right_inverse`` of a square G of full rank is its inverse
   d adj(N) / det(N), minimal by theorem; a wide G solves one exact Z[i]
   system, built from the same integer form of N, for right inverses with
-  poles on the zeros of G; when its particular solution misses G's zero
-  degrees, a second exact system picks a minimal one (the lemma at
-  ``_minimal_right_inverse``); memoized per value (32 entries).
+  poles on the zeros of G; the lemma at ``_minimal_right_inverse`` decides
+  by linear conditions whether its particular solution is minimal, else a
+  second exact system picks one; memoized per value (32 entries).
 
 Only ``sm_structure`` enumerates all k x k minors, which is exponential in
 the matrix size; pole locations, pointwise degrees and the McMillan degree
-do not use it.  The intended scale is dimensions <= 6 and entry degrees
-<= 12.
+do not use it, and the wide minimal inverse only for G's zero polynomial
+and, in the lemma's open case, its candidate's.  The intended scale is
+dimensions <= 6 and entry degrees <= 12.
 
 All values are immutable and operations are pure functions, so instances
 can be shared freely across threads.
@@ -390,9 +391,9 @@ class RatMat:
         degree of Y capped so poles at infinity cannot exceed the zero
         degree of G at infinity.  Matching G * X = I then becomes an exact
         linear system in the coefficients of Y.  Each solution is a right
-        inverse with poles on the zeros of G, and one with exactly G's zero
-        degrees is picked by a second exact system.  An inconsistent system
-        means no such right inverse exists.
+        inverse with poles on the zeros of G; the lemma's linear conditions
+        decide if the first is minimal, else a second exact system picks
+        one.  An inconsistent system means no such right inverse exists.
         """
         return _minimal_right_inverse(self)
 
@@ -426,11 +427,13 @@ def _minimal_right_inverse(mat: RatMat) -> RatMat:
     ord_p(m), which closes the gap wherever G has no pole or its exponents
     are one positive and one negative, so in every case with r <= 2.
     Over all finite points the first condition says that m divides Y N.
-    When the particular solution is not minimal, both conditions are
-    imposed as linear equations in the coefficients of the nullspace basis
-    and solved once; an inconsistent system proves that no minimal inverse
-    exists.  What the lemma leaves open, r >= 3 at a point that is both a
-    zero and a pole of G, is left to the final check ``_is_minimal_inverse``."""
+    So the lemma decides: the conditions are read off the particular
+    solution's Y N, and only when one fails are they solved for, once, as
+    linear equations in the coefficients of the nullspace basis; an
+    inconsistent system proves that no minimal inverse exists.  Only in the
+    open case, r >= 3 at a point that is both a zero and a pole of G
+    (gcd(m, d) non-constant, or both at infinity), is the candidate's
+    Smith-McMillan form compared with m and dz_inf."""
     r, n = mat.rows, mat.cols
     if r == n:
         inverse = _adjugate_inverse(mat)
@@ -440,8 +443,7 @@ def _minimal_right_inverse(mat: RatMat) -> RatMat:
         raise RankDeficiencyError(
             f"minimal right inverse needs full row rank {r}, got {mat.normal_rank()}"
         )
-    sm = mat.sm_structure()
-    m = sm.zero_polynomial()
+    m = mat.sm_structure().zero_polynomial()
     dz_inf = mat.zero_degree(INFINITY)
     grid, deg_n, n_den = _integer_form(mat)
     t_den, t_num = (mat.den * m).parts
@@ -479,14 +481,7 @@ def _minimal_right_inverse(mat: RatMat) -> RatMat:
         return [Poly.from_parts(den, vec[k:k + deg_y + 1]) for k in range(0, width, deg_y + 1)]
 
     ys = [column([cs[j] for cs in particular]) for j in range(r)]
-    candidate = RatMat.from_cleared(m, zip(*ys))
-    if _is_minimal_inverse(candidate, m, dz_inf):
-        return candidate
-    # the particular solution can miss the pole degrees (a double pole where
-    # G has a simple zero, say): solve for the c in Y = particular + sum of
-    # c_ij basis_i e_j^T that meet the lemma's conditions on Y N
-    num, bs = mat.num, [column(vec) for vec in basis]
-    cap = int(m.degree) + max(int(mat.den.degree), deg_n)
+    num, cap = mat.num, int(m.degree) + max(int(mat.den.degree), deg_n)
 
     def conditions(f: Poly) -> list[GaussianRational]:
         """The values that must vanish for an entry f of Y N: the
@@ -495,30 +490,39 @@ def _minimal_right_inverse(mat: RatMat) -> RatMat:
         return ([rem.coefficient(t) for t in range(int(m.degree))]
                 + [f.coefficient(t) for t in range(cap + 1, deg_y + deg_n + 1)])
 
-    # one equation per condition on entry (k, col) of Y N, with unknown
-    # c_ij at index i * r + j
-    a, b = [], []
-    for k, col in itertools.product(range(n), repeat=2):
-        rhs = -sum((ys[j][k] * num[j][col] for j in range(r)), Poly.zero())
-        for row in zip(*(conditions(y[k] * num[j][col]) for y in bs for j in range(r)),
-                       conditions(rhs)):
-            re, im = cleared(list(row))
-            a.append(list(zip(re[:-1], im[:-1])))
-            b.append([(re[-1], im[-1])])
-    # with no equation every Y meets the conditions, and the particular
-    # solution has already failed
-    solved = solve_linear(a, b) if a else None
-    if solved is not None:
+    # the right-hand side of the correction: the conditions on -Y N
+    targets = [conditions(-sum((ys[j][k] * num[j][col] for j in range(r)), Poly.zero()))
+               for k, col in itertools.product(range(n), repeat=2)]
+    if any(not x.is_zero() for target in targets for x in target):
+        # a double pole where G has a simple zero, say: solve for the c in
+        # Y = particular + sum of c_ij basis_i e_j^T that meet the
+        # conditions, one equation per condition, c_ij at index i * r + j
+        bs = [column(vec) for vec in basis]
+        a, b = [], []
+        for (k, col), target in zip(itertools.product(range(n), repeat=2), targets):
+            for row in zip(*(conditions(y[k] * num[j][col]) for y in bs for j in range(r)),
+                           target):
+                re, im = cleared(list(row))
+                a.append(list(zip(re[:-1], im[:-1])))
+                b.append([(re[-1], im[-1])])
+        solved = solve_linear(a, b)
+        if solved is None:
+            raise MinimalInverseError(_UNMATCHED)
         den_c, c, _ = solved
         c = [GaussianRational.from_parts(*cs[0], den_c) for cs in c]
-        candidate = RatMat.from_cleared(m, (
-            [ys[j][k] + sum((y[k] * c[i * r + j] for i, y in enumerate(bs)), Poly.zero())
-             for j in range(r)] for k in range(n)))
-        if _is_minimal_inverse(candidate, m, dz_inf):
-            return candidate
-    raise MinimalInverseError(
-        "right inverse found but exact pole/zero degree matching failed"
-    )
+        ys = [[ys[j][k] + sum((y[k] * c[i * r + j] for i, y in enumerate(bs)), Poly.zero())
+               for k in range(n)] for j in range(r)]
+    candidate = RatMat.from_cleared(m, zip(*ys))
+    # the open case: r >= 3 and a point that is both a zero and a pole of G
+    if (r >= 3 and (not poly_gcd(m, mat.den).is_constant()
+                    or dz_inf > 0 and mat.has_pole_at_infinity())
+            and (candidate.sm_structure().pole_polynomial(),
+                 candidate.pole_degree(INFINITY)) != (m, dz_inf)):
+        raise MinimalInverseError(_UNMATCHED)
+    return candidate
+
+
+_UNMATCHED = "right inverse found but exact pole/zero degree matching failed"
 
 
 def _adjugate_inverse(mat: RatMat) -> RatMat | None:
@@ -539,13 +543,6 @@ def _adjugate_inverse(mat: RatMat) -> RatMat | None:
     d = mat.den
     return RatMat.from_cleared(det, ([d * cof[i][j] for i in range(size)]
                                      for j in range(size)))
-
-
-def _is_minimal_inverse(x: RatMat, m: Poly, dz_inf: int) -> bool:
-    """Whether the right inverse x of G has G's zero degrees as pole
-    degrees, given G's zero polynomial m and zero degree at infinity.
-    G * x is not formed: every candidate Y/m solves N Y = d m I exactly."""
-    return x.sm_structure().pole_polynomial() == m and x.pole_degree(INFINITY) == dz_inf
 
 
 def _root_points(poly: Poly, strict: bool, context: str) -> tuple[Point, ...]:
@@ -682,7 +679,6 @@ def point_expansions(mat: RatMat, point: Point, terms: int):
             for row in grid]
 
 
-@lru_cache(maxsize=4096)
 def point_degrees_by_valuation(mat: RatMat, point: Point) -> tuple[int, int]:
     """(zero degree, pole degree) at one point from a local Smith form.
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from specfactor import (
     AllPassFactorization,
@@ -433,32 +433,78 @@ def test_any_leading_coefficient_direction_lowers_the_degree_by_one(case):
                 assert brute_point_degrees(w, partner)[1] == v.pole_degree(partner)
 
 
-def test_peel_asks_pole_degrees_of_the_input_only(monkeypatch):
-    # deg V steps, one left division each, and the only pole degrees read
-    # are those that sum to V's McMillan degree
+# non-para-unitary perturbations: the scales are not unimodular, and 1/z
+# puts a pole at 0, whose partner is infinity
+_REFUSAL_SCALES = [gr(2), gr(Fraction(1, 2)), gr(1, 1)]
+_REFUSAL_BUMPS = [RatFun.one(), RF([0, 1]), RF([1], [0, 1]), RF([1], [-2, 1]),
+                  RF([1], [-1, 1])]
+
+
+@st.composite
+def _non_paraunitary(draw):
+    """A product from ``_paraunitary_products`` scaled, with one entry
+    bumped, or with one row zeroed, and no longer para-unitary."""
+    v, _ = draw(_paraunitary_products())
+    kind = draw(st.sampled_from(["scale", "bump", "zero_row"]))
+    if kind == "scale":
+        v = v * draw(st.sampled_from(_REFUSAL_SCALES))
+    else:
+        grid = [list(row) for row in v.entries]
+        i, j = draw(st.integers(0, v.rows - 1)), draw(st.integers(0, v.cols - 1))
+        if kind == "bump":
+            grid[i][j] = grid[i][j] + draw(st.sampled_from(_REFUSAL_BUMPS))
+        else:
+            grid[i] = [RatFun.zero()] * v.cols
+        v = RatMat(grid)
+    assume(not v.is_zero() and not is_paraunitary(v))
+    return v
+
+
+@settings(max_examples=60, deadline=None)
+@given(_non_paraunitary())
+# 1/z + z, degree 2: peeling 0 raises the degree at infinity to 2, so the
+# peel takes three steps
+@example(M([[RF([1, 0, 1], [0, 1])]]))
+def test_peel_refuses_non_paraunitary_input_within_twice_its_degree(v):
+    # a step lowers the pole degree at its pole by at least one and raises
+    # only its partner's, by at most one; the peel takes poles by ascending
+    # modulus, so a partner it raises is peeled later or never again
+    divided = []
+    left_divide = ElementaryFactor.left_divide
+
+    def spy_left_divide(self, w):
+        divided.append(self)
+        return left_divide(self, w)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ElementaryFactor, "left_divide", spy_left_divide)
+        _rejects_as_not_paraunitary(v)
+    assert len(divided) <= 2 * v.mcmillan_degree()
+
+
+def test_peel_reads_no_pole_degree(monkeypatch):
+    # deg V steps, one left division each, and no pole degree read: each
+    # pole is peeled while what is left still has a pole there
     v = (make_elementary(pt(2), [1, 0, gr(0, 1)])
          * make_elementary(pt(2), [1, 1, 0])
          * make_elementary(pt(Fraction(1, 2)), [0, 2, -1])
          * make_elementary(INFINITY, [1, 1, 1])
          * make_elementary(pt(0), [1, -1, 0]))
     degree = v.mcmillan_degree()
-    asked, divided = [], []
-    pole_degree = ratmat._pole_degree
+    divided = []
     left_divide = ElementaryFactor.left_divide
 
-    def spy_pole_degree(mat, point):
-        asked.append(mat)
-        return pole_degree(mat, point)
+    def no_pole_degree(mat, point):
+        raise AssertionError("pole degree read in the peel")
 
     def spy_left_divide(self, w):
         divided.append(self)
         return left_divide(self, w)
 
-    monkeypatch.setattr(ratmat, "_pole_degree", spy_pole_degree)
+    monkeypatch.setattr(ratmat, "_pole_degree", no_pole_degree)
     monkeypatch.setattr(ElementaryFactor, "left_divide", spy_left_divide)
     fact = potapov_factorize(v)
     monkeypatch.undo()
-    assert asked and all(mat is v for mat in asked)
     assert len(divided) == degree == len(fact)
     assert fact.product() == v
 

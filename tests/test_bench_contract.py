@@ -133,7 +133,6 @@ def test_analyze_product_expands_each_matrix_once_per_point(monkeypatch):
               if _product_needed(ratmat.point_degrees_by_valuation(g, point),
                                  ratmat.point_degrees_by_valuation(h, point))]
     assert needed == [INFINITY]
-    ratmat.point_degrees_by_valuation.cache_clear()
     ratmat._integer_form.cache_clear()
     asked = []
     expansions = []
@@ -235,3 +234,34 @@ def test_a_failed_minimal_inverse_is_solved_once_per_factor(sign, monkeypatch):
     monkeypatch.undo()
     assert "analyticity_W_inverse" in res.failed_hypotheses
     assert len(solved) == 2
+
+
+def test_sweep_forms_no_smith_mcmillan_form_of_an_inverse(monkeypatch):
+    # run_sweep(120, base_seed=1010000) solves 120 wide factors' systems,
+    # none in the minimal-inverse lemma's open case, so the only
+    # Smith-McMillan forms computed are those of the inverted factors
+    ratmat._sm_of.cache_clear()
+    ratmat._minimal_right_inverse.cache_clear()
+    formed, inverted, solved = [], [], []
+    sm_of, invert, solve = ratmat._sm_of, ratmat._minimal_right_inverse, ratmat.solve_linear
+
+    def spy_sm(mat):
+        formed.append(mat)
+        return sm_of(mat)
+
+    def spy_invert(mat):
+        inverted.append(mat)
+        return invert(mat)
+
+    def spy_solve(a, b):
+        solved.append(len(a))
+        return solve(a, b)
+
+    monkeypatch.setattr(ratmat, "_sm_of", spy_sm)
+    monkeypatch.setattr(ratmat, "_minimal_right_inverse", spy_invert)
+    monkeypatch.setattr(ratmat, "solve_linear", spy_solve)
+    spectra.run_sweep(120, base_seed=1010000)
+    monkeypatch.undo()
+    assert sm_of.cache_info().misses == 120
+    assert len(solved) == 120
+    assert set(formed) <= set(inverted)
