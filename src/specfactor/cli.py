@@ -81,8 +81,8 @@ def _point_listing(mat: RatMat) -> dict:
     for kind, points, degree in (("poles", mat.finite_pole_points(), mat.pole_degree),
                                  ("zeros", mat.finite_zero_points(), mat.zero_degree)):
         listing[kind] = [{"point": str(p), "degree": degree(p)} for p in points]
-        if degree(INFINITY):
-            listing[kind].append({"point": "inf", "degree": degree(INFINITY)})
+        if at_infinity := degree(INFINITY):
+            listing[kind].append({"point": "inf", "degree": at_infinity})
     return listing
 
 

@@ -471,9 +471,7 @@ def _minimal_right_inverse(mat: RatMat) -> RatMat:
             b.append(rhs)
     solved = solve_linear(a, b)
     if solved is None:
-        raise MinimalInverseError(
-            "no right inverse exists with poles confined to the zeros"
-        )
+        raise MinimalInverseError("no right inverse exists with poles confined to the zeros")
     den, particular, basis = solved
 
     def column(vec) -> list[Poly]:
@@ -679,6 +677,7 @@ def point_expansions(mat: RatMat, point: Point, terms: int):
             for row in grid]
 
 
+@lru_cache(maxsize=4096)
 def point_degrees_by_valuation(mat: RatMat, point: Point) -> tuple[int, int]:
     """(zero degree, pole degree) at one point from a local Smith form.
 

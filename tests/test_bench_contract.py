@@ -133,6 +133,7 @@ def test_analyze_product_expands_each_matrix_once_per_point(monkeypatch):
               if _product_needed(ratmat.point_degrees_by_valuation(g, point),
                                  ratmat.point_degrees_by_valuation(h, point))]
     assert needed == [INFINITY]
+    ratmat.point_degrees_by_valuation.cache_clear()
     ratmat._integer_form.cache_clear()
     asked = []
     expansions = []

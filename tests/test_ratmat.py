@@ -355,6 +355,7 @@ def test_point_degrees_enumerate_no_minors(monkeypatch):
              [RF([0, 1]), RF([Fraction(1, 3)], [-2, 1]), RF([0, gr(0, 1)])],
              [1, RF([-1, 0, 1], [0, 1]), RF([2, 0, 1])]])
     mat.cleared()
+    misses = point_degrees_by_valuation.cache_info().misses
 
     def forbidden(*args):
         raise AssertionError("minor or division in the pointwise route")
@@ -363,6 +364,7 @@ def test_point_degrees_enumerate_no_minors(monkeypatch):
     monkeypatch.setattr(Poly, "__divmod__", forbidden)
     got = point_degrees_by_valuation(mat, pt(0))
     monkeypatch.undo()
+    assert point_degrees_by_valuation.cache_info().misses == misses + 1
     assert got == brute_point_degrees(mat, pt(0))
 
 
@@ -463,7 +465,7 @@ def test_pole_degree_at_a_pole_expands_n_to_m_terms(monkeypatch):
 
 def _spy_precisions(monkeypatch):
     """The precision of each expansion of N in the pair route and each
-    normal-rank query."""
+    normal-rank query, with the pair memo cleared."""
     precisions, ranks = [], []
     expand, rank = ratmat.point_expansions, ratmat._normal_rank
 
@@ -477,6 +479,7 @@ def _spy_precisions(monkeypatch):
 
     monkeypatch.setattr(ratmat, "point_expansions", spy_expand)
     monkeypatch.setattr(ratmat, "_normal_rank", spy_rank)
+    point_degrees_by_valuation.cache_clear()
     return precisions, ranks
 
 
