@@ -23,6 +23,7 @@ from pathlib import Path
 import pytest
 
 from specfactor import (
+    ElementaryFactor,
     INFINITY,
     Poly,
     RatFun,
@@ -292,6 +293,54 @@ def _wide(seed):
         yield _outcome(w.minimal_right_inverse)
 
 
+# 0 and infinity (each the other's partner), a real pole, a Gaussian
+# integer one and one over a denominator
+_UPDATE_POLES = [pt(0), INFINITY, pt(2), pt(1, 1), pt(Fraction(-1, 3), Fraction(1, 2))]
+
+
+def _update_entry(rng, roots) -> RatFun:
+    """Zero, or a small multiple of a product of up to two z - a over up to
+    two z - b, with a and b from roots."""
+    if rng.random() < 0.25:
+        return RatFun.zero()
+    num = Poly.from_roots(rng.choices(roots, k=rng.randint(0, 2)))
+    den = Poly.from_roots(rng.choices(roots, k=rng.randint(0, 2)))
+    return RatFun(num * rng.choice([gr(1), gr(-1), gr(2), gr(0, 1)]), den)
+
+
+def _form(m: RatMat) -> str:
+    """A matrix's canonical cleared form in integers, which fixes it; cheaper
+    to print than its entries."""
+    return repr((m.cols, m.den.parts, [p.parts for row in m.num for p in row]))
+
+
+def _update(seed):
+    # one elementary factor U at alpha acting on an r x n matrix W, as U W
+    # and U~ W: poles of W at alpha, at its partner beta, at 0 and
+    # elsewhere, numerators sharing a root at alpha or beta, zero rows and
+    # (first) the zero matrix
+    rng = random.Random(seed)
+    for k in range(40):
+        alpha = rng.choice(_UPDATE_POLES)
+        r = rng.randint(1, 4)
+        n = r + rng.randint(0, 2)
+        planted = [p.value for p in (alpha, alpha.conj_pair()) if not p.is_infinite]
+        roots = planted + [gr(0), gr(Fraction(1, 2), -1)]
+        if k == 0:
+            w = RatMat.zeros(r, n)
+        else:
+            grid = [[_update_entry(rng, roots) for _ in range(n)] for _ in range(r)]
+            if rng.random() < 0.3:
+                grid[rng.randrange(r)] = [RatFun.zero()] * n
+            w = RatMat(grid)
+            if rng.random() < 0.3:
+                w = w * RatFun(Poly.linear(rng.choice(planted)))
+        factor = ElementaryFactor(alpha, random_direction(rng, r))
+        yield repr(factor) + _form(w)
+        yield _outcome(lambda x: _form(factor.left_multiply(x)), w)
+        yield _outcome(lambda x: _form(factor.left_divide(x)), w)
+
+
 def _uniqueness(seed):
     rng = random.Random(seed)
     for geo, w in _generated(seed):
@@ -318,6 +367,7 @@ FAMILIES = {
     "peel": (_peel, range(16)),
     "structure": (_structure, range(16)),
     "uniqueness": (_uniqueness, range(16)),
+    "update": (_update, range(8)),
     "wide": (_wide, range(8)),
     "sweep": (_sweep, [1010000]),
 }
