@@ -7,10 +7,9 @@ v v* / (v* v)), which keeps every coefficient inside Q(i); unit-norm
 normalization would need square roots.  A factor acts by one rank-one
 update, W + (k - 1) P W for a kernel k: ``left_multiply`` (U W) updates W
 with b, ``left_divide`` (U~ W = U^-1 W) with b~ = 1/b, and ``matrix`` is
-the left multiplication of the identity.  The update divides by the
-integer norm v* v of the primitive direction, works on W's cleared form
-N/d and hands the result's cleared form to ``RatMat.from_cleared``, which
-reduces it once; no entry is reduced on its own.
+the left multiplication of the identity.  The update runs in integers on
+W's cleared form N/d and, by the lemma in ``ElementaryFactor._update``,
+reduces by synthetic division at alpha and its partner, with no gcd.
 
 ``potapov_factorize`` peels a para-unitary matrix into a constant unitary
 times elementary factors, one per unit of McMillan degree.  The peel order
@@ -28,12 +27,11 @@ removes, and taking the update U~ W (``left_divide``).
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import gcd as int_gcd
+from math import gcd as int_gcd, lcm
 
 from .errors import DimensionMismatchError
 from .linsolve import cleared
-from .poly import Poly
+from .poly import Poly, cleared_at_points
 from .ratfun import RatFun, blaschke, blaschke_parts
 from .ratmat import RatMat
 from .scalars import Comparison, GaussianRational, Point, scalar_parts
@@ -48,18 +46,37 @@ def _canonical_direction(v) -> tuple[GaussianRational, ...]:
     content = int_gcd(*re, *im)
     ints = [(a // content, b // content) for a, b in zip(re, im)]
     # rotate by a unit so the first nonzero entry has positive real part
-    first = next((a, b) for a, b in ints if a or b)
-    if first[0] > 0:
-        unit = (1, 0)
-    elif first[0] < 0:
-        unit = (-1, 0)
-    elif first[1] > 0:
-        unit = (0, -1)
-    else:
-        unit = (0, 1)
-    ua, ub = unit
+    a, b = next((a, b) for a, b in ints if a or b)
+    ua, ub = (1, 0) if a > 0 else (-1, 0) if a < 0 else (0, -1) if b > 0 else (0, 1)
     rotated = [(a * ua - b * ub, a * ub + b * ua) for a, b in ints]
     return tuple(GaussianRational(a, b) for a, b in rotated)
+
+
+def _combine(terms) -> list[tuple[int, int]]:
+    """The sum of c z^k p over triples (c, k, p) of a Gaussian integer c, a
+    shift k and a polynomial p given as its Gaussian-integer coefficients
+    (ascending pairs, [] for zero); the result in the same form."""
+    re: list[int] = []
+    im: list[int] = []
+    for (cr, ci), k, p in terms:
+        if not p or not cr and not ci:
+            continue
+        if len(re) < k + len(p):
+            re += [0] * (k + len(p) - len(re))
+            im += [0] * (k + len(p) - len(im))
+        for j, (x, y) in enumerate(p, k):
+            re[j] += cr * x - ci * y
+            im[j] += cr * y + ci * x
+    while re and not re[-1] and not im[-1]:
+        re.pop()
+        im.pop()
+    return list(zip(re, im))
+
+
+def _times(p, q, scale: int = 1) -> list[tuple[int, int]]:
+    """scale p q in the form of ``_combine``, one shifted term per
+    coefficient of q (a kernel's numerator or denominator, degree <= 1)."""
+    return _combine(((scale * a, scale * b), k, p) for k, (a, b) in enumerate(q))
 
 
 class ElementaryFactor:
@@ -98,25 +115,44 @@ class ElementaryFactor:
         return [[vi * vj.conj() / norm for vj in self._v] for vi in self._v]
 
     def _update(self, w: RatMat, kn: Poly, kd: Poly) -> RatMat:
-        """W + (k - 1) P W as a rank-one update of W = N/d, for the kernel
-        k = kn/kd.
+        """W + (k - 1) P W for W = N/d and the kernel k = kn/kd: with nv =
+        v* v, kd N + v (kn - kd)(v* N) / nv over kd d, formed in integers
+        on N's entries over one integer denominator.
 
-        With the integer norm nv = v* v, P W is v (v* N) / (nv d), so the
-        result is kd N + v (kn - kd)(v* N) / nv over kd d, reduced once;
-        rows with v_i = 0 are kd N.
+        Lemma.  The common factor of kd d and every numerator is
+        (z - alpha)^a (z - beta)^b, beta = alpha.conj_pair(), over the
+        finite ones.  Proof: off {alpha, beta}, U and U~ are analytic and
+        invertible, so U W (U~ W) keeps W's least entry order (W = U^-1 U W
+        bounds it the other way), hence the order of its reduced
+        denominator, which is d's, which is kd d's (kd vanishes only at
+        alpha or beta).  So z - alpha and z - beta are divided out while
+        the denominator and every numerator vanish there
+        (``poly.cleared_at_points``), for any W, wide or zero included.
         """
         if w.rows != len(self._v):
             raise DimensionMismatchError("factor dimension mismatch")
-        n = w.num
-        shift = (kn - kd) * Fraction(1, self._norm())
-        # (k - 1) (v* N)_j / nv, over kd
-        updates = [
-            shift * sum((row[j] * x.conj() for row, x in zip(n, self._v) if x), Poly.zero())
-            for j in range(w.cols)
-        ]
-        return RatMat.from_cleared(w.den * kd, (
-            [p * kd + u * x if x else p * kd for p, u in zip(row, updates)]
-            for row, x in zip(n, self._v)))
+        v = [scalar_parts(x)[:2] for x in self._v]
+        d_den, d_ints = w.den.parts
+        (n_den, n_ints), (k_den, k_ints) = kn.parts, kd.parts
+        ints = [[p.parts for p in row] for row in w.num]
+        big = lcm(*(den for row in ints for den, num in row if num))
+        # with N = grid / big and grid_ij = (big / den_ij) num_ij, over l =
+        # lcm(n_den, k_den), big, nv and d_den: kd N is head * grid,
+        # (kn - kd)(v* N) is jump * (v* grid), and kd d is den
+        l, nv = lcm(n_den, k_den), self._norm()
+        c = nv * d_den * (l // k_den)
+        head = [(c * x, c * y) for x, y in k_ints]
+        jump = _combine([((d_den * (l // n_den), 0), 0, n_ints),
+                         ((-d_den * (l // k_den), 0), 0, k_ints)])
+        updates = [_times(_combine(((x * (big // den), -y * (big // den)), 0, num)
+                                   for (x, y), (den, num) in zip(v, col)), jump)
+                   for col in zip(*ints)]
+        flat = [_combine([*(((hr * (big // den), hi * (big // den)), k, num)
+                            for k, (hr, hi) in enumerate(head)), (x, 0, u)])
+                for row, x in zip(ints, v) for (den, num), u in zip(row, updates)]
+        den = _times(d_ints, k_ints, big * nv * (l // k_den))
+        points = [p.value for p in (self._alpha, self._alpha.conj_pair()) if not p.is_infinite]
+        return RatMat.from_canonical(*cleared_at_points(den, flat, points), w.cols)
 
     def matrix(self) -> RatMat:
         """U = I + (b - 1) P."""

@@ -19,7 +19,8 @@ Division, gcd and expansion about a point (``taylor_numerators``, to as
 many terms as asked for; it gives multiplicities, and its first term is
 ``eval``'s Horner rule) are exact.  A fraction, ``RatFun``'s or
 ``RatMat``'s, is reduced by one route, ``cleared_fraction``: the running
-gcd ``gcd_of`` divided out, then ``monic_fraction``.  Root finding
+gcd ``gcd_of`` divided out, then ``monic_fraction``; where a lemma names
+the only factors it can share, ``cleared_at_points``.  Root finding
 is restricted to roots in Q(i) and reports the unsplit cofactor.  A linear
 square-free part gives its root exactly; beyond that, floating point only
 proposes root candidates, by the closed form for a quadratic and an
@@ -651,6 +652,24 @@ def cleared_fraction(den: Poly, nums) -> tuple[Poly, tuple[Poly, ...]]:
         den = den.exact_div(g)
         nums = tuple(p.exact_div(g) if p._num else p for p in nums)
     return monic_fraction(den, nums)
+
+
+def cleared_at_points(den, nums, points) -> tuple[Poly, tuple[Poly, ...]]:
+    """The canonical form of nums / den (Gaussian-integer coefficient lists,
+    ascending pairs, [] for zero; den's lead nonzero) when den and nums can
+    share only factors z - p, p in points: each is divided out (``_deflate``)
+    while all of them vanish at p, then den made monic; no gcd is taken."""
+    for point in points:
+        re, im, d = scalar_parts(point)
+        root = _lowest((re, im), (d, 0))
+        while (quotient := _deflate(den, *root)) is not None:
+            deflated = [m and _deflate(m, *root) for m in nums]
+            if None in deflated:
+                break
+            den, nums = quotient, deflated
+    ur, ui, lead = _to_positive(*den[-1])
+    return (_reduce(lead, *_scale(*_split(den), ur, ui)),
+            tuple(_reduce(lead, *_scale(*_split(m), ur, ui)) for m in nums))
 
 
 @lru_cache(maxsize=4096)

@@ -4,11 +4,11 @@ A matrix G is stored as its cleared form N/d: d monic, N a polynomial
 matrix and gcd(d, every entry of N) = 1.  The form is canonical (d is the
 lcm of the reduced entry denominators), so equality and hashing are
 structural.  Whatever builds a matrix from another one (products, sums,
-paraconjugation, ``allpass``'s rank-one update, the minimal inverse) hands
-over N/d and reduces it once through ``poly.cleared_fraction``, as
-``RatFun`` does; a matrix built from entries works out its form once from
-them.  The per-entry ``RatFun``s are derived only when something reads
-them (``entries``, ``str``, JSON output).
+paraconjugation, the minimal inverse) hands over N/d and reduces it once
+through ``poly.cleared_fraction``, as ``RatFun`` does (``allpass``'s
+update reduces itself, ``from_canonical``); a matrix built from entries
+works out its form once from them.  The per-entry ``RatFun``s are derived
+only when something reads them (``entries``, ``str``, JSON output).
 
 The structural queries all reduce to exact polynomial arithmetic on N/d:
 
@@ -139,6 +139,12 @@ class RatMat:
         if d.is_zero():
             raise ZeroDivisionError("matrix with zero denominator")
         return _wrap_flat(*cleared_fraction(d, (p for row in n for p in row)), len(n[0]))
+
+    @classmethod
+    def from_canonical(cls, d: Poly, flat, cols: int) -> RatMat:
+        """N/d for a form already canonical (not checked), N given row by
+        row in one flat sequence."""
+        return _wrap_flat(d, tuple(flat), cols)
 
     @classmethod
     def identity(cls, n: int) -> RatMat:

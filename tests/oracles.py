@@ -179,6 +179,23 @@ def laurent_leading(mat: RatMat, point: Point):
 # arithmetic, so it shares no code with Poly's integer kernels.
 
 
+def elementary_oracle(alpha: Point, v) -> RatMat:
+    """U = I + (b - 1) v v* / (v* v), entry by entry, with the Blaschke
+    kernel b = (1 - conj(alpha) z) / (z - alpha) written out (b = z at
+    infinity) and each entry a reduced ``RatFun``."""
+    if alpha.is_infinite:
+        b = RatFun(Poly([0, 1]))
+    else:
+        a = alpha.value
+        b = RatFun(Poly([1, -a.conj()]), Poly([-a, 1]))
+    v = [x if isinstance(x, GaussianRational) else GaussianRational(x) for x in v]
+    norm = sum((x * x.conj() for x in v), GaussianRational(0))
+    shift = b - RatFun.one()
+    return RatMat([[(RatFun.one() if i == j else RatFun.zero())
+                    + shift * RatFun.constant(vi * vj.conj() / norm)
+                    for j, vj in enumerate(v)] for i, vi in enumerate(v)])
+
+
 def ref_trim(coeffs):
     out = list(coeffs)
     while out and out[-1].is_zero():

@@ -1,5 +1,6 @@
 import json
 import random
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -10,6 +11,7 @@ from specfactor import (
     AllPassFactorization,
     ElementaryFactor,
     INFINITY,
+    Poly,
     RatFun,
     RatMat,
     blaschke,
@@ -32,7 +34,7 @@ from helpers import (
     random_direction,
     random_elementary_product,
 )
-from oracles import brute_point_degrees, laurent_leading
+from oracles import brute_point_degrees, elementary_oracle, laurent_leading
 
 
 def test_make_elementary_axis_projection():
@@ -282,6 +284,71 @@ def test_rank_one_update_is_the_full_product(case):
     factor = ElementaryFactor(alpha, v)
     assert factor.left_divide(w) == factor.matrix().paraconj_transpose() * w
     assert factor.left_multiply(w) == factor.matrix() * w
+
+
+@st.composite
+def _updates(draw):
+    """(alpha, v, W): alpha finite, 0 or infinity, v a direction whose
+    entries may vanish, and W of r rows and r..r+2 columns with poles and
+    numerator roots at alpha, at its partner beta, at 0 and elsewhere;
+    entries, and so rows, may vanish."""
+    alpha = draw(st.sampled_from(SAFE_POLE_POOL[:3] + [pt(0), INFINITY]))
+    r = draw(st.integers(1, 3))
+    n = r + draw(st.integers(0, 2))
+    roots = [p.value for p in (alpha, alpha.conj_pair()) if not p.is_infinite]
+    roots = st.sampled_from(roots + [gr(0), gr(-1, 1)])
+    entry = st.one_of(st.just(RatFun.zero()), st.builds(
+        lambda num, den, c: RatFun(Poly.from_roots(num) * c, Poly.from_roots(den)),
+        st.lists(roots, max_size=2), st.lists(roots, max_size=2),
+        st.sampled_from([gr(1), gr(-2), gr(0, 1)])))
+    w = M(draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=r, max_size=r)))
+    entries = st.builds(gr, st.integers(-2, 2), st.integers(-1, 1))
+    v = draw(st.lists(entries, min_size=r, max_size=r).filter(
+        lambda xs: any(not x.is_zero() for x in xs)))
+    return alpha, v, w
+
+
+@settings(max_examples=60, deadline=None)
+@given(_updates())
+@example((pt(2), [gr(1), gr(0, 1)], RatMat.zeros(2, 3)))
+@example((INFINITY, [gr(1), gr(0)], M([[0, 0], [RF([1], [0, 1]), RF([0, 1])]])))
+def test_update_matches_the_entrywise_oracle(case):
+    # U built entry by entry, and U~ as its paraconjugate transpose, times
+    # W by the plain matrix product
+    alpha, v, w = case
+    factor = ElementaryFactor(alpha, v)
+    u = elementary_oracle(alpha, v)
+    assert factor.matrix() == u
+    assert factor.left_multiply(w) == u * w
+    assert factor.left_divide(w) == u.paraconj_transpose() * w
+
+
+def test_update_takes_no_gcd(monkeypatch):
+    # the lemma in ElementaryFactor._update names the common factor, so
+    # neither direction runs a gcd or the general reduction; W is wide,
+    # has poles at alpha = 2, at beta = 1/2 and at 0, and a zero row, and
+    # U~ U = I cancels everything
+    alpha, v = pt(2), [gr(1), gr(1, 1)]
+    u = make_elementary(alpha, v)
+    wide = M([[RF([1], [-2, 1]), RF([0, 1], [Fraction(-1, 2), 1]), RF([1], [0, 1])],
+              [0, 0, 0]])
+    cases = [u, wide, RatMat.zeros(2, 2), u * wide]
+    factor = ElementaryFactor(alpha, v)
+
+    def refuse(*args):
+        raise AssertionError("gcd or general reduction called")
+
+    for module in [m for name, m in sys.modules.items() if name.startswith("specfactor")]:
+        for name in ("gcd_of", "poly_gcd", "cleared_fraction"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    results = [(factor.left_multiply(w), factor.left_divide(w)) for w in cases]
+    monkeypatch.undo()
+    oracle = elementary_oracle(alpha, v)
+    assert results[0][1] == RatMat.identity(2)
+    for w, (multiplied, divided) in zip(cases, results):
+        assert multiplied == oracle * w
+        assert divided == oracle.paraconj_transpose() * w
 
 
 def test_elementary_factor_equality_hash_repr_and_determinant():

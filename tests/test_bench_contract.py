@@ -7,7 +7,10 @@ under ``src/`` that breaks the trace fails here instead.
 """
 
 import importlib.util
+import json
+import os
 import random
+import subprocess
 import sys
 from pathlib import Path
 
@@ -41,6 +44,36 @@ def test_every_trace_boundary_resolves(spans):
         assert tracer.missing == []
     finally:
         tracer.uninstall()
+
+
+def _strict_json(text: str):
+    def refuse(constant):
+        raise ValueError(f"non-finite number {constant} in a worker result")
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("workload", ["sweep", "peel", "cancel", "cli"])
+def test_traced_worker_reports_every_per_layer_metric(workload, spans, tmp_path):
+    # in a fresh interpreter, as the benchmark runs it, where the tracer
+    # is installed before the library's later imports: the last line is a
+    # strict JSON result with no missing name, no warm memo, no failed
+    # sample and every per-layer metric the benchmark declares (cli's import
+    # timings and the trace overhead come from the runner, not the worker)
+    src = str(PERFBENCH.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src, PERFBENCH_SRC=src)
+    proc = subprocess.run(
+        [sys.executable, str(PERFBENCH / "worker.py"), workload, "1", "2", "traced",
+         str(tmp_path)], env=env, cwd=PERFBENCH.parent, capture_output=True, text=True,
+        timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    out = _strict_json(proc.stdout.strip().splitlines()[-1])
+    assert out["trace"]["missing"] == []
+    assert out["errors"] == 0 and all(ok for _, ok, _ in out["samples"])
+    assert not any((out["cold_caches"] or {}).values())
+    declared = json.loads((PERFBENCH.parent / "BENCHMARK.json").read_text(encoding="utf-8"))
+    expected = {m["name"] for m in declared["per_layer"]
+                if not m["name"].startswith("cli.") and m["name"] != "trace.overhead_ratio"}
+    assert set(spans.layer_metrics(out["trace"])) == expected
 
 
 def test_every_reported_cache_is_memoised(spans):
