@@ -46,8 +46,16 @@ def _canonical_direction(v) -> tuple[GaussianRational, ...]:
     content = int_gcd(*re, *im)
     ints = [(a // content, b // content) for a, b in zip(re, im)]
     # rotate by a unit so the first nonzero entry has positive real part
-    a, b = next((a, b) for a, b in ints if a or b)
-    ua, ub = (1, 0) if a > 0 else (-1, 0) if a < 0 else (0, -1) if b > 0 else (0, 1)
+    first = next((a, b) for a, b in ints if a or b)
+    if first[0] > 0:
+        unit = (1, 0)
+    elif first[0] < 0:
+        unit = (-1, 0)
+    elif first[1] > 0:
+        unit = (0, -1)
+    else:
+        unit = (0, 1)
+    ua, ub = unit
     rotated = [(a * ua - b * ub, a * ub + b * ua) for a, b in ints]
     return tuple(GaussianRational(a, b) for a, b in rotated)
 
@@ -74,8 +82,7 @@ def _combine(terms) -> list[tuple[int, int]]:
 
 
 def _times(p, q, scale: int = 1) -> list[tuple[int, int]]:
-    """scale p q in the form of ``_combine``, one shifted term per
-    coefficient of q (a kernel's numerator or denominator, degree <= 1)."""
+    """scale p q in ``_combine``'s form, for q short (a kernel's part)."""
     return _combine(((scale * a, scale * b), k, p) for k, (a, b) in enumerate(q))
 
 
@@ -136,23 +143,23 @@ class ElementaryFactor:
         (n_den, n_ints), (k_den, k_ints) = kn.parts, kd.parts
         ints = [[p.parts for p in row] for row in w.num]
         big = lcm(*(den for row in ints for den, num in row if num))
-        # with N = grid / big and grid_ij = (big / den_ij) num_ij, over l =
-        # lcm(n_den, k_den), big, nv and d_den: kd N is head * grid,
-        # (kn - kd)(v* N) is jump * (v* grid), and kd d is den
-        l, nv = lcm(n_den, k_den), self._norm()
-        c = nv * d_den * (l // k_den)
+        # all times m big nv d_den (m = lcm(n_den, k_den), big the entries'
+        # common denominator): kd N is head times the scaled entries, and
+        # (kn - kd)(v* N) jump times their v* combination; kd d is bottom
+        m, nv = lcm(n_den, k_den), self._norm()
+        c = nv * d_den * (m // k_den)
         head = [(c * x, c * y) for x, y in k_ints]
-        jump = _combine([((d_den * (l // n_den), 0), 0, n_ints),
-                         ((-d_den * (l // k_den), 0), 0, k_ints)])
+        jump = _combine([((d_den * (m // n_den), 0), 0, n_ints),
+                         ((-d_den * (m // k_den), 0), 0, k_ints)])
         updates = [_times(_combine(((x * (big // den), -y * (big // den)), 0, num)
                                    for (x, y), (den, num) in zip(v, col)), jump)
                    for col in zip(*ints)]
         flat = [_combine([*(((hr * (big // den), hi * (big // den)), k, num)
                             for k, (hr, hi) in enumerate(head)), (x, 0, u)])
                 for row, x in zip(ints, v) for (den, num), u in zip(row, updates)]
-        den = _times(d_ints, k_ints, big * nv * (l // k_den))
+        bottom = _times(d_ints, k_ints, big * nv * (m // k_den))
         points = [p.value for p in (self._alpha, self._alpha.conj_pair()) if not p.is_infinite]
-        return RatMat.from_canonical(*cleared_at_points(den, flat, points), w.cols)
+        return RatMat.from_canonical(*cleared_at_points(bottom, flat, points), w.cols)
 
     def matrix(self) -> RatMat:
         """U = I + (b - 1) P."""

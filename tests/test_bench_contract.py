@@ -54,9 +54,9 @@ def _strict_json(text: str):
 
 @pytest.mark.parametrize("workload", ["sweep", "peel", "cancel", "cli"])
 def test_traced_worker_reports_every_per_layer_metric(workload, spans, tmp_path):
-    # in a fresh interpreter, as the benchmark runs it, where the tracer
-    # is installed before the library's later imports: the last line is a
-    # strict JSON result with no missing name, no warm memo, no failed
+    # in a fresh interpreter, as the benchmark runs it, so the tracer is
+    # installed with only the worker's own imports loaded: the last line is
+    # a strict JSON result with no missing name, no warm memo, no failed
     # sample and every per-layer metric the benchmark declares (cli's import
     # timings and the trace overhead come from the runner, not the worker)
     src = str(PERFBENCH.parent / "src")
