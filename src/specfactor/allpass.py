@@ -8,8 +8,10 @@ normalization would need square roots.  A factor acts by one rank-one
 update, W + (k - 1) P W for a kernel k: ``left_multiply`` (U W) updates W
 with b, ``left_divide`` (U~ W = U^-1 W) with b~ = 1/b, and ``matrix`` is
 the left multiplication of the identity.  The update runs in integers on
-W's cleared form N/d and, by the lemma in ``ElementaryFactor._update``,
-reduces by synthetic division at alpha and its partner, with no gcd.
+W's cleared form N/d, with N over one integer denominator from
+``ratmat.integer_form`` and every product from ``poly.mul_into``, and, by
+the lemma in ``ElementaryFactor._update``, reduces by synthetic division
+at alpha and its partner, with no gcd.
 
 ``potapov_factorize`` peels a para-unitary matrix into a constant unitary
 times elementary factors, one per unit of McMillan degree.  The peel order
@@ -27,13 +29,14 @@ removes, and taking the update U~ W (``left_divide``).
 
 from __future__ import annotations
 
-from math import gcd as int_gcd, lcm
+from math import gcd as int_gcd
 
 from .errors import DimensionMismatchError
+from .gaussint import gi_mul
 from .linsolve import cleared
-from .poly import Poly, cleared_at_points
+from .poly import Poly, cleared_at_points, mul_into, pairs
 from .ratfun import RatFun, blaschke, blaschke_parts
-from .ratmat import RatMat
+from .ratmat import RatMat, integer_form
 from .scalars import Comparison, GaussianRational, Point, scalar_parts
 
 
@@ -55,35 +58,7 @@ def _canonical_direction(v) -> tuple[GaussianRational, ...]:
         unit = (0, -1)
     else:
         unit = (0, 1)
-    ua, ub = unit
-    rotated = [(a * ua - b * ub, a * ub + b * ua) for a, b in ints]
-    return tuple(GaussianRational(a, b) for a, b in rotated)
-
-
-def _combine(terms) -> list[tuple[int, int]]:
-    """The sum of c z^k p over triples (c, k, p) of a Gaussian integer c, a
-    shift k and a polynomial p given as its Gaussian-integer coefficients
-    (ascending pairs, [] for zero); the result in the same form."""
-    re: list[int] = []
-    im: list[int] = []
-    for (cr, ci), k, p in terms:
-        if not p or not cr and not ci:
-            continue
-        if len(re) < k + len(p):
-            re += [0] * (k + len(p) - len(re))
-            im += [0] * (k + len(p) - len(im))
-        for j, (x, y) in enumerate(p, k):
-            re[j] += cr * x - ci * y
-            im[j] += cr * y + ci * x
-    while re and not re[-1] and not im[-1]:
-        re.pop()
-        im.pop()
-    return list(zip(re, im))
-
-
-def _times(p, q, scale: int = 1) -> list[tuple[int, int]]:
-    """scale p q in ``_combine``'s form, for q short (a kernel's part)."""
-    return _combine(((scale * a, scale * b), k, p) for k, (a, b) in enumerate(q))
+    return tuple(GaussianRational(*gi_mul(x, unit)) for x in ints)
 
 
 class ElementaryFactor:
@@ -139,25 +114,35 @@ class ElementaryFactor:
         if w.rows != len(self._v):
             raise DimensionMismatchError("factor dimension mismatch")
         v = [scalar_parts(x)[:2] for x in self._v]
-        d_den, d_ints = w.den.parts
-        (n_den, n_ints), (k_den, k_ints) = kn.parts, kd.parts
-        ints = [[p.parts for p in row] for row in w.num]
-        big = lcm(*(den for row in ints for den, num in row if num))
-        # all times m big nv d_den (m = lcm(n_den, k_den), big the entries'
-        # common denominator): kd N is head times the scaled entries, and
-        # (kn - kd)(v* N) jump times their v* combination; kd d is bottom
-        m, nv = lcm(n_den, k_den), self._norm()
-        c = nv * d_den * (m // k_den)
+        grid, top, big = integer_form(w)
+        jump = kn - kd
+        (d_den, d_ints), (k_den, k_ints), (j_den, j_ints) = w.den.parts, kd.parts, jump.parts
+        # all times d_den k_den j_den nv big (big the grid's denominator): kd N
+        # is head times the grid, v (kn - kd)(v* N) each row's step times its
+        # column's v* combination, and kd d is bottom
+        nv = self._norm()
+        c, s, t = d_den * j_den * nv, d_den * k_den, big * nv * j_den
         head = [(c * x, c * y) for x, y in k_ints]
-        jump = _combine([((d_den * (m // n_den), 0), 0, n_ints),
-                         ((-d_den * (m // k_den), 0), 0, k_ints)])
-        updates = [_times(_combine(((x * (big // den), -y * (big // den)), 0, num)
-                                   for (x, y), (den, num) in zip(v, col)), jump)
-                   for col in zip(*ints)]
-        flat = [_combine([*(((hr * (big // den), hi * (big // den)), k, num)
-                            for k, (hr, hi) in enumerate(head)), (x, 0, u)])
-                for row, x in zip(ints, v) for (den, num), u in zip(row, updates)]
-        bottom = _times(d_ints, k_ints, big * nv * (m // k_den))
+        steps = [[gi_mul((s * a, s * b), p) for p in j_ints] for a, b in v]
+        conj = [((a, -b),) for a, b in v]
+        combos = []
+        for col in zip(*grid):
+            re, im = [0] * (top + 1), [0] * (top + 1)
+            for x, num in zip(conj, col):
+                mul_into(re, im, x, num)
+            combos.append(pairs(re, im))
+        size = max(len(head), len(j_ints)) + top
+        flat = []
+        for row, step in zip(grid, steps):
+            for num, combo in zip(row, combos):
+                re, im = [0] * size, [0] * size
+                mul_into(re, im, head, num)
+                mul_into(re, im, step, combo)
+                flat.append(pairs(re, im))
+        n = len(d_ints) + len(k_ints) - 1
+        re, im = [0] * n, [0] * n
+        mul_into(re, im, [(t * x, t * y) for x, y in k_ints], d_ints)
+        bottom = list(zip(re, im))
         points = [p.value for p in (self._alpha, self._alpha.conj_pair()) if not p.is_infinite]
         return RatMat.from_canonical(*cleared_at_points(bottom, flat, points), w.cols)
 

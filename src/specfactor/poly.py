@@ -9,7 +9,11 @@ is the empty tuple over 1 and has degree -inf.  Canonical forms are
 unique, so equality and hashing are structural.
 
 Every arithmetic kernel runs in integers and reduces its result with one
-gcd over the denominator and all numerator parts.  A ``GaussianRational``
+gcd over the denominator and all numerator parts.  Every product of
+Gaussian-integer coefficient lists in the package (``Poly``'s, the local
+Smith elimination's, the all-pass update's) is one loop, ``mul_into``,
+which adds x*y into lists the caller allocates; ``pairs`` reads them back
+as a coefficient list.  A ``GaussianRational``
 is laid out as one coefficient, so the scalar boundary (constructor
 arguments, ``coeffs``, ``coefficient``, ``lead``, ``eval`` and the roots)
 passes integers through ``scalar_parts`` and ``GaussianRational.from_parts``;
@@ -86,6 +90,31 @@ def _reduce(den: int, re: list[int], im: list[int]) -> Poly:
             re = [x // g for x in re]
             im = [x // g for x in im]
     return _make(den, tuple(zip(re, im)))
+
+
+def mul_into(re: list[int], im: list[int], x, y) -> None:
+    """Add x * y into re + im*i, for x and y Gaussian-integer coefficient
+    lists (ascending pairs, [] for zero) and re, im at least len(x) +
+    len(y) - 1 long.  The outer loop runs over x, so the shorter operand
+    goes first, and a real coefficient of x takes a real-only loop."""
+    for i, (xr, xi) in enumerate(x):
+        if xi:
+            for k, (yr, yi) in enumerate(y, i):
+                re[k] += xr * yr - xi * yi
+                im[k] += xr * yi + xi * yr
+        elif xr:
+            for k, (yr, yi) in enumerate(y, i):
+                re[k] += xr * yr
+                im[k] += xr * yi
+
+
+def pairs(re: list[int], im: list[int], terms: int | None = None) -> list[tuple[int, int]]:
+    """re + im*i as a coefficient list (ascending pairs, [] for zero), cut
+    to its first ``terms`` coefficients and with trailing zeros stripped."""
+    n = len(re) if terms is None else min(len(re), terms)
+    while n and not re[n - 1] and not im[n - 1]:
+        n -= 1
+    return list(zip(re[:n], im[:n]))
 
 
 def _split(num) -> tuple[list[int], list[int]]:
@@ -250,17 +279,8 @@ class Poly:
             if not a or not b:
                 return _ZERO
             n = len(a) + len(b) - 1
-            re = [0] * n
-            im = [0] * n
-            for i, (xr, xi) in enumerate(a):
-                if xi:
-                    for k, (yr, yi) in enumerate(b, i):
-                        re[k] += xr * yr - xi * yi
-                        im[k] += xr * yi + xi * yr
-                elif xr:
-                    for k, (yr, yi) in enumerate(b, i):
-                        re[k] += xr * yr
-                        im[k] += xr * yi
+            re, im = [0] * n, [0] * n
+            mul_into(re, im, a, b)
             return _reduce(self._den * other._den, re, im)
         sp = scalar_parts(other)
         if sp is None:

@@ -65,8 +65,8 @@ from .errors import (
     ZeroMatrixError,
 )
 from .linsolve import cleared, solve_linear
-from .poly import (Poly, cleared_fraction, gaussian_roots, gcd_of, monic_fraction, order_of,
-                   poly_gcd, poly_lcm, require_split, taylor_numerators)
+from .poly import (Poly, cleared_fraction, gaussian_roots, gcd_of, monic_fraction, mul_into,
+                   order_of, pairs, poly_gcd, poly_lcm, require_split, taylor_numerators)
 from .ratfun import RatFun, as_ratfun
 from .scalars import GaussianRational, INFINITY, Point
 
@@ -620,15 +620,15 @@ def _cleared_cached(mat: RatMat) -> tuple[Poly, tuple[tuple[Poly, ...], ...]]:
     return mat.den, mat.num
 
 
-@lru_cache(maxsize=4096)
-def _integer_form(mat: RatMat) -> tuple[tuple, int, int]:
+def integer_form(mat: RatMat) -> tuple[tuple, int, int]:
     """N over one integer denominator: (grid, top, den) with grid each
     entry's Gaussian-integer numerators scaled to den, the lcm of the
     entries' denominators (() for zero), and top the largest entry degree
     (-1 for the zero matrix).  Only the matrix fixes them, so
     ``point_expansions``, ``_top`` and the coefficient system of
-    ``_minimal_right_inverse`` read them here once per matrix rather than
-    at every point, precision and row."""
+    ``_minimal_right_inverse`` read them once per matrix from the memo
+    ``_integer_form``; the all-pass update, which reads each matrix once
+    and fills no memo, calls this builder."""
     parts = [[p.parts for p in row] for row in mat.num]
     den = lcm(*(p_den for row in parts for p_den, num in row if num))
 
@@ -638,6 +638,9 @@ def _integer_form(mat: RatMat) -> tuple[tuple, int, int]:
 
     grid = tuple(tuple(scaled(*p) for p in row) for row in parts)
     return grid, max(len(num) for row in grid for num in row) - 1, den
+
+
+_integer_form = lru_cache(maxsize=4096)(integer_form)
 
 
 def _top(mat: RatMat) -> int:
@@ -733,7 +736,8 @@ def _local_smith_orders(grid, terms: int) -> list[int]:
     lower) and turns every other row x into (p/u^v)*x - (x[c]/u^v)*pivot
     row; p/u^v is a unit at u = 0, so no column operation is needed.  Every
     entry left has order at least v, so p/u^v and x[c]/u^v are needed only
-    mod u**(terms - v), and the new rows are exact mod u**terms."""
+    mod u**(terms - v), and the new rows are exact mod u**terms.  Each new
+    entry p*a - f*b is two ``poly.mul_into`` calls, f negated once per row."""
     rows = [[(order_of(e), e) for e in row] for row in grid]
     orders: list[int] = []
     while rows:
@@ -755,34 +759,18 @@ def _local_smith_orders(grid, terms: int) -> list[int]:
             if row[pj][0] is None:
                 rows[i] = row[:pj] + row[pj + 1:]
                 continue
-            f = row[pj][1][v:]
-            new = [_cross(unit, a, f, b, terms)
-                   for j, ((_, a), (_, b)) in enumerate(zip(row, top)) if j != pj]
-            rows[i] = [(order_of(e), e) for e in new]
+            f = [(-x, -y) for x, y in row[pj][1][v:]]
+            new = []
+            for j, ((_, a), (_, b)) in enumerate(zip(row, top)):
+                if j != pj:
+                    n = max(len(unit) + len(a), len(f) + len(b)) - 1
+                    re, im = [0] * n, [0] * n
+                    mul_into(re, im, unit, a)
+                    mul_into(re, im, f, b)
+                    e = pairs(re, im, terms)
+                    new.append((order_of(e), e))
+            rows[i] = new
     return orders
-
-
-def _cross(p, a, f, b, terms: int) -> list[tuple[int, int]]:
-    """p*a - f*b mod u**terms for polynomials in u given as Gaussian-integer
-    pairs."""
-    n = max(len(p) + len(a), len(f) + len(b)) - 1
-    re = [0] * n
-    im = [0] * n
-    for x, y, s in ((p, a, 1), (f, b, -1)):
-        for i, (xr, xi) in enumerate(x):
-            xr, xi = s * xr, s * xi
-            if xi:
-                for k, (yr, yi) in enumerate(y, i):
-                    re[k] += xr * yr - xi * yi
-                    im[k] += xr * yi + xi * yr
-            elif xr:
-                for k, (yr, yi) in enumerate(y, i):
-                    re[k] += xr * yr
-                    im[k] += xr * yi
-    n = min(n, terms)
-    while n and not re[n - 1] and not im[n - 1]:
-        n -= 1
-    return list(zip(re[:n], im[:n]))
 
 
 def _poly_det(rows: list[list[Poly]]) -> Poly:

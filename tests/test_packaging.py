@@ -211,6 +211,23 @@ def test_only_scalars_reads_rational_parts():
     assert {name: found for name, found in reads.items() if found} == {}
 
 
+def _multiply_accumulates(tree: ast.Module) -> list[str]:
+    """Every augmented assignment into a subscript whose value multiplies,
+    the shape of a coefficient-list product's inner loop, by line."""
+    return [f"line {node.lineno}" for node in ast.walk(tree)
+            if isinstance(node, ast.AugAssign) and isinstance(node.target, ast.Subscript)
+            and any(isinstance(n, ast.BinOp) and isinstance(n.op, ast.Mult)
+                    for n in ast.walk(node.value))]
+
+
+def test_only_poly_multiplies_coefficient_lists():
+    # one kernel, ``poly.mul_into``, forms every product of Gaussian-integer
+    # coefficient lists, so no other module writes a multiply-accumulate loop
+    found = {name: _multiply_accumulates(tree) for name, tree in _modules().items()
+             if name != "poly.py"}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
 def _memo_bounds(tree: ast.Module) -> dict[str, object]:
     """The bound of every memo a module declares, by line: the integer
     maxsize, or the source text where there is no integer literal."""

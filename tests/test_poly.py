@@ -8,8 +8,8 @@ from hypothesis import example, given, settings, strategies as st
 from specfactor import GaussianRational, INFINITY, Point, Poly, RatFun, RatMat, gaussian_roots
 from specfactor.errors import InputTooLargeError, NonGaussianPoleError
 from specfactor.poly import (_GUESS_DENOMINATOR_CAP, _complex_roots, _nearest_fraction,
-                             cleared_fraction, gcd_of, monic_fraction, order_of, poly_gcd,
-                             poly_lcm, require_split, taylor_numerators)
+                             cleared_fraction, gcd_of, monic_fraction, mul_into, order_of, pairs,
+                             poly_gcd, poly_lcm, require_split, taylor_numerators)
 
 from helpers import P, gr, pt
 from oracles import ref_divmod, ref_eval, ref_mul, ref_trim, synthetic_multiplicity
@@ -152,6 +152,36 @@ nonzero_coeff_lists = coeff_lists.filter(bool)
 @given(coeff_lists, coeff_lists)
 def test_mul_matches_reference(a, b):
     assert list((Poly(a) * Poly(b)).coeffs) == ref_mul(a, b)
+
+
+gaussian_ints = st.tuples(st.integers(-60, 60), st.integers(-60, 60))
+real_ints = st.tuples(st.integers(-60, 60), st.just(0))
+int_lists = st.lists(st.one_of(gaussian_ints, real_ints), max_size=6)
+
+
+@settings(max_examples=150)
+@given(st.lists(st.tuples(int_lists, int_lists), max_size=4), st.booleans(),
+       st.integers(0, 12))
+@example(terms=[([(1, 2), (3, -1)], [(2, 0), (0, 1)]), ([(5, 0)], [(1, 1)])], cancel=True,
+         cut=12)
+@example(terms=[([], [(1, 0)]), ([(2, 0)], []), ([], [])], cancel=False, cut=12)
+def test_mul_into_accumulates_the_reference_products(terms, cancel, cut):
+    # several products summed into one target; with cancel the first is
+    # subtracted again, so the top coefficients of the sum can cancel
+    if cancel and terms:
+        x, y = terms[0]
+        terms = terms + [([(-a, -b) for a, b in x], y)]
+    n = max((len(x) + len(y) - 1 for x, y in terms if x and y), default=0)
+    re, im = [0] * n, [0] * n
+    expected = [GaussianRational(0)] * n
+    for x, y in terms:
+        mul_into(re, im, x, y)
+        product = ref_mul([gr(a, b) for a, b in x], [gr(a, b) for a, b in y])
+        for k, c in enumerate(product):
+            expected[k] = expected[k] + c
+    assert [gr(a, b) for a, b in zip(re, im)] == expected
+    assert [gr(a, b) for a, b in pairs(re, im)] == ref_trim(expected)
+    assert [gr(a, b) for a, b in pairs(re, im, cut)] == ref_trim(expected[:cut])
 
 
 @settings(max_examples=80)
