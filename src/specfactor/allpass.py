@@ -7,24 +7,28 @@ v v* / (v* v)), which keeps every coefficient inside Q(i); unit-norm
 normalization would need square roots.  A factor acts by one rank-one
 update, W + (k - 1) P W for a kernel k: ``left_multiply`` (U W) updates W
 with b, ``left_divide`` (U~ W = U^-1 W) with b~ = 1/b, and ``matrix`` is
-the left multiplication of the identity.  The update runs in integers on
-W's cleared form N/d, with N over one integer denominator from
-``ratmat.integer_form`` and every product from ``poly.mul_into``, and, by
-the lemma in ``ElementaryFactor._update``, reduces by synthetic division
+the left multiplication of the identity.  The update runs in integers
+(``ElementaryFactor.integer_update``) on W's cleared form N/d, with N over
+one integer denominator from ``ratmat.integer_form`` and every product from
+``poly.mul_into``, and, by the lemma there, reduces by synthetic division
 at alpha and its partner, with no gcd.
 
 ``potapov_factorize`` peels a para-unitary matrix into a constant unitary
 times elementary factors, one per unit of McMillan degree.  The peel order
 is fixed (poles ascending by squared modulus, then lexicographically by
 real and imaginary part, infinity last; direction from the first nonzero
-column of the Laurent leading coefficient, cleared to a primitive Gaussian
-integer vector), so factorizations are reproducible byte for byte.  That
-column always lowers the degree by one (the lemma in ``potapov_factorize``),
-so the peel enumerates no minors, tries no candidates and reads no pole
-degree: it asks ``RatMat`` for the input's pole locations once and peels
-each while what is left has a pole there, asking per step for the Laurent
-leading coefficient up to a positive rational, which that clearing
-removes, and taking the update U~ W (``left_divide``).
+column of the Laurent leading coefficient, made primitive by
+``canonical_direction``), so factorizations are reproducible byte for byte.
+That column always lowers the degree by one (the lemma in
+``potapov_factorize``), so the peel enumerates no minors, tries no
+candidates and reads no pole degree: it asks ``RatMat`` for the input's
+pole locations once and peels each while what is left has a pole there.
+What is left stays one reduced Gaussian-integer pair, not monic, from the
+input to the constant tail, each step reading its pole test and column
+from one expansion term (``ratmat.leading_numerators``, as
+``RatMat.laurent_leading`` does) and taking ``integer_update``'s pair; only
+the tail becomes a ``RatMat``, checked unitary in integers
+(``is_unitary_constant``), so the peel fills no memo but the input's.
 """
 
 from __future__ import annotations
@@ -34,21 +38,19 @@ from math import gcd as int_gcd
 from .errors import DimensionMismatchError
 from .gaussint import gi_mul
 from .linsolve import cleared
-from .poly import Poly, cleared_at_points, mul_into, pairs
+from .poly import Poly, cleared_at_points, deflated_at_points, mul_into, pairs
 from .ratfun import RatFun, blaschke, blaschke_parts
-from .ratmat import RatMat, integer_form
-from .scalars import Comparison, GaussianRational, Point, scalar_parts
+from .ratmat import RatMat, integer_form, leading_numerators
+from .scalars import Comparison, GaussianRational, Point
 
 
-def _canonical_direction(v) -> tuple[GaussianRational, ...]:
-    """Primitive Gaussian-integer representative of the ray through v."""
-    vec = [x if isinstance(x, GaussianRational) else GaussianRational(x) for x in v]
-    if all(x.is_zero() for x in vec):
+def canonical_direction(ints) -> tuple[tuple[int, int], ...]:
+    """Primitive Gaussian-integer representative of the ray through the
+    Gaussian-integer vector ints (pairs): content divided out, then rotated
+    by a unit so the first nonzero entry has positive real part."""
+    content = int_gcd(*(x for pair in ints for x in pair))
+    if not content:
         raise ValueError("projection direction must be nonzero")
-    re, im = cleared(vec)
-    content = int_gcd(*re, *im)
-    ints = [(a // content, b // content) for a, b in zip(re, im)]
-    # rotate by a unit so the first nonzero entry has positive real part
     first = next((a, b) for a, b in ints if a or b)
     if first[0] > 0:
         unit = (1, 0)
@@ -58,13 +60,13 @@ def _canonical_direction(v) -> tuple[GaussianRational, ...]:
         unit = (0, -1)
     else:
         unit = (0, 1)
-    return tuple(GaussianRational(*gi_mul(x, unit)) for x in ints)
+    return tuple(gi_mul((a // content, b // content), unit) for a, b in ints)
 
 
 class ElementaryFactor:
     """Degree-one all-pass building block: pole location and direction vector."""
 
-    __slots__ = ("_alpha", "_v")
+    __slots__ = ("_alpha", "_ints")
 
     def __init__(self, alpha: Point, v):
         if not isinstance(alpha, Point):
@@ -72,7 +74,8 @@ class ElementaryFactor:
         if alpha.abs_vs_one() is Comparison.EQUAL:
             raise ValueError(f"elementary factor pole on the unit circle: {alpha}")
         self._alpha = alpha
-        self._v = _canonical_direction(v)
+        vec = [x if isinstance(x, GaussianRational) else GaussianRational(x) for x in v]
+        self._ints = canonical_direction(list(zip(*cleared(vec))))
 
     @property
     def alpha(self) -> Point:
@@ -80,26 +83,30 @@ class ElementaryFactor:
 
     @property
     def v(self) -> tuple[GaussianRational, ...]:
-        return self._v
+        return tuple(GaussianRational.from_parts(a, b, 1) for a, b in self._ints)
 
     @property
     def dimension(self) -> int:
-        return len(self._v)
+        return len(self._ints)
 
     def _norm(self) -> int:
         """The integer v* v of the primitive direction."""
-        return sum(a * a + b * b for a, b, _ in map(scalar_parts, self._v))
+        return sum(a * a + b * b for a, b in self._ints)
 
     def projection(self) -> list[list[GaussianRational]]:
         """The rank-one orthogonal projection v v* / (v* v); idempotent and
         Hermitian by construction."""
         norm = self._norm()
-        return [[vi * vj.conj() / norm for vj in self._v] for vi in self._v]
+        v = self.v
+        return [[vi * vj.conj() / norm for vj in v] for vi in v]
 
-    def _update(self, w: RatMat, kn: Poly, kd: Poly) -> RatMat:
-        """W + (k - 1) P W for W = N/d and the kernel k = kn/kd: with nv =
-        v* v, kd N + v (kn - kd)(v* N) / nv over kd d, formed in integers
-        on N's entries over one integer denominator.
+    def integer_update(self, grid, top: int, big: int, d_den: int, d_ints,
+                       kn: Poly, kd: Poly):
+        """W + (k - 1) P W for W = N/d, N = grid / big (rows of Gaussian-
+        integer coefficient lists of degree at most top), d = d_ints / d_den
+        and the kernel k = kn/kd: with nv = v* v, kd N + v (kn - kd)(v* N)
+        / nv over kd d, in integers, as (den, flat) coefficient lists (N
+        row by row) deflated at alpha and its partner, reduced if W is.
 
         Lemma.  The common factor of kd d and every numerator is
         (z - alpha)^a (z - beta)^b, beta = alpha.conj_pair(), over the
@@ -108,23 +115,20 @@ class ElementaryFactor:
         bounds it the other way), hence the order of its reduced
         denominator, which is d's, which is kd d's (kd vanishes only at
         alpha or beta).  So z - alpha and z - beta are divided out while
-        the denominator and every numerator vanish there
-        (``poly.cleared_at_points``), for any W, wide or zero included.
+        the denominator and every numerator vanish there, for any W, wide
+        or zero included.
         """
-        if w.rows != len(self._v):
+        if len(grid) != len(self._ints):
             raise DimensionMismatchError("factor dimension mismatch")
-        v = [scalar_parts(x)[:2] for x in self._v]
-        grid, top, big = integer_form(w)
-        jump = kn - kd
-        (d_den, d_ints), (k_den, k_ints), (j_den, j_ints) = w.den.parts, kd.parts, jump.parts
-        # all times d_den k_den j_den nv big (big the grid's denominator): kd N
-        # is head times the grid, v (kn - kd)(v* N) each row's step times its
-        # column's v* combination, and kd d is bottom
+        (k_den, k_ints), (j_den, j_ints) = kd.parts, (kn - kd).parts
+        # all times d_den k_den j_den nv big: kd N is head times the grid,
+        # v (kn - kd)(v* N) each row's step times its column's v*
+        # combination, and kd d is bottom
         nv = self._norm()
         c, s, t = d_den * j_den * nv, d_den * k_den, big * nv * j_den
         head = [(c * x, c * y) for x, y in k_ints]
-        steps = [[gi_mul((s * a, s * b), p) for p in j_ints] for a, b in v]
-        conj = [((a, -b),) for a, b in v]
+        steps = [[gi_mul((s * a, s * b), p) for p in j_ints] for a, b in self._ints]
+        conj = [((a, -b),) for a, b in self._ints]
         combos = []
         for col in zip(*grid):
             re, im = [0] * (top + 1), [0] * (top + 1)
@@ -142,13 +146,19 @@ class ElementaryFactor:
         n = len(d_ints) + len(k_ints) - 1
         re, im = [0] * n, [0] * n
         mul_into(re, im, [(t * x, t * y) for x, y in k_ints], d_ints)
-        bottom = list(zip(re, im))
         points = [p.value for p in (self._alpha, self._alpha.conj_pair()) if not p.is_infinite]
-        return RatMat.from_canonical(*cleared_at_points(bottom, flat, points), w.cols)
+        return deflated_at_points(list(zip(re, im)), flat, points)
+
+    def _update(self, w: RatMat, kn: Poly, kd: Poly) -> RatMat:
+        """``integer_update`` on W's integer form, made monic."""
+        grid, top, big = integer_form(w)
+        d_den, d_ints = w.den.parts
+        den, flat = self.integer_update(grid, top, big, d_den, d_ints, kn, kd)
+        return RatMat.from_canonical(*cleared_at_points(den, flat, ()), w.cols)
 
     def matrix(self) -> RatMat:
         """U = I + (b - 1) P."""
-        return self.left_multiply(RatMat.identity(len(self._v)))
+        return self.left_multiply(RatMat.identity(len(self._ints)))
 
     def determinant(self) -> RatFun:
         return blaschke(self._alpha)
@@ -160,21 +170,33 @@ class ElementaryFactor:
     def left_divide(self, w: RatMat) -> RatMat:
         """U~ W, which is U^-1 W, without forming U or a matrix product: the
         update of W with b~ = 1/b, since U~ = I + (b~ - 1) P."""
-        kn, kd = blaschke_parts(self._alpha)
-        c = kn.lead.inverse()
-        return self._update(w, kd * c, kn * c)
+        return self._update(w, *_inverse_kernel(self._alpha))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ElementaryFactor):
             return NotImplemented
-        return self._alpha == other._alpha and self._v == other._v
+        return self._alpha == other._alpha and self._ints == other._ints
 
     def __hash__(self):
-        return hash((self._alpha, self._v))
+        return hash((self._alpha, self.v))
 
     def __repr__(self) -> str:
-        vs = ", ".join(str(x) for x in self._v)
+        vs = ", ".join(str(x) for x in self.v)
         return f"ElementaryFactor(alpha={self._alpha}, v=[{vs}])"
+
+
+def _inverse_kernel(alpha: Point) -> tuple[Poly, Poly]:
+    """b~ = 1/b as (numerator, monic denominator)."""
+    kn, kd = blaschke_parts(alpha)
+    c = kn.lead.inverse()
+    return kd * c, kn * c
+
+
+def _factor(alpha: Point, ints) -> ElementaryFactor:
+    """The factor at alpha with the direction ints, already canonical."""
+    factor = object.__new__(ElementaryFactor)
+    factor._alpha, factor._ints = alpha, ints
+    return factor
 
 
 class AllPassFactorization:
@@ -185,7 +207,7 @@ class AllPassFactorization:
     def __init__(self, constant: RatMat, factors):
         if not constant.is_constant():
             raise ValueError("leading matrix of a factorization must be constant")
-        if not constant.is_square() or not is_paraunitary(constant):
+        if not constant.is_square() or not is_unitary_constant(constant):
             raise ValueError("leading matrix of a factorization must be unitary")
         self._constant = constant
         self._factors = tuple(factors)
@@ -235,6 +257,22 @@ def is_paraunitary(v: RatMat) -> bool:
     return v.paraconj_transpose() * v == RatMat.identity(v.rows)
 
 
+def _dot(xs, ys) -> tuple[int, int]:
+    """The Hermitian product sum conj(x) y of two Gaussian-integer vectors."""
+    return (sum(a * c + b * d for (a, b), (c, d) in zip(xs, ys)),
+            sum(a * d - b * c for (a, b), (c, d) in zip(xs, ys)))
+
+
+def is_unitary_constant(c: RatMat) -> bool:
+    """Exact unitarity of a constant square C, in integers: with C = M/delta
+    (``integer_form``, delta a positive integer), C* C = I exactly when
+    M* M = delta**2 I, one Hermitian product per pair of columns."""
+    grid, _, delta = integer_form(c)
+    cols = list(zip(*([num[0] if num else (0, 0) for num in row] for row in grid)))
+    return all(_dot(x, y) == ((delta * delta, 0) if j == k else (0, 0))
+               for j, x in enumerate(cols) for k, y in enumerate(cols))
+
+
 def is_parahermitian(g: RatMat) -> bool:
     if not g.is_square():
         raise DimensionMismatchError("para-Hermitian symmetry is defined for square matrices")
@@ -251,9 +289,13 @@ def potapov_factorize(v: RatMat) -> AllPassFactorization:
 
     Takes deg V steps, each W -> U~ W with U the elementary factor at the
     smallest pole alpha of W in the direction of the first nonzero column
-    of W's Laurent leading coefficient there.  The constant unitary tail is
-    commuted to the front (conjugating each stored direction), so that
-    constant * product(factors) reproduces the input exactly.
+    of W's Laurent leading coefficient there.  The constant unitary tail C
+    is commuted to the front (each stored direction v becomes C* v), so
+    that constant * product(factors) reproduces the input exactly.  W is
+    kept as lambda N over lambda d, N/d its canonical form, so its leading
+    column N(alpha) conj(c) carries lambda only as |lambda|^2 > 0, and C* v
+    as the sum of conj(M_jk) delta v_j (C = M/delta) only |delta|^2: the
+    primitive directions are the canonical ones.
 
     Lemma.  Let W be square and para-unitary, alpha a pole of W (infinity
     included), A its Laurent leading coefficient there (order -k) and v any
@@ -284,7 +326,8 @@ def potapov_factorize(v: RatMat) -> AllPassFactorization:
     raised beta later (|alpha| < 1) or never.  Nothing checks V~ V = I up
     front: a completed peel proves it, writing V exactly as U_0 ... U_{K-1} C
     with every U_k para-unitary by construction and C a constant that
-    passes the exact unitarity check.  When a step or that check fails,
+    passes the exact unitarity check (``is_unitary_constant``).  When a
+    step or that check fails,
     ``is_paraunitary`` decides between "input is not para-unitary" and the
     error raised (a pole outside Q(i)).
     """
@@ -299,26 +342,35 @@ def potapov_factorize(v: RatMat) -> AllPassFactorization:
 
 
 def _peel(v: RatMat) -> AllPassFactorization:
+    # what is left is the grid's rows over den, all Gaussian-integer lists
     size = v.rows
-    work = v
-    peeled: list[tuple[Point, tuple[GaussianRational, ...]]] = []
+    grid, top, big = integer_form(v)
+    d_den, d_ints = v.den.parts
+    den = [(big * x, big * y) for x, y in d_ints]
+    grid = [[[(d_den * x, d_den * y) for x, y in num] for num in row] for row in grid]
+    peeled = []
     # V's poles, smallest first, each peeled while what is left has one there
     for pole in v.pole_points():
-        while (work.has_pole_at_infinity() if pole.is_infinite
-               else work.den.eval(pole.value).is_zero()):
-            leading = work.laurent_leading(pole)
-            column = next(col for col in zip(*leading) if any(not x.is_zero() for x in col))
-            factor = ElementaryFactor(pole, column)
-            peeled.append((pole, factor.v))
-            work = factor.left_divide(work)
-    # on para-unitary input work is now constant, and the factorization's
-    # constructor checks that it is unitary
-    cvals = work.constant_values()
+        kernel = _inverse_kernel(pole)
+        while (leading := leading_numerators(den, grid, top, pole)) is not None:
+            column = next(col for col in zip(*leading) if any(x != (0, 0) for x in col))
+            factor = _factor(pole, canonical_direction(column))
+            peeled.append(factor)
+            den, flat = factor.integer_update(grid, top, 1, 1, den, *kernel)
+            content = int_gcd(*(x for num in (den, *flat) for pair in num for x in pair))
+            if content > 1:
+                den, *flat = ([(x // content, y // content) for x, y in num]
+                              for num in (den, *flat))
+            grid = [flat[k:k + size] for k in range(0, len(flat), size)]
+            top = max(map(len, flat)) - 1
+    # on para-unitary input what is left is a constant C = M / delta, and
+    # the factorization's constructor checks that it is unitary
+    constant = RatMat.from_canonical(
+        *cleared_at_points(den, [num for row in grid for num in row], ()), size)
+    delta = den[0]
+    cols = list(zip(*([num[0] if num else (0, 0) for num in row] for row in grid)))
     factors = []
-    for pole, direction in peeled:
-        conjugated = [
-            sum((cvals[j][k].conj() * direction[j] for j in range(size)), GaussianRational(0))
-            for k in range(size)
-        ]
-        factors.append(ElementaryFactor(pole, conjugated))
-    return AllPassFactorization(work, factors)
+    for f in peeled:
+        scaled = [gi_mul(delta, x) for x in f._ints]
+        factors.append(_factor(f.alpha, canonical_direction([_dot(col, scaled) for col in cols])))
+    return AllPassFactorization(constant, factors)

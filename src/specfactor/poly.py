@@ -674,11 +674,12 @@ def cleared_fraction(den: Poly, nums) -> tuple[Poly, tuple[Poly, ...]]:
     return monic_fraction(den, nums)
 
 
-def cleared_at_points(den, nums, points) -> tuple[Poly, tuple[Poly, ...]]:
-    """The canonical form of nums / den (Gaussian-integer coefficient lists,
-    ascending pairs, [] for zero; den's lead nonzero) when den and nums can
-    share only factors z - p, p in points: each is divided out (``_deflate``)
-    while all of them vanish at p, then den made monic; no gcd is taken."""
+def deflated_at_points(den, nums, points):
+    """nums / den (Gaussian-integer coefficient lists, ascending pairs, []
+    for zero; den's lead nonzero) with each z - p, p in points, divided out
+    (``_deflate``) while den and every numerator vanish at p; no gcd is
+    taken.  Where den and nums can share only such factors, the result is
+    reduced, still as integer lists."""
     for point in points:
         re, im, d = scalar_parts(point)
         root = _lowest((re, im), (d, 0))
@@ -687,6 +688,14 @@ def cleared_at_points(den, nums, points) -> tuple[Poly, tuple[Poly, ...]]:
             if None in deflated:
                 break
             den, nums = quotient, deflated
+    return den, nums
+
+
+def cleared_at_points(den, nums, points) -> tuple[Poly, tuple[Poly, ...]]:
+    """The canonical form of nums / den when den and nums can share only
+    factors z - p, p in points (none when points is empty):
+    ``deflated_at_points``, then den made monic."""
+    den, nums = deflated_at_points(den, nums, points)
     ur, ui, lead = _to_positive(*den[-1])
     return (_reduce(lead, *_scale(*_split(den), ur, ui)),
             tuple(_reduce(lead, *_scale(*_split(m), ur, ui)) for m in nums))

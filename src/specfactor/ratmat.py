@@ -32,8 +32,8 @@ The structural queries all reduce to exact polynomial arithmetic on N/d:
   answers the (zero, pole) pair from max(m, 0) + 2 terms, doubling them
   until the orders found number min(rows, cols) or else the normal rank
   (min(rows, cols) * top + 1 terms, top the largest entry degree, would
-  find them all, so the doubling ends).  The same m-term expansion gives
-  the Laurent leading coefficient up to a positive rational,
+  find them all, so the doubling ends).  One term of it gives the Laurent
+  leading coefficient up to a positive rational (``leading_numerators``),
 * the McMillan degree is the sum of ``pole_degree`` over ``pole_points()``,
 * ``minimal_right_inverse`` of a square G of full rank is its inverse
   d adj(N) / det(N), minimal by theorem; a wide G solves one exact Z[i]
@@ -368,22 +368,16 @@ class RatMat:
 
     def laurent_leading(self, point: Point) -> list[list[GaussianRational]]:
         """The Laurent leading coefficient of G at a pole up to a positive
-        rational: each entry's expansion coefficient at the least order over
-        all entries times conj(c), or zero (see ``point_expansions`` and
-        ``_den_order``).  The least order at a pole is below d's order m
-        there, so the m-term expansion holds it.  A point that is not a
-        pole raises ``ValueError``."""
-        m, (cr, ci) = _den_order(self, point)
-        if m <= 0:
+        rational, read from one expansion term of N (``leading_numerators``:
+        as gcd(d, N) = 1, N's least order at a pole is 0).  A point that is
+        not a pole raises ``ValueError``."""
+        if self.is_zero():
+            raise ZeroMatrixError("degrees of the zero matrix are undefined")
+        grid, top, _ = _integer_form(self)
+        leading = leading_numerators(self._d.parts[1], grid, top, point)
+        if leading is None:
             raise ValueError(f"no pole at {point}")
-        grid = point_expansions(self, point, m)
-        least = min(o for row in grid for e in row if (o := order_of(e)) is not None)
-
-        def lead(e) -> GaussianRational:
-            x, y = e[least] if len(e) > least else (0, 0)
-            return GaussianRational(x * cr + y * ci, y * cr - x * ci)
-
-        return [[lead(e) for e in row] for row in grid]
+        return [[GaussianRational.from_parts(x, y, 1) for x, y in row] for row in leading]
 
     # -- right inverses --------------------------------------------------------------
 
@@ -650,34 +644,60 @@ def _top(mat: RatMat) -> int:
 
 
 def _den_order(mat: RatMat, point: Point) -> tuple[int, tuple[int, int]]:
-    """(m, c) for G = N/d about one point of the extended plane: m is the
-    order of d there and c the first nonzero coefficient of its expansion
-    (at infinity, where d is reversed and padded to ``_top``, m = top -
-    deg d and c is d's lead numerator).  Only d is expanded.
+    """``_den_order_of`` G = N/d, for G not zero; N's top degree is read
+    only at infinity, so a finite point builds no integer form."""
+    if mat.is_zero():
+        raise ZeroMatrixError("degrees of the zero matrix are undefined")
+    return _den_order_of(mat.den.parts[1], _top(mat) if point.is_infinite else -1, point)
+
+
+def _den_order_of(den, top: int, point: Point) -> tuple[int, tuple[int, int]]:
+    """(m, c) for N/d about one point of the extended plane, den d's
+    Gaussian-integer coefficient list and top N's largest entry degree: m
+    is the order of d there and c the first nonzero coefficient of its
+    expansion (at infinity, where d is reversed and padded to top, m = top
+    - deg d and c is d's lead numerator).  Only d is expanded.
 
     m > 0 exactly at a pole: gcd(d, N) = 1 leaves an entry of N nonzero at
     a root of d, and at infinity m > 0 says some entry outgrows d."""
-    if mat.is_zero():
-        raise ZeroMatrixError("degrees of the zero matrix are undefined")
-    d_num = mat.den.parts[1]
     if point.is_infinite:
-        return _top(mat) - (len(d_num) - 1), d_num[-1]
-    d_exp = taylor_numerators(d_num, point.value, len(d_num) - 1, len(d_num))
+        return top - (len(den) - 1), den[-1]
+    d_exp = taylor_numerators(den, point.value, len(den) - 1, len(den))
     m = order_of(d_exp)
     return m, d_exp[m]
 
 
+def leading_numerators(den, grid, top: int, point: Point):
+    """The Laurent leading coefficient of N/d at a pole up to a positive
+    rational, as Gaussian integers, or None where N/d has no pole (den,
+    grid and top as for ``_den_order_of`` and ``_expansions``).  With
+    gcd(d, N) = 1, N's least order at a pole is 0 (see ``_den_order_of``),
+    so it is N's first expansion term times conj(c)."""
+    m, (cr, ci) = _den_order_of(den, top, point)
+    if m <= 0:
+        return None
+    return [[(x * cr + y * ci, y * cr - x * ci) for x, y in (e[0] if e else (0, 0) for e in row)]
+            for row in _expansions(grid, top, point, 1)]
+
+
 def point_expansions(mat: RatMat, point: Point, terms: int):
+    """The entries of N about one point of the extended plane, mod u**terms
+    (``_expansions`` of the memo ``_integer_form``)."""
+    grid, top, _ = _integer_form(mat)
+    return _expansions(grid, top, point, terms)
+
+
+def _expansions(grid, top: int, point: Point, terms: int):
     """The entries of N about one point of the extended plane, mod u**terms.
 
-    The entries, cleared to one integer denominator and padded to the
-    largest entry degree so that one scalar scales them all, come from the
-    memo ``_integer_form``; each is expanded about the point (at infinity:
-    reversed), and only its first ``terms`` coefficients are computed
-    (Gaussian-integer pair lists, [] for zero).  With ``_den_order`` they
-    give G = grid / (c u**m + ...) up to a positive rational.
+    The entries, cleared to one integer denominator (grid, rows of
+    Gaussian-integer coefficient lists) and padded to the largest entry
+    degree top so that one scalar scales them all, are each expanded about
+    the point (at infinity: reversed), and only their first ``terms``
+    coefficients are computed (Gaussian-integer pair lists, [] for zero).
+    With ``_den_order_of`` they give G = grid / (c u**m + ...) up to a
+    positive rational.
     """
-    grid, top, _ = _integer_form(mat)
     if point.is_infinite:
         return [[([(0, 0)] * (top + 1 - len(num)) + [*reversed(num)])[:terms] if num else []
                  for num in row] for row in grid]

@@ -174,6 +174,36 @@ def laurent_leading(mat: RatMat, point: Point):
             for row in terms]
 
 
+def _has_pole(mat: RatMat, point: Point) -> bool:
+    """Whether a reduced entry has a pole at the point."""
+    entries = [e for row in mat.entries for e in row if not e.is_zero()]
+    if point.is_infinite:
+        return any(e.num.degree > e.den.degree for e in entries)
+    return any(e.den.eval(point.value).is_zero() for e in entries)
+
+
+def ref_peel(v: RatMat):
+    """The Potapov peel by the textbook route: at each pole of V, smallest
+    first, while what is left W has a pole there, the first nonzero column
+    of W's Laurent leading coefficient (``laurent_leading``) is the
+    direction and W becomes U~ W, with U built entry by entry
+    (``elementary_oracle``) and U~ its paraconjugate transpose.  What is
+    left is the constant C, and as V = U_0 ... U_{K-1} C, each direction
+    d becomes C* d.  Returns C and the (pole, direction) pairs, the
+    directions as found (not canonical)."""
+    work, steps = v, []
+    for pole in v.pole_points():
+        while _has_pole(work, pole):
+            column = next(col for col in zip(*laurent_leading(work, pole))
+                          if any(not x.is_zero() for x in col))
+            steps.append((pole, column))
+            work = elementary_oracle(pole, column).paraconj_transpose() * work
+    c = work.constant_values()
+    zero = GaussianRational(0)
+    return work, [(pole, [sum((c[j][k].conj() * d[j] for j in range(v.rows)), zero)
+                          for k in range(v.rows)]) for pole, d in steps]
+
+
 # Plain coefficient-list polynomial reference: ascending lists of
 # GaussianRational with no trailing zeros, built only from scalar
 # arithmetic, so it shares no code with Poly's integer kernels.

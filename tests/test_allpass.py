@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 import sys
@@ -9,6 +10,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from specfactor import (
     AllPassFactorization,
+    Comparison,
     ElementaryFactor,
     INFINITY,
     Poly,
@@ -21,7 +23,8 @@ from specfactor import (
     make_elementary,
     potapov_factorize,
 )
-from specfactor import ratmat
+from specfactor import poly, ratmat
+from specfactor.allpass import is_unitary_constant
 from specfactor.errors import DimensionMismatchError, NonGaussianPoleError
 from specfactor.jsonio import ratmat_from_json
 
@@ -34,7 +37,7 @@ from helpers import (
     random_direction,
     random_elementary_product,
 )
-from oracles import brute_point_degrees, elementary_oracle, laurent_leading
+from oracles import brute_point_degrees, elementary_oracle, laurent_leading, ref_peel
 
 
 def test_make_elementary_axis_projection():
@@ -537,16 +540,20 @@ def test_peel_refuses_non_paraunitary_input_within_twice_its_degree(v):
     # only its partner's, by at most one; the peel takes poles by ascending
     # modulus, so a partner it raises is peeled later or never again
     divided = []
-    left_divide = ElementaryFactor.left_divide
+    integer_update = ElementaryFactor.integer_update
 
-    def spy_left_divide(self, w):
+    def spy_integer_update(self, *args):
         divided.append(self)
-        return left_divide(self, w)
+        return integer_update(self, *args)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ElementaryFactor, "left_divide", spy_left_divide)
+        mp.setattr(ElementaryFactor, "integer_update", spy_integer_update)
         _rejects_as_not_paraunitary(v)
     assert len(divided) <= 2 * v.mcmillan_degree()
+    # the first step runs whenever V has a first pole off the unit circle
+    poles = v.pole_points()
+    if poles and poles[0].abs_vs_one() is not Comparison.EQUAL:
+        assert divided
 
 
 def test_peel_reads_no_pole_degree(monkeypatch):
@@ -559,17 +566,17 @@ def test_peel_reads_no_pole_degree(monkeypatch):
          * make_elementary(pt(0), [1, -1, 0]))
     degree = v.mcmillan_degree()
     divided = []
-    left_divide = ElementaryFactor.left_divide
+    integer_update = ElementaryFactor.integer_update
 
     def no_pole_degree(mat, point):
         raise AssertionError("pole degree read in the peel")
 
-    def spy_left_divide(self, w):
+    def spy_integer_update(self, *args):
         divided.append(self)
-        return left_divide(self, w)
+        return integer_update(self, *args)
 
     monkeypatch.setattr(ratmat, "_pole_degree", no_pole_degree)
-    monkeypatch.setattr(ElementaryFactor, "left_divide", spy_left_divide)
+    monkeypatch.setattr(ElementaryFactor, "integer_update", spy_integer_update)
     fact = potapov_factorize(v)
     monkeypatch.undo()
     assert len(divided) == degree == len(fact)
@@ -595,4 +602,79 @@ def test_peel_root_searches_only_the_input_denominator(monkeypatch):
     fact = potapov_factorize(v)
     monkeypatch.undo()
     assert searched and set(searched) == {v.den}
+    assert len(fact) == 5 and fact.product() == v
+
+
+@settings(max_examples=40, deadline=None)
+@given(_paraunitary_products())
+@example((make_elementary(pt(2), [1, 0]) * make_elementary(pt(2), [1, 1]), random.Random(0)))
+@example((V_JSON, random.Random(0)))
+def test_peel_is_the_oracle_peel_factor_for_factor(case):
+    # the integer peel against the textbook one on RatMat products: the
+    # same poles in the same order, the same rays and the same constant
+    v, _ = case
+    fact = potapov_factorize(v)
+    constant, steps = ref_peel(v)
+    assert fact.constant == constant
+    assert [(f.alpha, f) for f in fact.factors] == [
+        (pole, ElementaryFactor(pole, direction)) for pole, direction in steps]
+
+
+def _signed_permutations():
+    rng = random.Random(5)
+    units = [gr(1), gr(-1), gr(0, 1), gr(0, -1)]
+    for n in range(1, 5):
+        for perm in itertools.permutations(range(n)):
+            signs = [rng.choice(units) for _ in range(n)]
+            yield M([[signs[i] if j == perm[i] else 0 for j in range(n)] for i in range(n)])
+
+
+_F = Fraction
+_UNITARY = [M([[1]]), M([[-1]]), M([[gr(0, 1)]]), M([[gr(0, -1)]]),
+            *_signed_permutations(),
+            M([[_F(3, 5), _F(4, 5)], [_F(-4, 5), _F(3, 5)]]),
+            M([[_F(1, 3), _F(2, 3), _F(2, 3)], [_F(2, 3), _F(1, 3), _F(-2, 3)],
+               [_F(2, 3), _F(-2, 3), _F(1, 3)]])]
+_NOT_UNITARY = [c * k for c in _UNITARY for k in (gr(2), gr(1, 1))] + [
+    M([[_F(3, 5), _F(4, 5)], [_F(-4, 5), _F(3, 6)]])]
+
+
+def test_integer_unitarity_check_is_the_paraunitary_check_on_constants():
+    for c in _UNITARY:
+        assert is_unitary_constant(c) and is_paraunitary(c), c
+        assert AllPassFactorization(c, []).constant == c
+    for c in _NOT_UNITARY:
+        assert not is_unitary_constant(c) and not is_paraunitary(c), c
+        with pytest.raises(ValueError) as info:
+            AllPassFactorization(c, [])
+        assert type(info.value) is ValueError
+        assert str(info.value) == "leading matrix of a factorization must be unitary"
+
+
+def test_peel_fills_no_memo():
+    # the peel workload is the benchmark's control for caching: only V's
+    # own pole query (its integer form, its denominator's roots) is
+    # memoized, and no step or check fills a memo
+    v = (make_elementary(pt(2), [1, 0, gr(0, 1)])
+         * make_elementary(pt(1, 1), [1, 1, 0])
+         * make_elementary(pt(Fraction(1, 2)), [0, 2, -1])
+         * make_elementary(INFINITY, [1, 1, 1])
+         * make_elementary(pt(0), [1, -1, 0]))
+    memos = {f"{name}.{attr}": fn for name, module in sys.modules.items()
+             if name.startswith("specfactor") and module is not None
+             for attr, fn in vars(module).items()
+             if hasattr(fn, "cache_clear") and fn.__module__ == name}
+    assert len(memos) == 10
+    for fn in memos.values():
+        fn.cache_clear()
+    fact = potapov_factorize(v)
+    sizes = {name: fn.cache_info().currsize for name, fn in memos.items()
+             if fn.cache_info().currsize}
+    assert sizes == {"specfactor.ratmat._integer_form": 1, "specfactor.poly.gaussian_roots": 1}
+    # the one entry of each is V's: asking for it again is a hit
+    for fn, arg in ((ratmat._integer_form, v), (poly.gaussian_roots, v.den)):
+        before = fn.cache_info()
+        fn(arg)
+        after = fn.cache_info()
+        assert (after.hits, after.misses, after.currsize) == (before.hits + 1, before.misses, 1)
     assert len(fact) == 5 and fact.product() == v
