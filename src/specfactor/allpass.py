@@ -23,12 +23,11 @@ That column always lowers the degree by one (the lemma in
 ``potapov_factorize``), so the peel enumerates no minors, tries no
 candidates and reads no pole degree: it asks ``RatMat`` for the input's
 pole locations once and peels each while what is left has a pole there.
-What is left stays one reduced Gaussian-integer pair, not monic, from the
-input to the constant tail, each step reading its pole test and column
-from one expansion term (``ratmat.leading_numerators``, as
-``RatMat.laurent_leading`` does) and taking ``integer_update``'s pair; only
-the tail becomes a ``RatMat``, checked unitary in integers
-(``is_unitary_constant``), so the peel fills no memo but the input's.
+What is left stays one Gaussian-integer pair, reduced but not monic: each
+step reads its pole test and column from one expansion term
+(``ratmat.leading_numerators``, as ``RatMat.laurent_leading`` does) and
+takes ``integer_update``'s pair.  Only the constant tail becomes a
+``RatMat``, checked unitary in integers (``is_unitary_constant``).
 """
 
 from __future__ import annotations

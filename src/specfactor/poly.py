@@ -677,9 +677,7 @@ def cleared_fraction(den: Poly, nums) -> tuple[Poly, tuple[Poly, ...]]:
 def deflated_at_points(den, nums, points):
     """nums / den (Gaussian-integer coefficient lists, ascending pairs, []
     for zero; den's lead nonzero) with each z - p, p in points, divided out
-    (``_deflate``) while den and every numerator vanish at p; no gcd is
-    taken.  Where den and nums can share only such factors, the result is
-    reduced, still as integer lists."""
+    (``_deflate``) while den and every numerator vanish at p; no gcd."""
     for point in points:
         re, im, d = scalar_parts(point)
         root = _lowest((re, im), (d, 0))

@@ -11,14 +11,16 @@ evaluation.  The cleared form of a matrix is rebuilt from its reduced
 entries, one lcm at a time, without ``ratmat``.  Hermitian matrices with a
 planted spectrum are built from a Householder reflector, not from an
 eigenvalue routine.  Gaussian rationals are checked against a pair of
-``Fraction``s (``RefGaussian``), not against the integer layout.
+``Fraction``s (``RefGaussian``), not against the integer layout.  The
+Potapov peel is replayed with entrywise factors, the leading-coefficient
+oracle and plain ``RatMat`` products (``ref_peel``).
 """
 
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import lcm
 
-from specfactor import Poly, RatFun, RatMat, Point
+from specfactor import ElementaryFactor, Poly, RatFun, RatMat, Point
 from specfactor.poly import poly_gcd
 from specfactor.scalars import GaussianRational
 
@@ -189,13 +191,16 @@ def ref_peel(v: RatMat):
     direction and W becomes U~ W, with U built entry by entry
     (``elementary_oracle``) and U~ its paraconjugate transpose.  What is
     left is the constant C, and as V = U_0 ... U_{K-1} C, each direction
-    d becomes C* d.  Returns C and the (pole, direction) pairs, the
-    directions as found (not canonical)."""
+    d becomes C* d.  Returns C and the (pole, direction) pairs.  The peel
+    stores each step's direction in the form ``ElementaryFactor`` gives a
+    ray, which can differ from the column by a unit as well as a positive
+    rational, and conjugates that, so the steps take the same form here."""
     work, steps = v, []
     for pole in v.pole_points():
         while _has_pole(work, pole):
             column = next(col for col in zip(*laurent_leading(work, pole))
                           if any(not x.is_zero() for x in col))
+            column = ElementaryFactor(pole, column).v
             steps.append((pole, column))
             work = elementary_oracle(pole, column).paraconj_transpose() * work
     c = work.constant_values()

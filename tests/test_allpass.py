@@ -635,8 +635,10 @@ _UNITARY = [M([[1]]), M([[-1]]), M([[gr(0, 1)]]), M([[gr(0, -1)]]),
             M([[_F(3, 5), _F(4, 5)], [_F(-4, 5), _F(3, 5)]]),
             M([[_F(1, 3), _F(2, 3), _F(2, 3)], [_F(2, 3), _F(1, 3), _F(-2, 3)],
                [_F(2, 3), _F(-2, 3), _F(1, 3)]])]
+# scaled, a column off the unit sphere, and unit columns that are not orthogonal
 _NOT_UNITARY = [c * k for c in _UNITARY for k in (gr(2), gr(1, 1))] + [
-    M([[_F(3, 5), _F(4, 5)], [_F(-4, 5), _F(3, 6)]])]
+    M([[_F(3, 5), _F(4, 5)], [_F(-4, 5), _F(3, 6)]]),
+    M([[1, _F(3, 5)], [0, _F(4, 5)]]), M([[1, 0, 0], [0, 1, gr(0, _F(3, 5))], [0, 0, _F(4, 5)]])]
 
 
 def test_integer_unitarity_check_is_the_paraunitary_check_on_constants():
