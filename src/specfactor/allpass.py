@@ -37,7 +37,7 @@ from math import gcd as int_gcd
 from .errors import DimensionMismatchError
 from .gaussint import gi_mul
 from .linsolve import cleared
-from .poly import Poly, cleared_at_points, deflated_at_points, mul_into, pairs
+from .poly import Poly, deflated_at_points, monic_lists, mul_into, pairs
 from .ratfun import RatFun, blaschke, blaschke_parts
 from .ratmat import RatMat, integer_form, leading_numerators
 from .scalars import Comparison, GaussianRational, Point
@@ -153,7 +153,7 @@ class ElementaryFactor:
         grid, top, big = integer_form(w)
         d_den, d_ints = w.den.parts
         den, flat = self.integer_update(grid, top, big, d_den, d_ints, kn, kd)
-        return RatMat.from_canonical(*cleared_at_points(den, flat, ()), w.cols)
+        return RatMat.from_canonical(*monic_lists(den, flat), w.cols)
 
     def matrix(self) -> RatMat:
         """U = I + (b - 1) P."""
@@ -364,8 +364,7 @@ def _peel(v: RatMat) -> AllPassFactorization:
             top = max(map(len, flat)) - 1
     # on para-unitary input what is left is a constant C = M / delta, and
     # the factorization's constructor checks that it is unitary
-    constant = RatMat.from_canonical(
-        *cleared_at_points(den, [num for row in grid for num in row], ()), size)
+    constant = RatMat.from_canonical(*monic_lists(den, [n for row in grid for n in row]), size)
     delta = den[0]
     cols = list(zip(*([num[0] if num else (0, 0) for num in row] for row in grid)))
     factors = []

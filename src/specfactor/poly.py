@@ -24,8 +24,9 @@ many terms as asked for; it gives multiplicities, and its first term is
 ``eval``'s Horner rule) are exact.  A fraction, ``RatFun``'s or
 ``RatMat``'s, is reduced by one route, ``cleared_fraction``: the running
 gcd ``gcd_of`` divided out, then ``monic_fraction``; where a lemma names
-the only factors it can share, ``cleared_at_points``.  Root finding
-is restricted to roots in Q(i) and reports the unsplit cofactor.  A linear
+the only factors it can share, ``deflated_at_points`` and ``monic_lists``.
+Root finding is restricted to roots in Q(i) and reports the unsplit
+cofactor.  A linear
 square-free part gives its root exactly; beyond that, floating point only
 proposes root candidates, by the closed form for a quadratic and an
 in-house Aberth-Ehrlich iteration from degree 3, rounded to nearby
@@ -689,11 +690,10 @@ def deflated_at_points(den, nums, points):
     return den, nums
 
 
-def cleared_at_points(den, nums, points) -> tuple[Poly, tuple[Poly, ...]]:
-    """The canonical form of nums / den when den and nums can share only
-    factors z - p, p in points (none when points is empty):
-    ``deflated_at_points``, then den made monic."""
-    den, nums = deflated_at_points(den, nums, points)
+def monic_lists(den, nums) -> tuple[Poly, tuple[Poly, ...]]:
+    """The canonical form of nums / den, Gaussian-integer coefficient lists
+    with no common factor (as ``deflated_at_points`` leaves them where a
+    lemma names the only factors): den made monic."""
     ur, ui, lead = _to_positive(*den[-1])
     return (_reduce(lead, *_scale(*_split(den), ur, ui)),
             tuple(_reduce(lead, *_scale(*_split(m), ur, ui)) for m in nums))
