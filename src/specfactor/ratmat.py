@@ -670,34 +670,32 @@ def _den_order_of(den, top: int, point: Point) -> tuple[int, tuple[int, int]]:
 def leading_numerators(den, grid, top: int, point: Point):
     """The Laurent leading coefficient of N/d at a pole up to a positive
     rational, as Gaussian integers, or None where N/d has no pole (den,
-    grid and top as for ``_den_order_of`` and ``_expansions``).  With
+    grid and top as for ``_den_order_of`` and ``point_expansions``).  With
     gcd(d, N) = 1, N's least order at a pole is 0 (see ``_den_order_of``),
-    so it is N's first expansion term times conj(c)."""
+    so it is N's first expansion term times conj(c): N(alpha), padded to
+    top, or at infinity N's coefficients of z**top."""
     m, (cr, ci) = _den_order_of(den, top, point)
     if m <= 0:
         return None
-    return [[(x * cr + y * ci, y * cr - x * ci) for x, y in (e[0] if e else (0, 0) for e in row)]
-            for row in _expansions(grid, top, point, 1)]
+    if point.is_infinite:
+        first = [[num[top] if len(num) > top else (0, 0) for num in row] for row in grid]
+    else:
+        first = [[taylor_numerators(num, point.value, top, 1)[0] if num else (0, 0)
+                  for num in row] for row in grid]
+    return [[(x * cr + y * ci, y * cr - x * ci) for x, y in row] for row in first]
 
 
 def point_expansions(mat: RatMat, point: Point, terms: int):
-    """The entries of N about one point of the extended plane, mod u**terms
-    (``_expansions`` of the memo ``_integer_form``)."""
-    grid, top, _ = _integer_form(mat)
-    return _expansions(grid, top, point, terms)
-
-
-def _expansions(grid, top: int, point: Point, terms: int):
     """The entries of N about one point of the extended plane, mod u**terms.
 
-    The entries, cleared to one integer denominator (grid, rows of
-    Gaussian-integer coefficient lists) and padded to the largest entry
-    degree top so that one scalar scales them all, are each expanded about
-    the point (at infinity: reversed), and only their first ``terms``
-    coefficients are computed (Gaussian-integer pair lists, [] for zero).
-    With ``_den_order_of`` they give G = grid / (c u**m + ...) up to a
-    positive rational.
+    The entries, cleared to one integer denominator and padded to the
+    largest entry degree so that one scalar scales them all, come from the
+    memo ``_integer_form``; each is expanded about the point (at infinity:
+    reversed), and only its first ``terms`` coefficients are computed
+    (Gaussian-integer pair lists, [] for zero).  With ``_den_order`` they
+    give G = grid / (c u**m + ...) up to a positive rational.
     """
+    grid, top, _ = _integer_form(mat)
     if point.is_infinite:
         return [[([(0, 0)] * (top + 1 - len(num)) + [*reversed(num)])[:terms] if num else []
                  for num in row] for row in grid]
