@@ -18,9 +18,10 @@ constant orthogonal transfer T (expected; T is para-unitary because the
 factors are co-spectral), or a non-constant T despite all hypotheses
 holding, which only a defect here can produce.  When W1 is a constant
 multiple T W, W1's structural hypotheses are W's and are read off W, so
-such a pair costs about one factor's checks; W's minimal right inverse X
-and the transfer W1 X are formed once each.  ``generate_instance`` meets
-every hypothesis by construction.
+such a pair costs about one factor's checks and forms no Gram of W1; W's
+minimal right inverse X and the transfer W1 X are formed once each, and
+Phi's degree is read at W's poles.  ``generate_instance`` meets every
+hypothesis by construction.
 
 Exactness note: apart from root guesses that are confirmed exactly, the
 only floating-point computation in the package is ``psd_on_circle``, an
@@ -38,7 +39,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .allpass import ElementaryFactor, is_parahermitian
+from .allpass import ElementaryFactor, is_parahermitian, is_unitary_constant
 from .errors import (
     CoSpectralityError,
     DimensionMismatchError,
@@ -240,9 +241,29 @@ def _inverse_analytic(w: RatMat, region: Region) -> bool:
         return False
 
 
+def _spectrum_degree(w: RatMat, phi: RatMat) -> int:
+    """deg Phi for Phi = W~ W (the precondition, not checked), from W's pole
+    points P alone: Phi's denominator, twice the degree of W's, is never
+    root-searched.
+
+    W~(z) = W(1/conj z)^H has its poles at 1/conj p for p in P (0 and
+    infinity swapped, ``Point.conj_pair``), so Phi's poles lie in P and
+    their images.  Phi is para-Hermitian, Phi(z) = Phi(1/conj z)^H, and
+    conjugating coefficients, z -> 1/z and transposing each keep local pole
+    degrees, so Phi's degree at p equals that at 1/conj p.  Summing over one
+    representative |rep| < 1 per pair, twice, or once for a point of the
+    unit circle (its own image), gives deg Phi."""
+    reps = {p if p.abs_vs_one() is not Comparison.GREATER else p.conj_pair()
+            for p in w.pole_points()}
+    return sum((1 if rep.abs_vs_one() is Comparison.EQUAL else 2) * phi.pole_degree(rep)
+               for rep in reps)
+
+
 def _is_minimal(w: RatMat, phi: RatMat) -> bool:
-    """Stochastic minimality of a factor W of Phi: 2 deg W = deg Phi."""
-    return 2 * w.mcmillan_degree() == phi.mcmillan_degree()
+    """Stochastic minimality of a factor W of Phi: 2 deg W = deg Phi.  Both
+    callers pass Phi = W~ W, so deg Phi is read at W's poles and their
+    images (``_spectrum_degree``)."""
+    return 2 * w.mcmillan_degree() == _spectrum_degree(w, phi)
 
 
 @lru_cache(maxsize=32)
@@ -333,6 +354,12 @@ def _hermitian_eigenvalues(a: list[list[complex]]) -> list[float]:
     return sorted(b[k][k] for k in range(m))[::2]
 
 
+def _is_constant_transfer(t: RatMat, w: RatMat, w1: RatMat) -> bool:
+    """W1 = T W with T constant and unitary, which makes W1 and W
+    co-spectral: W1~ W1 = W~ T^H T W = W~ W."""
+    return t.is_constant() and is_unitary_constant(t) and t * w == w1
+
+
 def transfer_between(w1: RatMat, w: RatMat) -> RatMat:
     """The para-unitary transfer T with W1 = T W, computed as W1 times a
     minimal right inverse X of W.  Raises when the inputs are not exact
@@ -341,15 +368,18 @@ def transfer_between(w1: RatMat, w: RatMat) -> RatMat:
     Co-spectrality is the one check T needs.  With W X = I it gives
     T* T = X* W1* W1 X = X* W* W X = (W X)* (W X) = I, and for
     A = W1 (I - X W) it gives A* A = (W - W X W)* (W - W X W) = 0; on the
-    unit circle A* A is A^H A, so A = 0 and W1 = T W."""
+    unit circle A* A is A^H A, so A = 0 and W1 = T W.  So a constant T
+    that is unitary with T W = W1 (``_is_constant_transfer``) settles
+    co-spectrality without either Gram product, and only otherwise are
+    W1* W1 and W* W compared."""
     if w1.rows != w.rows or w1.cols != w.cols:
         raise DimensionMismatchError("factors must share dimensions")
     if w.normal_rank() != w.rows or w1.normal_rank() != w1.rows:
         raise RankDeficiencyError("transfer needs full row rank factors")
-    w_inv = w.minimal_right_inverse()
-    if _gram(w1) != _gram(w):
+    t = w1 * w.minimal_right_inverse()
+    if not _is_constant_transfer(t, w, w1) and _gram(w1) != _gram(w):
         raise CoSpectralityError("factors are not co-spectral: W1* W1 differs from W* W")
-    return w1 * w_inv
+    return t
 
 
 class Verdict(enum.Enum):
@@ -378,17 +408,21 @@ def uniqueness_check(
     ``transfer_between``): a constant real T is orthogonal and yields
     UNIQUE, a non-constant one UNIQUENESS_VIOLATED, a defect of this package.
 
-    W's minimal right inverse X is formed once, right after W's pole-region
-    check, whenever both factors have full row rank; when W has none, that
-    attempt is W's failed inverse check.  When the factors are also
-    co-spectral and share their canonical denominator, T = W1 X is formed
-    then too, and kept.  If T is constant, W1's three structural hypotheses
+    W's Gram Phi = W~ W is formed first.  W's minimal right inverse X is
+    formed once, right after W's pole-region check, whenever both factors
+    have full row rank; when W has none, that attempt is W's failed inverse
+    check.  When the factors share their canonical denominator, T = W1 X is
+    formed then too, before co-spectrality is known, and kept.  If T is
+    constant and unitary with T W = W1 (``_is_constant_transfer``), the
+    pair is co-spectral, as W1~ W1 = W~ T^H T W = W~ W, so W1's Gram is
+    not formed.  Conversely a co-spectral pair with constant T passes both
+    tests (W1 = T W and T~ T = I by ``transfer_between``; T~ is T^H for
+    constant T), so every other pair is decided by comparing the Grams, as
+    before.  For such a constant T, W1's three structural hypotheses
     (analyticity in the pole region, a minimal inverse analytic in the zero
-    region, stochastic minimality) take W's answers.  This is exact:
-    co-spectrality gives W1 = T W and T~ T = I; for constant T, T~ is the
-    conjugate transpose T^H, so T^H T = I and T is invertible.  W1 = T W
-    with T constant and invertible has W's poles and zeros with their
-    degrees (left multiplication by a constant unit keeps every local
+    region, stochastic minimality) take W's answers.  This is exact: T is
+    unitary, hence invertible, and W1 = T W has W's poles and zeros with
+    their degrees (left multiplication by a constant unit keeps every local
     Smith-McMillan form), hence W's McMillan degree, and Phi1 = Phi.
     W1 Y = I exactly when W (Y T) = I, so every minimal right inverse of W1
     is X' T^-1 for a minimal right inverse X' of W, with the poles of X',
@@ -396,8 +430,10 @@ def uniqueness_check(
     common factor of d and the entries of T N would divide those of
     N = T^-1 (T N).  Otherwise every W1 hypothesis is checked on W1 itself,
     and W1 X is formed at the end if it was not formed before.  Forming X
-    finds no roots and raises only ``MinimalInverseError``, so forming it
-    ahead of W1's pole-region check moves no exception.
+    and T finds no roots, and forming X raises only
+    ``MinimalInverseError``, so the root searches keep their order: W's
+    pole region first, and Phi's degree is read at W's poles
+    (``_is_minimal``), never from Phi's own denominator.
     """
     if w.rows != w1.rows or w.cols != w1.cols:
         raise DimensionMismatchError("candidate factors must share dimensions")
@@ -409,10 +445,6 @@ def uniqueness_check(
     if not full_rank:
         failed.append("full_row_rank")
     phi = _gram(w)
-    phi1 = _gram(w1)
-    cospectral = phi == phi1
-    if not cospectral:
-        failed.append("co_spectrality")
     w_analytic = analytic_in(w, region_p)
     x = t = None
     if full_rank:
@@ -420,9 +452,12 @@ def uniqueness_check(
             x = w.minimal_right_inverse()
         except MinimalInverseError:
             pass
-    if x is not None and cospectral and w1.den == w.den:
+    if x is not None and w1.den == w.den:
         t = w1 * x
-    constant = t is not None and t.is_constant()
+    constant = t is not None and _is_constant_transfer(t, w, w1)
+    phi1 = phi if constant else _gram(w1)
+    if phi != phi1:
+        failed.append("co_spectrality")
     if not w_analytic:
         failed.append("analyticity_W")
     if not (w_analytic if constant else analytic_in(w1, region_p)):
@@ -719,7 +754,7 @@ def run_sweep(instances: int, base_seed: int = 20240) -> dict:
                 "weak_regions": [region_p.weak, region_z.weak],
                 "size": list(size),
                 "degree": degree,
-                "spectrum_degree": spectrum.mcmillan_degree(),
+                "spectrum_degree": _spectrum_degree(w, spectrum.phi),
                 "orthogonal_case": {
                     "verdict": res_orth.verdict.value,
                     "failed_hypotheses": list(res_orth.failed_hypotheses),

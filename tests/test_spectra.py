@@ -34,6 +34,7 @@ from specfactor import (
     transfer_between,
     uniqueness_check,
 )
+from specfactor.allpass import is_unitary_constant
 from specfactor.errors import (
     CoSpectralityError,
     DimensionMismatchError,
@@ -52,11 +53,12 @@ from specfactor.spectra import (
     _draw_real_outside,
     _gram,
     _hermitian_eigenvalues,
+    _spectrum_degree,
     default_geometries,
 )
 
 from helpers import M, P, RF, gr, pt
-from oracles import householder_hermitian
+from oracles import brute_point_degrees, householder_hermitian
 
 OUTER = Region(Side.OUTER)
 INNER = Region(Side.INNER)
@@ -608,6 +610,165 @@ def test_violated_uniqueness_with_a_shared_denominator_forms_the_transfer_once(m
     assert products == [w.minimal_right_inverse()]
     assert not res.transfer.is_constant()
     assert res.transfer * w == w1
+
+
+# -- deg Phi from W's poles, and co-spectrality from a constant transfer ------------
+
+
+def _brute_gram_degree(w) -> int:
+    """deg W~ W as the brute-force pole degrees of Phi = W~ W summed over
+    W's poles and their images 1/conj p."""
+    poles = set(w.pole_points())
+    return sum(brute_point_degrees(_gram(w), p)[1]
+               for p in poles | {p.conj_pair() for p in poles})
+
+
+def _check_spectrum_degree(w):
+    phi = _gram(w)
+    assert _spectrum_degree(w, phi) == phi.mcmillan_degree() == _brute_gram_degree(w)
+    if w.has_real_coeffs():
+        assert _spectrum_degree(w, phi) == Spectrum(phi).mcmillan_degree()
+
+
+_PERTURBATION_POLES = [pt(0), INFINITY, pt(3), pt(Fraction(1, 2)), pt(-1, 1)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**16), st.integers(0, 3), st.sampled_from([(1, 1), (1, 2), (2, 2), (2, 3)]),
+       st.integers(0, 3), st.lists(st.sampled_from(_PERTURBATION_POLES), max_size=2))
+def test_spectrum_degree_is_read_at_the_factors_poles(seed, geo_index, size, degree, poles):
+    geo = default_geometries()[geo_index]
+    _, w = generate_instance(seed, size, degree, geo["region_p"], geo["region_z"])
+    _check_spectrum_degree(perturb_with_allpass(w, poles))
+
+
+_CIRCLE_PAIR = P(1, Fraction(-6, 5), 1)  # poles (3 +- 4i)/5 on the unit circle
+
+
+@pytest.mark.parametrize("w", [
+    M([[RF([1], [0, 1]), 1]]),  # a pole at 0
+    M([[RF([1, 0, 1]), RF([0, 1])]]),  # polynomial: a pole at infinity only
+    M([[RF([0, 0, 1], [-2, 1])]]),  # improper: poles at 2 and infinity
+    M([[RF([1, 0, 1], [0, 1])]]),  # z + 1/z: poles at 0 and infinity, each the other's image
+    M([[RF([1], [-2, 1]), RF([1], [Fraction(-1, 2), 1])]]),  # 2 and its image 1/2
+    M([[RF([1], [2, -2, 1])], [RF([0, 1], [Fraction(1, 2), -1, 1])]]),  # 1 +- i, (1 +- i)/2
+    M([[RF([1], [-1, 1]), 0], [0, RF([1], [-1, 1]) ** 2]]),  # 1, on the circle, twice
+    M([[RF([1], _CIRCLE_PAIR), RF([0, 1], _CIRCLE_PAIR)]]),
+    # complex W: (3 + 4i)/5 on the circle, and 2i, whose image is i/2, not 1/(2i)
+    M([[RF([1], [gr(Fraction(-3, 5), Fraction(-4, 5)), 1]), RF([1], [gr(0, -2), 1])]]),
+    M([[1, 2]]),  # constant: no pole at all
+], ids=["zero", "polynomial", "improper", "zero_and_infinity", "pair", "complex_pair",
+        "circle_1", "circle_3_4i", "complex", "constant"])
+def test_spectrum_degree_at_hand_built_poles(w):
+    _check_spectrum_degree(w)
+
+
+_ANALYTICITY = ("analyticity_W", "analyticity_W1", "analyticity_W_inverse",
+                "analyticity_W1_inverse")
+_MINIMALITY = ("minimality_W", "minimality_W1")
+
+
+# W = 1/((z - 3**k)(z - c)), the edge fingerprint's input for seeds 0-7
+@pytest.mark.parametrize("k, c, geo_index, failed", [
+    (626, -2, 0, _ANALYTICITY),
+    (627, 0, 1, _ANALYTICITY + _MINIMALITY),
+    (624, 0, 2, ("analyticity_W", "analyticity_W1") + _MINIMALITY),
+    (629, -1, 3, _ANALYTICITY),
+    (621, 2, 0, _ANALYTICITY),
+    (620, 1, 1, _ANALYTICITY),
+    (629, 3, 2, ()),
+    (625, -1, 3, _ANALYTICITY),
+])
+def test_uniqueness_reads_phis_degree_past_a_refused_root_search(k, c, geo_index, failed):
+    # Phi's own denominator has the root 3**-k, whose divisor search is
+    # refused; read at W's poles its degree needs no root search of Phi
+    geo = default_geometries()[geo_index]
+    w = M([[RF([1], P(-3**k, 1) * P(-c, 1))]])
+    with pytest.raises(InputTooLargeError):
+        _gram(w).mcmillan_degree()
+    assert _spectrum_degree(w, _gram(w)) == _brute_gram_degree(w) == (2 if c == 0 else 4)
+    for sign in (1, -1):
+        res = uniqueness_check(w, w * sign, geo["region_p"], geo["region_z"])
+        assert res.failed_hypotheses == failed
+        if failed:
+            assert (res.verdict, res.transfer) == (Verdict.HYPOTHESIS_FAILED, None)
+        else:
+            assert (res.verdict, res.transfer) == (Verdict.UNIQUE, M([[sign]]))
+
+
+def _spy_grams(monkeypatch) -> list:
+    grams = []
+    original = spectra._gram
+
+    def spy(w):
+        grams.append(w)
+        return original(w)
+
+    monkeypatch.setattr(spectra, "_gram", spy)
+    return grams
+
+
+_W23 = generate_instance(3, (2, 3), 3, OUTER, OUTER)[1]
+
+
+@pytest.mark.parametrize("q", _ORTHOGONAL_POOLS[2] + [M([[gr(0, 1), 0], [0, gr(0, 1)]])],
+                         ids=[f"pool{k}" for k in range(6)] + ["i"])
+def test_constant_unitary_transfer_forms_no_gram_of_w1(monkeypatch, q):
+    # W1 = q W with q unitary: co-spectral by W1~ W1 = W~ q^H q W, so only
+    # W's Gram is formed; the complex multiple i W fails real coefficients
+    w1 = q * _W23
+    expected = _reference_hypotheses(_W23, w1, OUTER, OUTER)
+    assert expected == (() if q.has_real_coeffs() else ("real_coefficients",))
+    grams = _spy_grams(monkeypatch)
+    res = uniqueness_check(_W23, w1, OUTER, OUTER)
+    assert res.failed_hypotheses == expected
+    assert res.transfer == (q if not expected else None)
+    assert grams == [_W23]
+    grams.clear()
+    assert transfer_between(w1, _W23) == q
+    assert grams == []
+
+
+def test_scaled_factor_is_not_co_spectral(monkeypatch):
+    # T = 2 I is constant but not unitary, so the Grams are compared
+    w1 = _W23 * 2
+    t = w1 * _W23.minimal_right_inverse()
+    assert t.is_constant() and not is_unitary_constant(t)
+    expected = _reference_hypotheses(_W23, w1, OUTER, OUTER)
+    assert "co_spectrality" in expected
+    grams = _spy_grams(monkeypatch)
+    res = uniqueness_check(_W23, w1, OUTER, OUTER)
+    assert (res.verdict, res.failed_hypotheses) == (Verdict.HYPOTHESIS_FAILED, expected)
+    assert grams == [_W23, w1]
+    with pytest.raises(CoSpectralityError):
+        transfer_between(w1, _W23)
+
+
+def test_unitary_transfer_that_misses_w1_is_not_co_spectral(monkeypatch):
+    # W = [1, 0], W1 = [1, 1]: T = W1 X = 1 is constant and unitary, but
+    # T W differs from W1
+    w, w1 = M([[1, 0]]), M([[1, 1]])
+    t = w1 * w.minimal_right_inverse()
+    assert t.is_constant() and is_unitary_constant(t) and t * w != w1
+    assert _reference_hypotheses(w, w1, INNER, INNER) == ("co_spectrality",)
+    grams = _spy_grams(monkeypatch)
+    assert uniqueness_check(w, w1, INNER, INNER).failed_hypotheses == ("co_spectrality",)
+    assert grams == [w, w1]
+
+
+def test_non_constant_transfer_still_compares_the_grams(monkeypatch):
+    geo = default_geometries()[1]
+    _, w = generate_instance(7, (2, 3), 2, geo["region_p"], geo["region_z"])
+    w1 = perturb_with_allpass(w, [geo["allpass_pole"]])
+    expected = _reference_hypotheses(w, w1, geo["region_p"], geo["region_z"])
+    assert expected and "co_spectrality" not in expected
+    grams = _spy_grams(monkeypatch)
+    res = uniqueness_check(w, w1, geo["region_p"], geo["region_z"])
+    assert res.failed_hypotheses == expected
+    assert grams == [w, w1]
+    grams.clear()
+    assert transfer_between(w1, w) == make_elementary(geo["allpass_pole"], [1, 0])
+    assert grams == [w1, w]
 
 
 def test_generate_instance_postconditions():
