@@ -7,11 +7,11 @@ v v* / (v* v)), which keeps every coefficient inside Q(i); unit-norm
 normalization would need square roots.  A factor acts by one rank-one
 update, W + (k - 1) P W for a kernel k: ``left_multiply`` (U W) updates W
 with b, ``left_divide`` (U~ W = U^-1 W) with b~ = 1/b, and ``matrix`` is
-the left multiplication of the identity.  The update runs in integers
-(``ElementaryFactor.integer_update``) on W's cleared form N/d, with N over
-one integer denominator from ``ratmat.integer_form`` and every product from
-``poly.mul_into``, and, by the lemma there, reduces by synthetic division
-at alpha and its partner, with no gcd.
+the left multiplication of the identity.  The layer works on Gaussian-
+integer coefficient lists alone: k is ``ratfun.blaschke_kernel``'s pair
+(swapped for b~), and ``ElementaryFactor.integer_update`` takes and returns
+W's state, d and N's rows over one scale, with every product from
+``poly.mul_into`` and, by the lemma there, no gcd.
 
 ``potapov_factorize`` peels a para-unitary matrix into a constant unitary
 times elementary factors, one per unit of McMillan degree.  The peel order
@@ -23,22 +23,23 @@ That column always lowers the degree by one (the lemma in
 ``potapov_factorize``), so the peel enumerates no minors, tries no
 candidates and reads no pole degree: it asks ``RatMat`` for the input's
 pole locations once and peels each while what is left has a pole there.
-What is left stays one Gaussian-integer pair, reduced but not monic: each
-step reads its pole test and column from one expansion term
+What is left stays one such state, reduced but not monic: each step reads
+its pole test and column from one expansion term
 (``ratmat.leading_numerators``, as ``RatMat.laurent_leading`` does) and
-takes ``integer_update``'s pair.  Only the constant tail becomes a
+takes ``integer_update``'s state.  Only the constant tail becomes a
 ``RatMat``, checked unitary in integers (``is_unitary_constant``).
 """
 
 from __future__ import annotations
 
+from itertools import zip_longest
 from math import gcd as int_gcd
 
 from .errors import DimensionMismatchError
 from .gaussint import gi_mul
 from .linsolve import cleared
-from .poly import Poly, deflated_at_points, monic_lists, mul_into, pairs
-from .ratfun import RatFun, blaschke, blaschke_parts
+from .poly import deflated_at_points, monic_lists, mul_into, pairs
+from .ratfun import RatFun, blaschke, blaschke_kernel
 from .ratmat import RatMat, integer_form, leading_numerators
 from .scalars import Comparison, GaussianRational, Point
 
@@ -99,13 +100,18 @@ class ElementaryFactor:
         v = self.v
         return [[vi * vj.conj() / norm for vj in v] for vi in v]
 
-    def integer_update(self, grid, top: int, big: int, d_den: int, d_ints,
-                       kn: Poly, kd: Poly):
-        """W + (k - 1) P W for W = N/d, N = grid / big (rows of Gaussian-
-        integer coefficient lists of degree at most top), d = d_ints / d_den
-        and the kernel k = kn/kd: with nv = v* v, kd N + v (kn - kd)(v* N)
-        / nv over kd d, in integers, as (den, flat) coefficient lists (N
-        row by row) deflated at alpha and its partner, reduced if W is.
+    def integer_update(self, den, grid, top: int, kn, kd):
+        """W + (k - 1) P W for the kernel k = kn/kd and W = N/d as the
+        peel's state: den (d) and grid (N's rows), Gaussian-integer
+        coefficient lists over one scale, and top, N's largest entry degree.
+        With nv = v* v it is kd N + v (kn - kd)(v* N) / nv over kd d, times
+        nv in integers, returned as the same state deflated at alpha and its
+        partner, integer content divided out, reduced if W is.
+
+        A nonzero Gaussian integer common to den and grid, or to kn and kd,
+        only scales the result, which ``monic_lists`` removes and the peel
+        reads as |lambda|**2 (``leading_numerators``).  As b~ = 1/b, b's
+        lists swapped are b~'s: ``left_divide`` and the peel pass them so.
 
         Lemma.  The common factor of kd d and every numerator is
         (z - alpha)^a (z - beta)^b, beta = alpha.conj_pair(), over the
@@ -119,14 +125,12 @@ class ElementaryFactor:
         """
         if len(grid) != len(self._ints):
             raise DimensionMismatchError("factor dimension mismatch")
-        (k_den, k_ints), (j_den, j_ints) = kd.parts, (kn - kd).parts
-        # all times d_den k_den j_den nv big: kd N is head times the grid,
-        # v (kn - kd)(v* N) each row's step times its column's v*
-        # combination, and kd d is bottom
+        # times nv: kd N is head times the grid, v (kn - kd)(v* N) each row's
+        # step times its column's v* combination, and kd d is head times den
         nv = self._norm()
-        c, s, t = d_den * j_den * nv, d_den * k_den, big * nv * j_den
-        head = [(c * x, c * y) for x, y in k_ints]
-        steps = [[gi_mul((s * a, s * b), p) for p in j_ints] for a, b in self._ints]
+        head = [(nv * x, nv * y) for x, y in kd]
+        jump = [(a - c, b - e) for (a, b), (c, e) in zip_longest(kn, kd, fillvalue=(0, 0))]
+        steps = [[gi_mul(x, p) for p in jump] for x in self._ints]
         conj = [((a, -b),) for a, b in self._ints]
         combos = []
         for col in zip(*grid):
@@ -134,7 +138,7 @@ class ElementaryFactor:
             for x, num in zip(conj, col):
                 mul_into(re, im, x, num)
             combos.append(pairs(re, im))
-        size = max(len(head), len(j_ints)) + top
+        size = max(len(head), len(jump)) + top
         flat = []
         for row, step in zip(grid, steps):
             for num, combo in zip(row, combos):
@@ -142,18 +146,21 @@ class ElementaryFactor:
                 mul_into(re, im, head, num)
                 mul_into(re, im, step, combo)
                 flat.append(pairs(re, im))
-        n = len(d_ints) + len(k_ints) - 1
+        n = len(den) + len(head) - 1
         re, im = [0] * n, [0] * n
-        mul_into(re, im, [(t * x, t * y) for x, y in k_ints], d_ints)
+        mul_into(re, im, head, den)
         points = [p.value for p in (self._alpha, self._alpha.conj_pair()) if not p.is_infinite]
-        return deflated_at_points(list(zip(re, im)), flat, points)
+        den, flat = deflated_at_points(list(zip(re, im)), flat, points)
+        content = int_gcd(*(x for num in (den, *flat) for pair in num for x in pair))
+        if content > 1:
+            den, *flat = ([(x // content, y // content) for x, y in num] for num in (den, *flat))
+        cols = len(grid[0])
+        return den, [flat[k:k + cols] for k in range(0, len(flat), cols)], max(map(len, flat)) - 1
 
-    def _update(self, w: RatMat, kn: Poly, kd: Poly) -> RatMat:
-        """``integer_update`` on W's integer form, made monic."""
-        grid, top, big = integer_form(w)
-        d_den, d_ints = w.den.parts
-        den, flat = self.integer_update(grid, top, big, d_den, d_ints, kn, kd)
-        return RatMat.from_canonical(*monic_lists(den, flat), w.cols)
+    def _update(self, w: RatMat, kn, kd) -> RatMat:
+        """``integer_update`` on W's state, made monic."""
+        den, grid, _ = self.integer_update(*_state(w), kn, kd)
+        return RatMat.from_canonical(*monic_lists(den, [n for row in grid for n in row]), w.cols)
 
     def matrix(self) -> RatMat:
         """U = I + (b - 1) P."""
@@ -164,12 +171,12 @@ class ElementaryFactor:
 
     def left_multiply(self, w: RatMat) -> RatMat:
         """U W without forming U or a matrix product: the update of W with b."""
-        return self._update(w, *blaschke_parts(self._alpha))
+        return self._update(w, *blaschke_kernel(self._alpha))
 
     def left_divide(self, w: RatMat) -> RatMat:
         """U~ W, which is U^-1 W, without forming U or a matrix product: the
         update of W with b~ = 1/b, since U~ = I + (b~ - 1) P."""
-        return self._update(w, *_inverse_kernel(self._alpha))
+        return self._update(w, *reversed(blaschke_kernel(self._alpha)))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ElementaryFactor):
@@ -184,11 +191,13 @@ class ElementaryFactor:
         return f"ElementaryFactor(alpha={self._alpha}, v=[{vs}])"
 
 
-def _inverse_kernel(alpha: Point) -> tuple[Poly, Poly]:
-    """b~ = 1/b as (numerator, monic denominator)."""
-    kn, kd = blaschke_parts(alpha)
-    c = kn.lead.inverse()
-    return kd * c, kn * c
+def _state(w: RatMat):
+    """W = N/d as ``integer_update``'s state (den, grid, top): N over big
+    (``integer_form``) and d over d_den, each rescaled by the other's."""
+    (grid, top, big), (d_den, d_ints) = integer_form(w), w.den.parts
+    if d_den != 1:
+        grid = [[[(d_den * x, d_den * y) for x, y in num] for num in row] for row in grid]
+    return [(big * x, big * y) for x, y in d_ints], grid, top
 
 
 def _factor(alpha: Point, ints) -> ElementaryFactor:
@@ -341,30 +350,19 @@ def potapov_factorize(v: RatMat) -> AllPassFactorization:
 
 
 def _peel(v: RatMat) -> AllPassFactorization:
-    # what is left is the grid's rows over den, all Gaussian-integer lists
-    size = v.rows
-    grid, top, big = integer_form(v)
-    d_den, d_ints = v.den.parts
-    den = [(big * x, big * y) for x, y in d_ints]
-    grid = [[[(d_den * x, d_den * y) for x, y in num] for num in row] for row in grid]
+    den, grid, top = _state(v)
     peeled = []
     # V's poles, smallest first, each peeled while what is left has one there
     for pole in v.pole_points():
-        kernel = _inverse_kernel(pole)
+        kn, kd = blaschke_kernel(pole)
         while (leading := leading_numerators(den, grid, top, pole)) is not None:
             column = next(col for col in zip(*leading) if any(x != (0, 0) for x in col))
             factor = _factor(pole, canonical_direction(column))
             peeled.append(factor)
-            den, flat = factor.integer_update(grid, top, 1, 1, den, *kernel)
-            content = int_gcd(*(x for num in (den, *flat) for pair in num for x in pair))
-            if content > 1:
-                den, *flat = ([(x // content, y // content) for x, y in num]
-                              for num in (den, *flat))
-            grid = [flat[k:k + size] for k in range(0, len(flat), size)]
-            top = max(map(len, flat)) - 1
+            den, grid, top = factor.integer_update(den, grid, top, kd, kn)
     # on para-unitary input what is left is a constant C = M / delta, and
     # the factorization's constructor checks that it is unitary
-    constant = RatMat.from_canonical(*monic_lists(den, [n for row in grid for n in row]), size)
+    constant = RatMat.from_canonical(*monic_lists(den, [n for row in grid for n in row]), v.rows)
     delta = den[0]
     cols = list(zip(*([num[0] if num else (0, 0) for num in row] for row in grid)))
     factors = []

@@ -37,6 +37,7 @@ from .spectra import (
     is_spectral_factor,
     is_stochastically_minimal,
     run_sweep,
+    spectrum_degree,
     uniqueness_check,
 )
 
@@ -121,7 +122,7 @@ def _cmd_verify_factor(args) -> dict:
         "is_spectral_factor": factor,
         "stochastically_minimal": minimal,
         "factor_degree": w.mcmillan_degree(),
-        "spectrum_degree": phi.mcmillan_degree(),
+        "spectrum_degree": spectrum_degree(w, phi.phi) if factor else phi.mcmillan_degree(),
     }
 
 

@@ -10,8 +10,8 @@ inside the representation.
 from __future__ import annotations
 
 from .errors import CirclePoleError
-from .poly import Poly, as_poly, cleared_fraction
-from .scalars import Comparison, GaussianRational, Point, ONE
+from .poly import Poly, as_poly, cleared_fraction, pairs
+from .scalars import Comparison, GaussianRational, Point, scalar_parts
 
 
 class RatFun:
@@ -206,22 +206,23 @@ _RF_ONE = RatFun(Poly.one())
 
 
 def blaschke(alpha: Point) -> RatFun:
-    """The elementary all-pass kernel (1 - conj(alpha) z) / (z - alpha).
+    """The all-pass kernel (1 - conj(alpha) z) / (z - alpha), z at infinity,
+    from ``blaschke_kernel``, which refuses a pole on the unit circle: b
+    would not be all-pass there."""
+    kn, kd = blaschke_kernel(alpha)
+    return RatFun(Poly.from_parts(1, kn), Poly.from_parts(1, kd))
 
-    Degenerates to z for alpha at infinity.  Poles on the unit circle are
-    rejected at construction: the factor would not be all-pass there.
-    """
-    return RatFun(*blaschke_parts(alpha))
 
-
-def blaschke_parts(alpha: Point) -> tuple[Poly, Poly]:
-    """Numerator and monic denominator of ``blaschke(alpha)``, which are
-    coprime, built without a RatFun."""
+def blaschke_kernel(alpha: Point) -> tuple[list, list]:
+    """``blaschke(alpha)`` as coprime Gaussian-integer coefficient lists,
+    read from alpha = (a + bi)/delta: delta - (a - bi) z over delta z -
+    (a + bi), z over 1 at infinity and 1 over z at 0 (no trailing zero
+    pair).  Swapped, they are b~ = 1/b."""
     if not isinstance(alpha, Point):
         alpha = Point(alpha)
     if alpha.abs_vs_one() is Comparison.EQUAL:
         raise CirclePoleError(f"pole on the unit circle: {alpha}")
     if alpha.is_infinite:
-        return Poly.variable(), Poly.one()
-    a = alpha.value
-    return Poly((ONE, -a.conj())), Poly.linear(a)
+        return [(0, 0), (1, 0)], [(1, 0)]
+    a, b, delta = scalar_parts(alpha.value)
+    return pairs([delta, -a], [0, b]), [(-a, -b), (delta, 0)]

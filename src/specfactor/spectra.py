@@ -241,7 +241,7 @@ def _inverse_analytic(w: RatMat, region: Region) -> bool:
         return False
 
 
-def _spectrum_degree(w: RatMat, phi: RatMat) -> int:
+def spectrum_degree(w: RatMat, phi: RatMat) -> int:
     """deg Phi for Phi = W~ W (the precondition, not checked), from W's pole
     points P alone: Phi's denominator, twice the degree of W's, is never
     root-searched.
@@ -262,8 +262,8 @@ def _spectrum_degree(w: RatMat, phi: RatMat) -> int:
 def _is_minimal(w: RatMat, phi: RatMat) -> bool:
     """Stochastic minimality of a factor W of Phi: 2 deg W = deg Phi.  Both
     callers pass Phi = W~ W, so deg Phi is read at W's poles and their
-    images (``_spectrum_degree``)."""
-    return 2 * w.mcmillan_degree() == _spectrum_degree(w, phi)
+    images (``spectrum_degree``)."""
+    return 2 * w.mcmillan_degree() == spectrum_degree(w, phi)
 
 
 @lru_cache(maxsize=32)
@@ -369,15 +369,15 @@ def transfer_between(w1: RatMat, w: RatMat) -> RatMat:
     T* T = X* W1* W1 X = X* W* W X = (W X)* (W X) = I, and for
     A = W1 (I - X W) it gives A* A = (W - W X W)* (W - W X W) = 0; on the
     unit circle A* A is A^H A, so A = 0 and W1 = T W.  So a constant T
-    that is unitary with T W = W1 (``_is_constant_transfer``) settles
-    co-spectrality without either Gram product, and only otherwise are
-    W1* W1 and W* W compared."""
+    decides co-spectrality with no Gram product: the pair is co-spectral
+    exactly when T is unitary with T W = W1 (``_is_constant_transfer``).
+    Only a non-constant T has W1* W1 and W* W compared."""
     if w1.rows != w.rows or w1.cols != w.cols:
         raise DimensionMismatchError("factors must share dimensions")
     if w.normal_rank() != w.rows or w1.normal_rank() != w1.rows:
         raise RankDeficiencyError("transfer needs full row rank factors")
     t = w1 * w.minimal_right_inverse()
-    if not _is_constant_transfer(t, w, w1) and _gram(w1) != _gram(w):
+    if not (_is_constant_transfer(t, w, w1) if t.is_constant() else _gram(w1) == _gram(w)):
         raise CoSpectralityError("factors are not co-spectral: W1* W1 differs from W* W")
     return t
 
@@ -754,7 +754,7 @@ def run_sweep(instances: int, base_seed: int = 20240) -> dict:
                 "weak_regions": [region_p.weak, region_z.weak],
                 "size": list(size),
                 "degree": degree,
-                "spectrum_degree": _spectrum_degree(w, spectrum.phi),
+                "spectrum_degree": spectrum_degree(w, spectrum.phi),
                 "orthogonal_case": {
                     "verdict": res_orth.verdict.value,
                     "failed_hypotheses": list(res_orth.failed_hypotheses),

@@ -23,10 +23,12 @@ from specfactor import (
     make_elementary,
     potapov_factorize,
 )
-from specfactor import poly, ratmat
+from specfactor import allpass, poly, ratmat
 from specfactor.allpass import is_unitary_constant
 from specfactor.errors import DimensionMismatchError, NonGaussianPoleError
+from specfactor.gaussint import gi_mul
 from specfactor.jsonio import ratmat_from_json
+from specfactor.ratfun import blaschke_kernel
 
 from helpers import (
     M,
@@ -326,6 +328,46 @@ def test_update_matches_the_entrywise_oracle(case):
     assert factor.left_divide(w) == u.paraconj_transpose() * w
 
 
+@st.composite
+def _scaled_updates(draw):
+    """(alpha, v, W, lam, mu): an update from ``_updates`` (wide and zero W
+    included) or an elementary product from ``_paraunitary_products`` with
+    a pole of its pool, and two nonzero Gaussian integers."""
+    if draw(st.booleans()):
+        alpha, v, w = draw(_updates())
+    else:
+        w, rng = draw(_paraunitary_products())
+        alpha, v = draw(st.sampled_from(_LEMMA_POOL)), random_direction(rng, w.rows)
+    scalar = st.tuples(st.integers(-3, 3), st.integers(-3, 3)).filter(any)
+    return alpha, v, w, draw(scalar), draw(scalar)
+
+
+def _scaled(lam, num):
+    return [gi_mul(lam, x) for x in num]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_scaled_updates())
+@example((pt(2), [gr(1), gr(0, 1)], RatMat.zeros(2, 3), (1, 1), (0, -2)))
+@example((pt(0), [gr(1), gr(1)], make_elementary(INFINITY, [1, 1]), (2, 0), (-1, 1)))
+def test_update_is_invariant_under_common_gaussian_scalars(case):
+    # lam on W's state and mu on the kernel's lists scale the result only:
+    # made monic it is U W, and with the lists swapped U~ W
+    alpha, v, w, lam, mu = case
+    factor = ElementaryFactor(alpha, v)
+    den, grid, top = allpass._state(w)
+    den, grid = _scaled(lam, den), [[_scaled(lam, num) for num in row] for row in grid]
+    kn, kd = (_scaled(mu, k) for k in blaschke_kernel(alpha))
+
+    def monic(state):
+        den, grid, _ = state
+        return RatMat.from_canonical(*poly.monic_lists(den, [n for row in grid for n in row]),
+                                     w.cols)
+
+    assert monic(factor.integer_update(den, grid, top, kn, kd)) == factor.left_multiply(w)
+    assert monic(factor.integer_update(den, grid, top, kd, kn)) == factor.left_divide(w)
+
+
 def test_update_takes_no_gcd(monkeypatch):
     # the lemma in ElementaryFactor._update names the common factor, so
     # neither direction runs a gcd or the general reduction; W is wide,
@@ -618,6 +660,25 @@ def test_peel_is_the_oracle_peel_factor_for_factor(case):
     assert fact.constant == constant
     assert [(f.alpha, f) for f in fact.factors] == [
         (pole, ElementaryFactor(pole, direction)) for pole, direction in steps]
+
+
+@settings(max_examples=40, deadline=None)
+@given(_paraunitary_products())
+@example((make_elementary(pt(2), [1, 0]) * make_elementary(pt(2), [1, 1]), random.Random(0)))
+@example((V_JSON, random.Random(0)))
+def test_peel_takes_no_polynomial_arithmetic(case):
+    # the kernel, every step and the constant tail stay in Gaussian-integer
+    # lists: with Poly's +, - and * refused, the peel still completes
+    v, _ = case
+
+    def refuse(*args):
+        raise AssertionError("Poly arithmetic in the peel")
+
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__"):
+            mp.setattr(Poly, name, refuse)
+        fact = potapov_factorize(v)
+    assert fact.product() == v
 
 
 def _signed_permutations():

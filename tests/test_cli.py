@@ -10,7 +10,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from specfactor import Region, Side, blaschke, generate_instance, jsonio, uniqueness_check
+from specfactor import Poly, Region, Side, blaschke, generate_instance, jsonio, uniqueness_check
 from specfactor.errors import ScalarParseError
 from specfactor.cli import _ERROR_CODES, main, run
 from specfactor.spectra import _MAX_DEGREE
@@ -134,6 +134,21 @@ def test_verify_factor_double_fault_reports_the_column_count(tmp_path, capsys):
     code, out, err = run_cli(capsys, "verify-factor", w_path, phi_path)
     assert code == 1 and not out
     assert json.loads(err)["error"]["code"] == "dimension_mismatch"
+
+
+def test_verify_factor_reads_the_spectrum_degree_at_the_factors_poles(tmp_path, capsys):
+    # Phi's denominator has roots 3**620, 1 and 3**-620: a root search of
+    # it is refused (385641 divisor pairs), while W's poles give deg Phi
+    w = M([[RF([1], Poly.linear(3**620) * Poly.linear(1))]])
+    w_path = write_matrix(tmp_path / "w.json", w)
+    phi_path = write_matrix(tmp_path / "phi.json", w.paraconj_transpose() * w)
+    code, out, err = run_cli(capsys, "verify-factor", w_path, phi_path)
+    assert code == 0 and not err
+    payload = json.loads(out)
+    assert payload["is_spectral_factor"] is True
+    assert payload["stochastically_minimal"] is True
+    assert payload["factor_degree"] == 2
+    assert payload["spectrum_degree"] == 4
 
 
 def test_check_uniqueness(tmp_path, capsys):

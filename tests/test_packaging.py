@@ -228,6 +228,17 @@ def test_only_poly_multiplies_coefficient_lists():
     assert {name: lines for name, lines in found.items() if lines} == {}
 
 
+def test_allpass_layer_names_no_poly():
+    # the all-pass layer's one representation is the Gaussian-integer
+    # coefficient list: allpass.py neither imports nor names Poly
+    tree = _modules()["allpass.py"]
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    names |= {alias.asname or alias.name for node in ast.walk(tree)
+              if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+    assert "Poly" not in names
+
+
 def _memo_bounds(tree: ast.Module) -> dict[str, object]:
     """The bound of every memo a module declares, by line: the integer
     maxsize, or the source text where there is no integer literal."""

@@ -4,6 +4,7 @@ import pytest
 
 from specfactor import INFINITY, Poly, RatFun, blaschke
 from specfactor.errors import CirclePoleError
+from specfactor.ratfun import blaschke_kernel
 
 from helpers import P, RF, gr, pt
 
@@ -132,6 +133,39 @@ def test_blaschke_rejects_circle():
         blaschke(pt(1))
     with pytest.raises(CirclePoleError):
         blaschke(pt(Fraction(3, 5), Fraction(4, 5)))
+
+
+_KERNEL_POLES = [pt(0), INFINITY, pt(2), pt(-3), pt(Fraction(1, 2)), pt(0, 2), pt(1, 1),
+                 pt(Fraction(1, 2), Fraction(-1, 3))]
+
+
+@pytest.mark.parametrize("alpha", _KERNEL_POLES, ids=str)
+def test_blaschke_kernel_lists_are_the_kernel(alpha):
+    # (1 - conj(alpha) z) / (z - alpha), z at infinity, from two
+    # Gaussian-integer lists whose leads are nonzero
+    kn, kd = blaschke_kernel(alpha)
+    assert kn[-1] != (0, 0) and kd[-1] != (0, 0)
+    if alpha.is_infinite:
+        expected = RF([0, 1])
+    else:
+        a = alpha.value
+        expected = RatFun(P(1, -a.conj()), P(-a, 1))
+    assert blaschke(alpha) == expected
+    assert RatFun(Poly.from_parts(1, kn), Poly.from_parts(1, kd)) == expected
+    # swapped, the lists are b~ = 1/b
+    assert RatFun(Poly.from_parts(1, kd), Poly.from_parts(1, kn)) == expected.paraconj()
+
+
+def test_blaschke_kernel_at_zero_and_infinity_has_no_trailing_zero():
+    assert blaschke_kernel(pt(0)) == ([(1, 0)], [(0, 0), (1, 0)])
+    assert blaschke_kernel(INFINITY) == ([(0, 0), (1, 0)], [(1, 0)])
+
+
+@pytest.mark.parametrize("alpha", [pt(1), pt(-1), pt(0, 1), pt(Fraction(3, 5), Fraction(-4, 5))],
+                         ids=str)
+def test_blaschke_kernel_rejects_circle(alpha):
+    with pytest.raises(CirclePoleError):
+        blaschke_kernel(alpha)
 
 
 def test_eval_at_pole_raises():

@@ -53,8 +53,8 @@ from specfactor.spectra import (
     _draw_real_outside,
     _gram,
     _hermitian_eigenvalues,
-    _spectrum_degree,
     default_geometries,
+    spectrum_degree,
 )
 
 from helpers import M, P, RF, gr, pt
@@ -625,9 +625,9 @@ def _brute_gram_degree(w) -> int:
 
 def _check_spectrum_degree(w):
     phi = _gram(w)
-    assert _spectrum_degree(w, phi) == phi.mcmillan_degree() == _brute_gram_degree(w)
+    assert spectrum_degree(w, phi) == phi.mcmillan_degree() == _brute_gram_degree(w)
     if w.has_real_coeffs():
-        assert _spectrum_degree(w, phi) == Spectrum(phi).mcmillan_degree()
+        assert spectrum_degree(w, phi) == Spectrum(phi).mcmillan_degree()
 
 
 _PERTURBATION_POLES = [pt(0), INFINITY, pt(3), pt(Fraction(1, 2)), pt(-1, 1)]
@@ -686,7 +686,7 @@ def test_uniqueness_reads_phis_degree_past_a_refused_root_search(k, c, geo_index
     w = M([[RF([1], P(-3**k, 1) * P(-c, 1))]])
     with pytest.raises(InputTooLargeError):
         _gram(w).mcmillan_degree()
-    assert _spectrum_degree(w, _gram(w)) == _brute_gram_degree(w) == (2 if c == 0 else 4)
+    assert spectrum_degree(w, _gram(w)) == _brute_gram_degree(w) == (2 if c == 0 else 4)
     for sign in (1, -1):
         res = uniqueness_check(w, w * sign, geo["region_p"], geo["region_z"])
         assert res.failed_hypotheses == failed
@@ -742,6 +742,17 @@ def test_scaled_factor_is_not_co_spectral(monkeypatch):
     assert grams == [_W23, w1]
     with pytest.raises(CoSpectralityError):
         transfer_between(w1, _W23)
+
+
+@pytest.mark.parametrize("w, w1", [(_W23, _W23 * 2), (M([[1, 0]]), M([[1, 1]]))],
+                         ids=["not_unitary", "misses_w1"])
+def test_constant_transfer_decides_co_spectrality_without_grams(monkeypatch, w, w1):
+    # a co-spectral pair with constant T has T unitary and T W = W1, so a
+    # constant T that fails either raises before a Gram is formed
+    grams = _spy_grams(monkeypatch)
+    with pytest.raises(CoSpectralityError):
+        transfer_between(w1, w)
+    assert grams == []
 
 
 def test_unitary_transfer_that_misses_w1_is_not_co_spectral(monkeypatch):
