@@ -11,7 +11,8 @@ the left multiplication of the identity.  The layer works on Gaussian-
 integer coefficient lists alone: k is ``ratfun.blaschke_kernel``'s pair
 (swapped for b~), and ``ElementaryFactor.integer_update`` takes and returns
 W's state, d and N's rows over one scale, with every product from
-``poly.mul_into`` and, by the lemma there, no gcd.
+``poly.mul_into`` and, by the lemma there, no gcd.  ``ratmat`` owns the
+state: ``integer_form`` builds it and ``RatMat.from_integer_form`` inverts it.
 
 ``potapov_factorize`` peels a para-unitary matrix into a constant unitary
 times elementary factors, one per unit of McMillan degree.  The peel order
@@ -23,11 +24,12 @@ That column always lowers the degree by one (the lemma in
 ``potapov_factorize``), so the peel enumerates no minors, tries no
 candidates and reads no pole degree: it asks ``RatMat`` for the input's
 pole locations once and peels each while what is left has a pole there.
-What is left stays one such state, reduced but not monic: each step reads
-its pole test and column from one expansion term
-(``ratmat.leading_numerators``, as ``RatMat.laurent_leading`` does) and
-takes ``integer_update``'s state.  Only the constant tail becomes a
-``RatMat``, checked unitary in integers (``is_unitary_constant``).
+What is left stays one such state, built once from the input, reduced but
+not monic: each step reads its pole test and column from one expansion term
+(``ratmat.leading_numerators``, as ``RatMat.laurent_leading`` does), takes
+``integer_update``'s state and divides out its integer content.  Only the
+constant tail becomes a ``RatMat``, checked unitary in integers
+(``is_unitary_constant``).
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from math import gcd as int_gcd
 from .errors import DimensionMismatchError
 from .gaussint import gi_mul
 from .linsolve import cleared
-from .poly import deflated_at_points, monic_lists, mul_into, pairs
+from .poly import deflated_at_points, mul_into, pairs
 from .ratfun import RatFun, blaschke, blaschke_kernel
 from .ratmat import RatMat, integer_form, leading_numerators
 from .scalars import Comparison, GaussianRational, Point
@@ -101,16 +103,18 @@ class ElementaryFactor:
         return [[vi * vj.conj() / norm for vj in v] for vi in v]
 
     def integer_update(self, den, grid, top: int, kn, kd):
-        """W + (k - 1) P W for the kernel k = kn/kd and W = N/d as the
-        peel's state: den (d) and grid (N's rows), Gaussian-integer
-        coefficient lists over one scale, and top, N's largest entry degree.
-        With nv = v* v it is kd N + v (kn - kd)(v* N) / nv over kd d, times
-        nv in integers, returned as the same state deflated at alpha and its
-        partner, integer content divided out, reduced if W is.
+        """W + (k - 1) P W for the kernel k = kn/kd and W = N/d as the state
+        ``ratmat.integer_form`` gives: den (d) and grid (N's rows), Gaussian-
+        integer coefficient lists over one scale, and top, N's largest entry
+        degree.  With nv = v* v it is kd N + v (kn - kd)(v* N) / nv over
+        kd d, times nv in integers, returned as the same state deflated at
+        alpha and its partner, reduced if W is.  Its integer content stays:
+        the peel, which keeps the state between steps, divides it out, and
+        ``RatMat.from_integer_form`` reduces every entry anyway.
 
         A nonzero Gaussian integer common to den and grid, or to kn and kd,
-        only scales the result, which ``monic_lists`` removes and the peel
-        reads as |lambda|**2 (``leading_numerators``).  As b~ = 1/b, b's
+        only scales the result, which ``from_integer_form`` removes and the
+        peel reads as |lambda|**2 (``leading_numerators``).  As b~ = 1/b, b's
         lists swapped are b~'s: ``left_divide`` and the peel pass them so.
 
         Lemma.  The common factor of kd d and every numerator is
@@ -151,16 +155,12 @@ class ElementaryFactor:
         mul_into(re, im, head, den)
         points = [p.value for p in (self._alpha, self._alpha.conj_pair()) if not p.is_infinite]
         den, flat = deflated_at_points(list(zip(re, im)), flat, points)
-        content = int_gcd(*(x for num in (den, *flat) for pair in num for x in pair))
-        if content > 1:
-            den, *flat = ([(x // content, y // content) for x, y in num] for num in (den, *flat))
         cols = len(grid[0])
         return den, [flat[k:k + cols] for k in range(0, len(flat), cols)], max(map(len, flat)) - 1
 
     def _update(self, w: RatMat, kn, kd) -> RatMat:
-        """``integer_update`` on W's state, made monic."""
-        den, grid, _ = self.integer_update(*_state(w), kn, kd)
-        return RatMat.from_canonical(*monic_lists(den, [n for row in grid for n in row]), w.cols)
+        """``integer_update`` on W's integer form, made monic."""
+        return RatMat.from_integer_form(*self.integer_update(*integer_form(w), kn, kd)[:2])
 
     def matrix(self) -> RatMat:
         """U = I + (b - 1) P."""
@@ -189,15 +189,6 @@ class ElementaryFactor:
     def __repr__(self) -> str:
         vs = ", ".join(str(x) for x in self.v)
         return f"ElementaryFactor(alpha={self._alpha}, v=[{vs}])"
-
-
-def _state(w: RatMat):
-    """W = N/d as ``integer_update``'s state (den, grid, top): N over big
-    (``integer_form``) and d over d_den, each rescaled by the other's."""
-    (grid, top, big), (d_den, d_ints) = integer_form(w), w.den.parts
-    if d_den != 1:
-        grid = [[[(d_den * x, d_den * y) for x, y in num] for num in row] for row in grid]
-    return [(big * x, big * y) for x, y in d_ints], grid, top
 
 
 def _factor(alpha: Point, ints) -> ElementaryFactor:
@@ -273,9 +264,10 @@ def _dot(xs, ys) -> tuple[int, int]:
 
 def is_unitary_constant(c: RatMat) -> bool:
     """Exact unitarity of a constant square C, in integers: with C = M/delta
-    (``integer_form``, delta a positive integer), C* C = I exactly when
-    M* M = delta**2 I, one Hermitian product per pair of columns."""
-    grid, _, delta = integer_form(c)
+    (``integer_form``, delta > 0 its scale, d's only entry), C* C = I
+    exactly when M* M = delta**2 I, one Hermitian product per pair of
+    columns."""
+    ((delta, _),), grid, _ = integer_form(c)
     cols = list(zip(*([num[0] if num else (0, 0) for num in row] for row in grid)))
     return all(_dot(x, y) == ((delta * delta, 0) if j == k else (0, 0))
                for j, x in enumerate(cols) for k, y in enumerate(cols))
@@ -350,7 +342,7 @@ def potapov_factorize(v: RatMat) -> AllPassFactorization:
 
 
 def _peel(v: RatMat) -> AllPassFactorization:
-    den, grid, top = _state(v)
+    den, grid, top = integer_form(v)
     peeled = []
     # V's poles, smallest first, each peeled while what is left has one there
     for pole in v.pole_points():
@@ -360,9 +352,13 @@ def _peel(v: RatMat) -> AllPassFactorization:
             factor = _factor(pole, canonical_direction(column))
             peeled.append(factor)
             den, grid, top = factor.integer_update(den, grid, top, kd, kn)
+            rows = [[den], *grid]
+            k = int_gcd(*(x for row in rows for num in row for pair in num for x in pair))
+            if k > 1:  # the integer content only scales the state
+                (den,), *grid = ([[(x // k, y // k) for x, y in n] for n in row] for row in rows)
     # on para-unitary input what is left is a constant C = M / delta, and
     # the factorization's constructor checks that it is unitary
-    constant = RatMat.from_canonical(*monic_lists(den, [n for row in grid for n in row]), v.rows)
+    constant = RatMat.from_integer_form(den, grid)
     delta = den[0]
     cols = list(zip(*([num[0] if num else (0, 0) for num in row] for row in grid)))
     factors = []

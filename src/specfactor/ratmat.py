@@ -5,10 +5,10 @@ matrix and gcd(d, every entry of N) = 1.  The form is canonical (d is the
 lcm of the reduced entry denominators), so equality and hashing are
 structural.  Whatever builds a matrix from another one (products, sums,
 paraconjugation, the minimal inverse) hands over N/d and reduces it once
-through ``poly.cleared_fraction``, as ``RatFun`` does (``allpass``'s
-update reduces itself, ``from_canonical``); a matrix built from entries
-works out its form once from them.  The per-entry ``RatFun``s are derived
-only when something reads them (``entries``, ``str``, JSON output).
+through ``poly.cleared_fraction``, as ``RatFun`` does (``allpass``'s update
+reduces itself, ``from_integer_form``); a matrix built from entries works
+out its form once from them.  The per-entry ``RatFun``s are derived only
+when something reads them (``entries``, ``str``, JSON output).
 
 The structural queries all reduce to exact polynomial arithmetic on N/d:
 
@@ -23,8 +23,8 @@ The structural queries all reduce to exact polynomial arithmetic on N/d:
   the roots of the Smith-McMillan zero polynomial,
 * pole/zero degrees at one point of the extended plane, infinity included,
   come from a local Smith form on the expansion of N about the point
-  (``point_expansions``, to a given number of terms, from N's integer form
-  ``_integer_form``, built once per matrix), pivoting on an entry
+  (``point_expansions``, to a given number of terms, from the integer form
+  of N/d, ``_integer_form``, built once per matrix), pivoting on an entry
   of least order and working mod u**precision.  The pole degree is the
   sum of max(0, m - nu_k) over N's invariant orders nu_k, m the order of d
   there (``_den_order``), so ``pole_degree`` expands and eliminates only m
@@ -37,7 +37,7 @@ The structural queries all reduce to exact polynomial arithmetic on N/d:
 * the McMillan degree is the sum of ``pole_degree`` over ``pole_points()``,
 * ``minimal_right_inverse`` of a square G of full rank is its inverse
   d adj(N) / det(N), minimal by theorem; a wide G solves one exact Z[i]
-  system, built from the same integer form of N, for right inverses with
+  system, built from the same integer form of N/d, for right inverses with
   poles on the zeros of G; the lemma at ``_minimal_right_inverse`` decides
   by linear conditions whether its particular solution is minimal, else a
   second exact system picks one; memoized per value (32 entries).
@@ -65,8 +65,8 @@ from .errors import (
     ZeroMatrixError,
 )
 from .linsolve import cleared, solve_linear
-from .poly import (Poly, cleared_fraction, gaussian_roots, gcd_of, monic_fraction, mul_into,
-                   order_of, pairs, poly_gcd, poly_lcm, require_split, taylor_numerators)
+from .poly import (Poly, cleared_fraction, gaussian_roots, gcd_of, monic_fraction, monic_lists,
+                   mul_into, order_of, pairs, poly_gcd, poly_lcm, require_split, taylor_numerators)
 from .ratfun import RatFun, as_ratfun
 from .scalars import GaussianRational, INFINITY, Point
 
@@ -141,10 +141,11 @@ class RatMat:
         return _wrap_flat(*cleared_fraction(d, (p for row in n for p in row)), len(n[0]))
 
     @classmethod
-    def from_canonical(cls, d: Poly, flat, cols: int) -> RatMat:
-        """N/d for a form already canonical (not checked), N given row by
-        row in one flat sequence."""
-        return _wrap_flat(d, tuple(flat), cols)
+    def from_integer_form(cls, den, grid) -> RatMat:
+        """N/d from ``integer_form``'s lists den (d) and grid (N's rows), or
+        any common multiple of them without a common polynomial factor (not
+        checked), made monic and reduced entry by entry (``monic_lists``)."""
+        return _wrap_flat(*monic_lists(den, [n for row in grid for n in row]), len(grid[0]))
 
     @classmethod
     def identity(cls, n: int) -> RatMat:
@@ -373,8 +374,7 @@ class RatMat:
         not a pole raises ``ValueError``."""
         if self.is_zero():
             raise ZeroMatrixError("degrees of the zero matrix are undefined")
-        grid, top, _ = _integer_form(self)
-        leading = leading_numerators(self._d.parts[1], grid, top, point)
+        leading = leading_numerators(*_integer_form(self), point)
         if leading is None:
             raise ValueError(f"no pole at {point}")
         return [[GaussianRational.from_parts(x, y, 1) for x, y in row] for row in leading]
@@ -445,16 +445,16 @@ def _minimal_right_inverse(mat: RatMat) -> RatMat:
         )
     m = mat.sm_structure().zero_polynomial()
     dz_inf = mat.zero_degree(INFINITY)
-    grid, deg_n, n_den = _integer_form(mat)
+    d_ints, grid, deg_n = _integer_form(mat)
     t_den, t_num = (mat.den * m).parts
     deg_y = int(m.degree) + dz_inf
     height = max(deg_n + deg_y, len(t_num) - 1) + 1
     width = n * (deg_y + 1)
     # G * X = I is N * Y = d m I; equation (i, t) matches the coefficients
-    # of z**t in row i, both sides times the lcm of N's and d m's
-    # denominators to stay in integers
-    scale = lcm(n_den, t_den)
-    n_scale, t_scale = scale // n_den, scale // t_den
+    # of z**t in row i, both sides times the lcm of N's scale (the lead of
+    # d's list in the integer form) and d m's denominator to stay in integers
+    scale = lcm(d_ints[-1][0], t_den)
+    n_scale, t_scale = scale // d_ints[-1][0], scale // t_den
     a, b = [], []
     for i in range(r):
         entries = [(k * (deg_y + 1), num) for k, num in enumerate(grid[i]) if num]
@@ -614,24 +614,24 @@ def _cleared_cached(mat: RatMat) -> tuple[Poly, tuple[tuple[Poly, ...], ...]]:
     return mat.den, mat.num
 
 
-def integer_form(mat: RatMat) -> tuple[tuple, int, int]:
-    """N over one integer denominator: (grid, top, den) with grid each
-    entry's Gaussian-integer numerators scaled to den, the lcm of the
-    entries' denominators (() for zero), and top the largest entry degree
-    (-1 for the zero matrix).  Only the matrix fixes them, so
-    ``point_expansions``, ``_top`` and the coefficient system of
-    ``_minimal_right_inverse`` read them once per matrix from the memo
-    ``_integer_form``; the all-pass update, which reads each matrix once
-    and fills no memo, calls this builder."""
-    parts = [[p.parts for p in row] for row in mat.num]
-    den = lcm(*(p_den for row in parts for p_den, num in row if num))
+def integer_form(mat: RatMat) -> tuple[tuple, tuple, int]:
+    """N/d as Gaussian-integer lists over one scale L, the lcm of d's and
+    the entries' denominators: (den, grid, top), den d's numerators (lead L,
+    as d is monic), grid each entry's (() for zero) and top the largest
+    entry degree (-1 for the zero matrix), ``integer_update``'s state, which
+    ``RatMat.from_integer_form`` inverts.  ``point_expansions``,
+    ``laurent_leading`` and ``_minimal_right_inverse``'s coefficient system
+    read it once per matrix from the memo ``_integer_form``; the all-pass
+    layer, which reads each matrix once and fills no memo, calls this."""
+    (d_den, d_ints), parts = mat.den.parts, [[p.parts for p in row] for row in mat.num]
+    scale = lcm(d_den, *(p_den for row in parts for p_den, num in row if num))
 
     def scaled(p_den, num):
-        k = den // p_den
+        k = scale // p_den
         return num if k == 1 else tuple((x * k, y * k) for x, y in num)
 
     grid = tuple(tuple(scaled(*p) for p in row) for row in parts)
-    return grid, max(len(num) for row in grid for num in row) - 1, den
+    return scaled(d_den, d_ints), grid, max(len(num) for row in grid for num in row) - 1
 
 
 _integer_form = lru_cache(maxsize=4096)(integer_form)
@@ -639,8 +639,8 @@ _integer_form = lru_cache(maxsize=4096)(integer_form)
 
 def _top(mat: RatMat) -> int:
     """The largest entry degree of N, the padding of ``point_expansions``
-    and the test for a pole at infinity (from ``_integer_form``)."""
-    return _integer_form(mat)[1]
+    and the test for a pole at infinity, read off N's entries."""
+    return max(len(p.parts[1]) for row in mat.num for p in row) - 1
 
 
 def _den_order(mat: RatMat, point: Point) -> tuple[int, tuple[int, int]]:
@@ -688,14 +688,14 @@ def leading_numerators(den, grid, top: int, point: Point):
 def point_expansions(mat: RatMat, point: Point, terms: int):
     """The entries of N about one point of the extended plane, mod u**terms.
 
-    The entries, cleared to one integer denominator and padded to the
-    largest entry degree so that one scalar scales them all, come from the
-    memo ``_integer_form``; each is expanded about the point (at infinity:
+    The entries, over the one scale of d and N (the memo ``_integer_form``)
+    and padded to the largest entry degree so that one scalar scales them
+    all, are each expanded about the point (at infinity:
     reversed), and only its first ``terms`` coefficients are computed
     (Gaussian-integer pair lists, [] for zero).  With ``_den_order`` they
     give G = grid / (c u**m + ...) up to a positive rational.
     """
-    grid, top, _ = _integer_form(mat)
+    _, grid, top = _integer_form(mat)
     if point.is_infinite:
         return [[([(0, 0)] * (top + 1 - len(num)) + [*reversed(num)])[:terms] if num else []
                  for num in row] for row in grid]

@@ -428,11 +428,12 @@ def uniqueness_check(
     is X' T^-1 for a minimal right inverse X' of W, with the poles of X',
     which are W's zeros.  The den test is necessary for a constant T: a
     common factor of d and the entries of T N would divide those of
-    N = T^-1 (T N).  Otherwise every W1 hypothesis is checked on W1 itself,
-    and W1 X is formed at the end if it was not formed before.  Forming X
-    and T finds no roots, and forming X raises only
-    ``MinimalInverseError``, so the root searches keep their order: W's
-    pole region first, and Phi's degree is read at W's poles
+    N = T^-1 (T N).  W1 == W is that case with T = I (W X = I), taken with
+    no product, and without X too.  Otherwise every W1 hypothesis is
+    checked on W1 itself, and W1 X is formed at the end if it was not
+    formed before.  Forming X and T finds no roots, and forming X raises
+    only ``MinimalInverseError``, so the root searches keep their order:
+    W's pole region first, and Phi's degree is read at W's poles
     (``_is_minimal``), never from Phi's own denominator.
     """
     if w.rows != w1.rows or w.cols != w1.cols:
@@ -452,9 +453,10 @@ def uniqueness_check(
             x = w.minimal_right_inverse()
         except MinimalInverseError:
             pass
-    if x is not None and w1.den == w.den:
-        t = w1 * x
-    constant = t is not None and _is_constant_transfer(t, w, w1)
+    same = w1 == w
+    if x is not None and (same or w1.den == w.den):
+        t = RatMat.identity(r) if same else w1 * x
+    constant = same or t is not None and _is_constant_transfer(t, w, w1)
     phi1 = phi if constant else _gram(w1)
     if phi != phi1:
         failed.append("co_spectrality")

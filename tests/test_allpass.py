@@ -355,14 +355,13 @@ def test_update_is_invariant_under_common_gaussian_scalars(case):
     # made monic it is U W, and with the lists swapped U~ W
     alpha, v, w, lam, mu = case
     factor = ElementaryFactor(alpha, v)
-    den, grid, top = allpass._state(w)
+    den, grid, top = ratmat.integer_form(w)
     den, grid = _scaled(lam, den), [[_scaled(lam, num) for num in row] for row in grid]
     kn, kd = (_scaled(mu, k) for k in blaschke_kernel(alpha))
 
     def monic(state):
         den, grid, _ = state
-        return RatMat.from_canonical(*poly.monic_lists(den, [n for row in grid for n in row]),
-                                     w.cols)
+        return RatMat.from_integer_form(den, grid)
 
     assert monic(factor.integer_update(den, grid, top, kn, kd)) == factor.left_multiply(w)
     assert monic(factor.integer_update(den, grid, top, kd, kn)) == factor.left_divide(w)
@@ -598,6 +597,70 @@ def test_peel_refuses_non_paraunitary_input_within_twice_its_degree(v):
         assert divided
 
 
+# roots of entries: 0, points inside and outside the circle with some of
+# their partners, and 1 and i on it
+_SQUARE_ROOTS = [gr(0), gr(2), gr(Fraction(1, 2)), gr(1, 1), gr(Fraction(1, 2), Fraction(1, 2)),
+                 gr(Fraction(-1, 3)), gr(1), gr(0, 1)]
+_square_entries = st.one_of(
+    st.just(RatFun.zero()),
+    st.builds(lambda c, zeros, poles: RatFun(Poly.from_roots(zeros) * c, Poly.from_roots(poles)),
+              st.builds(gr, st.integers(-2, 2), st.integers(-2, 2)).filter(bool),
+              st.lists(st.sampled_from(_SQUARE_ROOTS), max_size=3),
+              st.lists(st.sampled_from(_SQUARE_ROOTS), max_size=2)))
+
+
+@st.composite
+def _random_squares(draw):
+    """A square matrix of side 1-3 from entries with split numerators and
+    denominators (poles at 0, on the circle, and at infinity where a
+    numerator outgrows its denominator), not zero and not para-unitary."""
+    r = draw(st.integers(1, 3))
+    v = RatMat([[draw(_square_entries) for _ in range(r)] for _ in range(r)])
+    assume(not v.is_zero() and not is_paraunitary(v))
+    return v
+
+
+@settings(max_examples=80, deadline=None)
+@given(_random_squares())
+@example(M([[RF([0, 0, 1], [Fraction(-1, 2), 1])]]))
+@example(M([[RF([1], [0, 1]), 1], [0, RF([-2, 1], [-1, 1])]]))
+def test_peel_refuses_any_square_input_within_twice_its_degree(v):
+    # the bound of potapov_factorize's lemma on inputs that are no
+    # perturbation of an all-pass product: a refusal within 2 deg V steps
+    steps = []
+    integer_update = ElementaryFactor.integer_update
+
+    def spy_integer_update(self, *args):
+        steps.append(self)
+        return integer_update(self, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ElementaryFactor, "integer_update", spy_integer_update)
+        _rejects_as_not_paraunitary(v)
+    assert len(steps) <= 2 * v.mcmillan_degree()
+
+
+def test_peel_builds_the_input_state_once(monkeypatch):
+    # V's integer form is built once, for the peel's state: neither the
+    # pole query nor a step builds it again, memoized or not
+    v = (make_elementary(pt(2), [1, 0, gr(0, 1)]) * make_elementary(INFINITY, [1, 1, 1])
+         * make_elementary(pt(0), [1, -1, 0]))
+    built = []
+    build = ratmat.integer_form
+
+    def spy(mat):
+        built.append(mat)
+        return build(mat)
+
+    for module, name in ((allpass, "integer_form"), (ratmat, "integer_form"),
+                         (ratmat, "_integer_form")):
+        monkeypatch.setattr(module, name, spy)
+    fact = potapov_factorize(v)
+    monkeypatch.undo()
+    assert [mat for mat in built if mat == v] == [v]
+    assert fact.product() == v
+
+
 def test_peel_reads_no_pole_degree(monkeypatch):
     # deg V steps, one left division each, and no pole degree read: each
     # pole is peeled while what is left still has a pole there
@@ -716,8 +779,8 @@ def test_integer_unitarity_check_is_the_paraunitary_check_on_constants():
 
 def test_peel_fills_no_memo():
     # the peel workload is the benchmark's control for caching: only V's
-    # own pole query (its integer form, its denominator's roots) is
-    # memoized, and no step or check fills a memo
+    # own pole query (its denominator's roots) is memoized, and no step or
+    # check fills a memo
     v = (make_elementary(pt(2), [1, 0, gr(0, 1)])
          * make_elementary(pt(1, 1), [1, 1, 0])
          * make_elementary(pt(Fraction(1, 2)), [0, 2, -1])
@@ -733,11 +796,10 @@ def test_peel_fills_no_memo():
     fact = potapov_factorize(v)
     sizes = {name: fn.cache_info().currsize for name, fn in memos.items()
              if fn.cache_info().currsize}
-    assert sizes == {"specfactor.ratmat._integer_form": 1, "specfactor.poly.gaussian_roots": 1}
-    # the one entry of each is V's: asking for it again is a hit
-    for fn, arg in ((ratmat._integer_form, v), (poly.gaussian_roots, v.den)):
-        before = fn.cache_info()
-        fn(arg)
-        after = fn.cache_info()
-        assert (after.hits, after.misses, after.currsize) == (before.hits + 1, before.misses, 1)
+    assert sizes == {"specfactor.poly.gaussian_roots": 1}
+    # the one entry is V's: asking for it again is a hit
+    before = poly.gaussian_roots.cache_info()
+    poly.gaussian_roots(v.den)
+    after = poly.gaussian_roots.cache_info()
+    assert (after.hits, after.misses, after.currsize) == (before.hits + 1, before.misses, 1)
     assert len(fact) == 5 and fact.product() == v

@@ -252,7 +252,8 @@ def test_orthogonal_multiple_solves_only_the_factors_system(monkeypatch):
 @pytest.mark.parametrize("sign", [1, -1])
 def test_a_failed_minimal_inverse_is_solved_once_per_factor(sign, monkeypatch):
     # [z, 1/z] has no minimal right inverse: the transfer's attempt stands
-    # for W's inverse check, so W and W1 cost one failed solve each
+    # for W's inverse check, so W and W1 cost one failed solve each, and
+    # W1 == W takes W's answer with no second solve
     w = M([[RF([0, 1]), RF([1], [0, 1])]])
     region = spectra.Region(spectra.Side.INNER)
     ratmat._minimal_right_inverse.cache_clear()
@@ -267,7 +268,7 @@ def test_a_failed_minimal_inverse_is_solved_once_per_factor(sign, monkeypatch):
     res = spectra.uniqueness_check(w, w * sign, region, region)
     monkeypatch.undo()
     assert "analyticity_W_inverse" in res.failed_hypotheses
-    assert len(solved) == 2
+    assert len(solved) == (1 if sign == 1 else 2)
 
 
 def test_sweep_forms_no_smith_mcmillan_form_of_an_inverse(monkeypatch):

@@ -239,6 +239,15 @@ def test_allpass_layer_names_no_poly():
     assert "Poly" not in names
 
 
+def test_allpass_reads_no_stored_form():
+    # a matrix's integer state is ratmat's alone (``integer_form`` builds it,
+    # ``RatMat.from_integer_form`` inverts it), so allpass.py reads no
+    # ``den``, ``num`` or ``parts`` of a matrix or polynomial
+    reads = [f"{node.attr} (line {node.lineno})" for node in ast.walk(_modules()["allpass.py"])
+             if isinstance(node, ast.Attribute) and node.attr in ("den", "num", "parts")]
+    assert reads == []
+
+
 def _memo_bounds(tree: ast.Module) -> dict[str, object]:
     """The bound of every memo a module declares, by line: the integer
     maxsize, or the source text where there is no integer literal."""

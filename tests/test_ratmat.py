@@ -1,4 +1,6 @@
+import itertools
 import json
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -25,6 +27,7 @@ from specfactor.errors import (
     RankDeficiencyError,
     ZeroMatrixError,
 )
+from specfactor.gaussint import gi_mul
 from specfactor.jsonio import ratmat_from_json, ratmat_to_json
 from specfactor.linsolve import matrix_rank
 from specfactor.poly import gaussian_roots, require_split
@@ -366,6 +369,32 @@ def test_point_degrees_enumerate_no_minors(monkeypatch):
     monkeypatch.undo()
     assert point_degrees_by_valuation.cache_info().misses == misses + 1
     assert got == brute_point_degrees(mat, pt(0))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_local_matrices())
+@example(M([[gr(1, 2), 0, gr(Fraction(1, 3))], [gr(Fraction(-1, 6)), 1, 0]]))
+@example(M([[RF([1], [0, Fraction(1, 2), 1]), RF([0, 0, gr(0, Fraction(1, 5))])],
+            [0, RF([1, 1], [Fraction(-1, 3), 1])], [0, 0]]))
+@example(M([[RF([0, Fraction(1, 7)], [0, Fraction(2, 3)]), RF([1, 0, 1])]]))
+@example(RatMat.zeros(2, 3))
+def test_integer_form_is_d_and_n_over_one_scale(g):
+    # one scale L > 0, the lcm of the denominators of d and every entry of
+    # N, carries both: den / L = d (monic, so den's lead is L) and
+    # grid / L = N entry by entry, and from_integer_form inverts the form,
+    # also after a common Gaussian-integer multiple
+    den, grid, top = ratmat.integer_form(g)
+    scale = den[-1][0]
+    assert den[-1] == (scale, 0) and scale > 0
+    assert scale == math.lcm(*(p.parts[0] for p in (g.den, *itertools.chain(*g.num))))
+    assert Poly.from_parts(scale, den) == g.den
+    assert [[Poly.from_parts(scale, num) for num in row] for row in grid] == [
+        list(row) for row in g.num]
+    assert top == max((int(p.degree) for p in itertools.chain(*g.num) if p), default=-1)
+    assert RatMat.from_integer_form(den, grid) == g
+    lam = (2, -3)
+    assert RatMat.from_integer_form([gi_mul(lam, x) for x in den], [
+        [[gi_mul(lam, x) for x in num] for num in row] for row in grid]) == g
 
 
 @st.composite

@@ -767,6 +767,38 @@ def test_unitary_transfer_that_misses_w1_is_not_co_spectral(monkeypatch):
     assert grams == [w, w1]
 
 
+@pytest.mark.parametrize("w, region", [
+    (_W23, OUTER), (W_SCALAR, INNER), (_FAILED_TRANSFERS["no_minimal_inverse"][0][0], INNER)],
+    ids=["wide", "scalar", "no_minimal_inverse"])
+def test_uniqueness_of_a_factor_with_itself_forms_no_product(monkeypatch, w, region):
+    # W1 == W: every W1 hypothesis is W's, and T = W1 X is the identity as
+    # W X = I, so past W's Gram no product is formed and W's minimal
+    # inverse is sought once, also when there is none
+    expected = _reference_hypotheses(w, w, region, region)
+    spectra._gram(w)
+    products, inverses = [], []
+    multiply, invert = RatMat.__mul__, RatMat.minimal_right_inverse
+
+    def spy_mul(self, other):
+        products.append((self, other))
+        return multiply(self, other)
+
+    def spy_inverse(self):
+        inverses.append(self)
+        return invert(self)
+
+    monkeypatch.setattr(RatMat, "__mul__", spy_mul)
+    monkeypatch.setattr(RatMat, "minimal_right_inverse", spy_inverse)
+    res = uniqueness_check(w, w, region, region)
+    monkeypatch.undo()
+    assert products == [] and inverses == [w]
+    assert res.failed_hypotheses == expected
+    if expected:
+        assert (res.verdict, res.transfer) == (Verdict.HYPOTHESIS_FAILED, None)
+    else:
+        assert (res.verdict, res.transfer) == (Verdict.UNIQUE, RatMat.identity(w.rows))
+
+
 def test_non_constant_transfer_still_compares_the_grams(monkeypatch):
     geo = default_geometries()[1]
     _, w = generate_instance(7, (2, 3), 2, geo["region_p"], geo["region_z"])
